@@ -17,14 +17,22 @@ complex ndarray yields arraywise jets of the same shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, QuadratureError, SingularityError
 
 #: Magnitudes of the first derivative below this floor raise SingularityError
 #: instead of silently producing Inf in downstream curvature formulas.
 DERIVATIVE_FLOOR = 1e-300
+
+#: Gauss-Legendre rule sizes double from the first to the last; a target is
+#: accepted once |I_n - I_2n| <= QUAD_TOL * (1 + |I_2n|).
+QUAD_FIRST_NODES = 64
+QUAD_MAX_NODES = 4096
+QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,6 +95,46 @@ def log_derivative(jet: Jet2, floor: float = DERIVATIVE_FLOOR) -> complex:
     if not np.all(mag > floor):
         raise SingularityError(f"|d1| <= {floor:g}: critical point of the representation")
     return jet.d2 / jet.d1
+
+
+_legendre_rule = lru_cache(maxsize=None)(leggauss)
+
+
+def gauss_legendre(integrand):
+    """Integrals over [-1, 1] of a batch of integrands, with an error estimate.
+
+    ``integrand`` maps the node array x, shape (n,), to values of shape
+    batch + (n,).  Rule sizes double from QUAD_FIRST_NODES; each target keeps
+    I_2n for the smallest n whose I_n and I_2n agree, so its value does not
+    depend on the rest of the batch.  Returns (I_2n, |I_n - I_2n|) and raises
+    QuadratureError when a target is still unsettled at QUAD_MAX_NODES.
+    """
+    def rule(n: int) -> np.ndarray:
+        x, w = _legendre_rule(n)
+        total = np.sum(integrand(x) * w, axis=-1)  # row by row: no BLAS blocking
+        if not np.all(np.isfinite(total)):
+            raise QuadratureError(f"non-finite integrand at {n} Gauss-Legendre nodes")
+        return total
+
+    coarse = rule(QUAD_FIRST_NODES)
+    value = np.full_like(coarse, np.nan)
+    error = np.full(coarse.shape, np.inf)
+    pending = np.ones(coarse.shape, dtype=bool)
+    n = 2 * QUAD_FIRST_NODES
+    while n <= QUAD_MAX_NODES:
+        fine = rule(n)
+        diff = np.abs(fine - coarse)
+        done = pending & (diff <= QUAD_TOL * (1.0 + np.abs(fine)))
+        value = np.where(done, fine, value)
+        error = np.where(pending, diff, error)
+        pending &= ~done
+        if not pending.any():
+            return value[()], error[()]
+        coarse, n = fine, 2 * n
+    raise QuadratureError(
+        f"Gauss-Legendre rule not settled at {QUAD_MAX_NODES} nodes: "
+        f"n-vs-2n difference {float(np.max(error)):.3e}"
+    )
 
 
 class AnalyticMap:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import graphfield
-from .config import RunConfig, build_pair, load_config
+from .config import RunConfig, build_pair, check_tolerance_names, load_config
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -62,6 +62,7 @@ def _parse_tols(items: list[str]) -> dict:
             raise ParameterError(f"--tol expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
         out[name.strip()] = float(value)
+    check_tolerance_names(out)
     return out
 
 
@@ -116,8 +117,7 @@ def cmd_levelcurves(config: RunConfig, args) -> int:
         boundary_samples = None
         for c in config.levels:
             spec = LevelCurveSpec(
-                c=c, tau_min=config.tau_min, tau_max=config.tau_max,
-                n_samples=config.tau_n, fd_step=config.fd_step,
+                c=c, tau_min=config.tau_min, tau_max=config.tau_max, n_samples=config.tau_n,
             )
             if c == 0.0:
                 samples = boundary_trace(pair, spec).samples
@@ -133,8 +133,7 @@ def cmd_levelcurves(config: RunConfig, args) -> int:
         if "svg" in config.formats:
             if boundary_samples is None:
                 spec0 = LevelCurveSpec(
-                    c=0.0, tau_min=config.tau_min, tau_max=config.tau_max,
-                    n_samples=config.tau_n, fd_step=config.fd_step,
+                    c=0.0, tau_min=config.tau_min, tau_max=config.tau_max, n_samples=config.tau_n,
                 )
                 boundary_samples = boundary_trace(pair, spec0).samples
             svg = level_curves_svg(curves, boundary_samples, title=pair.label)
@@ -198,7 +197,7 @@ def cmd_verify(config: RunConfig, args) -> int:
         if "thm2" in which:
             reports.append(verify_thm2(pair, grid))
         if "poisson" in which:
-            data = BoundaryArgumentData.from_pair(pair, truncation=config.truncation)
+            data = BoundaryArgumentData.from_pair(pair)
             reports.append(verify_poisson(
                 pair, data,
                 value_tol=config.tolerance("poisson_value"),

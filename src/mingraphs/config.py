@@ -9,11 +9,11 @@ family):
                     k0 = 2, h = <expr>, g = <expr> | g_anchor = zeta:value
                                            (custom)
     [levels]        values = 0, 1, 2
-    [tau]           min = -20, max = 20, n = 401, fd_step = 1e-4
+    [tau]           min = -20, max = 20, n = 401
     [grid]          x0, x1, y0, y1, spacing
-    [verify]        sigma_min, sigma_max, n_sigma, tau_abs, n_tau, truncation
+    [verify]        sigma_min, sigma_max, n_sigma, tau_abs, n_tau
     [scaling]       factors = 0.5, 2, 10
-    [tolerances]    <name> = <value>
+    [tolerances]    <name> = <value>   (names from DEFAULT_TOLERANCES only)
     [output]        dir = out, formats = csv, json
     [sweep]         gammas = 1.1, 1.2, ..., 1.9
 
@@ -23,6 +23,10 @@ Map expressions are sums of primitive terms joined by " + ":
     affine slope=2 intercept=0
 
 Values parse as Python complex literals (no spaces inside a value).
+
+Every integral (the Poisson kernels, anchored g, the height integral) uses
+the one Gauss-Legendre rule of ``analytic.gauss_legendre``, so there is no
+quadrature knob.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from .errors import ParameterError
 from .weierstrass import WeierstrassPair, lw_family, planar_pair
 
 DEFAULT_TOLERANCES = {
-    "oracle": 1e-6,
-    "identity": 1e-12,
     "thm1": 1e-9,
     "lemma2_family": 1e-12,
     "scaling": 1e-10,
@@ -55,7 +57,6 @@ class RunConfig:
     tau_min: float = -20.0
     tau_max: float = 20.0
     tau_n: int = 401
-    fd_step: float = 1e-4
     grid_window: tuple[float, float, float, float] = (0.5, 3.0, -2.0, 2.0)
     grid_spacing: float = 1.0 / 32.0
     sigma_min: float = 0.02
@@ -63,7 +64,6 @@ class RunConfig:
     n_sigma: int = 24
     vtau_abs: float = 10.0
     vn_tau: int = 21
-    truncation: float = 1e4
     scale_factors: tuple[float, ...] = (0.5, 2.0, 10.0)
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     out_dir: str = "out"
@@ -72,6 +72,14 @@ class RunConfig:
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
+
+
+def check_tolerance_names(names) -> None:
+    unknown = sorted(set(names) - set(DEFAULT_TOLERANCES))
+    if unknown:
+        raise ParameterError(
+            f"unknown tolerance {', '.join(unknown)} (known: {', '.join(DEFAULT_TOLERANCES)})"
+        )
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -150,7 +158,6 @@ def load_config(path: str | Path | None) -> RunConfig:
         updates["tau_min"] = section.getfloat("min", config.tau_min)
         updates["tau_max"] = section.getfloat("max", config.tau_max)
         updates["tau_n"] = section.getint("n", config.tau_n)
-        updates["fd_step"] = section.getfloat("fd_step", config.fd_step)
     if parser.has_section("grid"):
         section = parser["grid"]
         updates["grid_window"] = (
@@ -167,13 +174,13 @@ def load_config(path: str | Path | None) -> RunConfig:
         updates["n_sigma"] = section.getint("n_sigma", config.n_sigma)
         updates["vtau_abs"] = section.getfloat("tau_abs", config.vtau_abs)
         updates["vn_tau"] = section.getint("n_tau", config.vn_tau)
-        updates["truncation"] = section.getfloat("truncation", config.truncation)
     if parser.has_option("scaling", "factors"):
         updates["scale_factors"] = _floats(parser.get("scaling", "factors"))
     if parser.has_section("tolerances"):
         tols = dict(config.tolerances)
         for key, value in parser.items("tolerances"):
             tols[key] = float(value)
+        check_tolerance_names(tols)
         updates["tolerances"] = tols
     if parser.has_section("output"):
         section = parser["output"]

@@ -164,6 +164,8 @@ def _axis(rng: tuple[float, float], spacing: float) -> np.ndarray:
     lo, hi = rng
     if hi <= lo:
         raise ParameterError("window range must be increasing")
+    if not (np.isfinite(spacing) and spacing > 0.0):
+        raise ParameterError(f"grid spacing must be finite and positive, got {spacing}")
     n = int(round((hi - lo) / spacing)) + 1
     return lo + spacing * np.arange(n)
 

@@ -55,7 +55,6 @@ class LevelCurveSpec:
     tau_min: float = -20.0
     tau_max: float = 20.0
     n_samples: int = 401
-    fd_step: float = 1e-4
 
     def __post_init__(self):
         if self.c < 0.0 or not np.isfinite(self.c):
@@ -64,8 +63,6 @@ class LevelCurveSpec:
             raise ParameterError("tau_min must be below tau_max")
         if self.n_samples < 2:
             raise ParameterError("need at least 2 samples")
-        if self.fd_step <= 0.0:
-            raise ParameterError("fd_step must be positive")
 
     def taus(self) -> np.ndarray:
         return np.linspace(self.tau_min, self.tau_max, self.n_samples)

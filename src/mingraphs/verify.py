@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import ConvergenceError, DomainError, ParameterError, QuadratureError
+from .analytic import gauss_legendre, log_derivative
+from .errors import ConvergenceError, DomainError, ParameterError
 from .levels import (
     curvature_closed_form,
     sigma_for_level,
@@ -97,11 +97,6 @@ class VerificationReport:
         return to_json(self.to_dict(), indent=0) + "\n"
 
 
-def _log_ratio(pair: WeierstrassPair, zeta):
-    jet = pair.h.jet(zeta)
-    return jet.d2 / jet.d1
-
-
 def _argmax_point(values: np.ndarray, zetas: np.ndarray) -> tuple[float, float]:
     idx = int(np.argmax(values))
     z = zetas.ravel()[idx]
@@ -118,7 +113,7 @@ def verify_lemma2(
     enforced.
     """
     zetas = grid.points()
-    vals = zetas.real * np.abs(_log_ratio(pair, zetas))
+    vals = zetas.real * np.abs(log_derivative(pair.h.jet(zetas)))
     a_emp = float(np.max(vals))
     extremal = _argmax_point(vals, zetas)
     passed = bool(np.isfinite(a_emp))
@@ -166,7 +161,7 @@ def verify_thm1(
     extremal = _argmax_point(c_kappa, level_pts)
 
     sweep_pts = np.concatenate([grid.points().ravel(), level_pts.ravel()])
-    a_emp = float(np.max(sweep_pts.real * np.abs(_log_ratio(pair, sweep_pts))))
+    a_emp = float(np.max(sweep_pts.real * np.abs(log_derivative(pair.h.jet(sweep_pts)))))
     chain_bound = pair.k0 / np.sqrt(pair.k) * a_emp
     passed = bool(k_emp <= chain_bound + tol)
     return VerificationReport(
@@ -206,7 +201,7 @@ def verify_thm2(pair: WeierstrassPair, grid: SampleGrid) -> VerificationReport:
         bad = _argmax_point(-re_hp, zetas)
         failures.append(f"(b) Re h' <= 0 at (sigma,tau)=({bad[0]:.6g},{bad[1]:.6g})")
 
-    psi_rate = np.real(_log_ratio(pair, boundary))
+    psi_rate = np.real(log_derivative(pair.h.jet(boundary)))
     if not np.all(psi_rate >= 0.0):
         idx = int(np.argmin(psi_rate))
         failures.append(f"(c) boundary Re h''/h' < 0 at tau={grid.taus[idx]:.6g}")
@@ -237,73 +232,59 @@ def verify_thm2(pair: WeierstrassPair, grid: SampleGrid) -> VerificationReport:
 # Boundary data and the half-plane Poisson machinery
 # ---------------------------------------------------------------------------
 
+#: Construction samples of the boundary data: equispaced in theta = arctan t.
+_SAMPLE_T = np.tan(np.linspace(-np.pi / 2, np.pi / 2, 401)[1:-1])
+
+
+def _sampled(fn, t: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape)
+
+
+def _admissible(psi: np.ndarray) -> np.ndarray:
+    if np.max(np.abs(psi)) > np.pi / 2 + 1e-12:
+        raise ParameterError(
+            "|psi| exceeds pi/2: not boundary data of a concave-domain solution"
+        )
+    return psi
+
+
 @dataclass(frozen=True, eq=False)
 class BoundaryArgumentData:
-    """Boundary samples of psi(t) = arg h'(it) with an integration truncation.
+    """Boundary data psi(t) = arg h'(it) and, optionally, psi'(t).
 
-    ``psi_fn``/``dpsi_fn`` supply the data (and its t-derivative) in closed
-    form when available; otherwise quadrature falls back to linear
-    interpolation of the stored samples.
+    ``psi_fn``/``dpsi_fn`` are vectorized callables of t; ``t``/``psi`` hold
+    the construction samples, which must satisfy |psi| <= pi/2 like every psi
+    array the kernels integrate.  All kernels use one Gauss-Legendre rule
+    (``analytic.gauss_legendre``) after the substitution t = tau + sigma*tan(theta).
     """
 
     t: np.ndarray
     psi: np.ndarray
-    truncation: float
-    psi_fn: Callable[[float], float] | None = None
-    dpsi_fn: Callable[[float], float] | None = None
+    psi_fn: Callable[[np.ndarray], np.ndarray]
+    dpsi_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.truncation <= 0.0:
-            raise ParameterError("truncation must be positive")
-        if np.max(np.abs(self.psi)) > np.pi / 2 + 1e-12:
-            raise ParameterError(
-                "|psi| exceeds pi/2: not boundary data of a concave-domain solution"
-            )
+        _admissible(self.psi)
 
-    def psi_at(self, t: float) -> float:
-        if self.psi_fn is not None:
-            return float(self.psi_fn(t))
-        return float(np.interp(t, self.t, self.psi))
-
-    @property
-    def has_derivative(self) -> bool:
-        return self.dpsi_fn is not None
-
-    @staticmethod
-    def _sample_points(truncation: float, n_samples: int) -> np.ndarray:
-        # sinh spacing: dense near t = 0 where the kernel concentrates
-        s = np.linspace(-np.arcsinh(truncation), np.arcsinh(truncation), n_samples)
-        return np.sinh(s)
+    def psi_at(self, t: np.ndarray) -> np.ndarray:
+        return _admissible(_sampled(self.psi_fn, t))
 
     @classmethod
-    def from_pair(
-        cls, pair: WeierstrassPair, truncation: float = 1e4, n_samples: int = 4001
-    ) -> "BoundaryArgumentData":
-        """Sample psi from the pair itself; psi' = Re h''/h' on the boundary."""
-        t = cls._sample_points(truncation, n_samples)
-
-        def psi_fn(u: float) -> float:
-            return float(np.angle(pair.h.jet(1j * u).d1))
-
-        def dpsi_fn(u: float) -> float:
-            return float(np.real(_log_ratio(pair, 1j * u)))
-
-        psi = np.angle(pair.h.jet(1j * t).d1)
-        return cls(t=t, psi=psi, truncation=float(truncation),
-                   psi_fn=psi_fn, dpsi_fn=dpsi_fn)
+    def from_pair(cls, pair: WeierstrassPair) -> "BoundaryArgumentData":
+        """psi = arg h'(it) from the pair itself; psi' = Re h''/h' on the boundary."""
+        return cls.from_function(
+            lambda t: np.angle(pair.h.jet(1j * t).d1),
+            dpsi_fn=lambda t: np.real(log_derivative(pair.h.jet(1j * t))),
+        )
 
     @classmethod
     def from_function(
         cls,
-        psi_fn: Callable[[float], float],
-        truncation: float = 1e4,
-        n_samples: int = 4001,
-        dpsi_fn: Callable[[float], float] | None = None,
+        psi_fn: Callable[[np.ndarray], np.ndarray],
+        dpsi_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> "BoundaryArgumentData":
-        t = cls._sample_points(truncation, n_samples)
-        psi = np.array([psi_fn(u) for u in t])
-        return cls(t=t, psi=psi, truncation=float(truncation),
-                   psi_fn=psi_fn, dpsi_fn=dpsi_fn)
+        """Wrap vectorized callables; a constant result is broadcast."""
+        return cls(t=_SAMPLE_T, psi=_sampled(psi_fn, _SAMPLE_T), psi_fn=psi_fn, dpsi_fn=dpsi_fn)
 
 
 @dataclass(frozen=True)
@@ -320,81 +301,55 @@ class KernelRatioEstimate:
     error_bound: float
 
 
-def _require_interior(zeta: complex, data: BoundaryArgumentData) -> tuple[float, float]:
-    sigma, tau = float(np.real(zeta)), float(np.imag(zeta))
-    if sigma <= 0.0:
+def _theta_integral(zeta, weighted):
+    """(1/pi) * integral over theta in (-pi/2, pi/2) of weighted(t, theta, sigma)
+    with t = tau + sigma*tan(theta), for every zeta = sigma + i*tau at once."""
+    zeta = np.asarray(zeta, dtype=complex)
+    if not np.all(zeta.real > 0.0):
         raise DomainError("Poisson reconstruction needs sigma > 0")
-    if data.truncation <= abs(tau) + 5.0 * sigma:
-        raise DomainError("truncation too small for this evaluation point")
-    return sigma, tau
+    sigma, tau = zeta.real[..., None], zeta.imag[..., None]
+
+    def integrand(x):
+        theta = 0.5 * np.pi * x
+        return 0.5 * weighted(tau + sigma * np.tan(theta), theta, sigma)
+
+    return gauss_legendre(integrand)
 
 
-def _kernel_quad(fn, lo: float, hi: float, special: list[float], tol: float):
-    pts = [p for p in special if lo < p < hi]
-    val, err = quad(fn, lo, hi, points=pts or None, limit=400, epsabs=tol, epsrel=tol)
-    if not np.isfinite(val):
-        raise QuadratureError("kernel quadrature returned a non-finite value")
-    return val, err
+def poisson_im_log_hprime(data: BoundaryArgumentData, zeta) -> PoissonEstimate:
+    """Reconstruct Im log h'(zeta) = (sigma/pi) * integral psi(t)/(sigma^2+(t-tau)^2) dt.
 
-
-def poisson_im_log_hprime(
-    data: BoundaryArgumentData, zeta: complex, quad_tol: float = 1e-10
-) -> PoissonEstimate:
-    """Reconstruct Im log h'(zeta) = (sigma/pi) * integral psi(t)/(sigma^2+(t-tau)^2).
-
-    Integrates over [-T, T] and adds the closed-form tail bound obtained
-    from |psi| <= pi/2 (the kernel tail decays like 1/t^2).
+    Under t = tau + sigma*tan(theta) the kernel becomes dtheta/pi, so the
+    value is (1/pi) * integral psi dtheta; the error is the n-vs-2n estimate.
     """
-    sigma, tau = _require_interior(zeta, data)
-    T = data.truncation
-
-    def integrand(t: float) -> float:
-        return data.psi_at(t) * sigma / np.pi / (sigma**2 + (t - tau) ** 2)
-
-    val, err = _kernel_quad(
-        integrand, -T, T, [tau - 5 * sigma, tau, tau + 5 * sigma], quad_tol
-    )
-    tail = (np.pi / 2) * (sigma / np.pi) * (1.0 / (T - tau) + 1.0 / (T + tau))
-    return PoissonEstimate(value=float(val), error_bound=float(err + tail))
+    value, err = _theta_integral(zeta, lambda t, theta, sigma: data.psi_at(t))
+    return PoissonEstimate(value=value, error_bound=err)
 
 
-def poisson_re_ratio(
-    data: BoundaryArgumentData, zeta: complex, quad_tol: float = 1e-10
-) -> KernelRatioEstimate:
+def poisson_re_ratio(data: BoundaryArgumentData, zeta) -> KernelRatioEstimate:
     """Reconstruct Re h''/h' from boundary data via the tau-derivative kernel,
 
-        (2 sigma/pi) * integral (t-tau) psi(t) / (sigma^2+(t-tau)^2)^2 dt,
+        (2 sigma/pi) * integral (t-tau) psi(t) / (sigma^2+(t-tau)^2)^2 dt
+        = (1/(pi sigma)) * integral psi sin(2 theta) dtheta,
 
     and, when psi' is available, also via the integrated-by-parts form
-    (sigma/pi) * integral psi'(t) / (sigma^2+(t-tau)^2) dt; the two must
-    agree (that identity is what makes the concavity argument work).
+    (sigma/pi) * integral psi'(t) / (sigma^2+(t-tau)^2) dt = (1/pi) * integral
+    psi' dtheta; the two must agree (that identity is what makes the
+    concavity argument work).
     """
-    sigma, tau = _require_interior(zeta, data)
-    T = data.truncation
-    special = [tau - 5 * sigma, tau, tau + 5 * sigma]
-
-    def deriv_kernel(t: float) -> float:
-        d = t - tau
-        return 2.0 * sigma / np.pi * d * data.psi_at(t) / (sigma**2 + d * d) ** 2
-
-    val, err = _kernel_quad(deriv_kernel, -T, T, special, quad_tol)
-    tail = (sigma / 2.0) * (1.0 / (T - tau) ** 2 + 1.0 / (T + tau) ** 2)
-
-    by_parts = None
-    agreement = None
-    if data.has_derivative:
-        def parts_kernel(t: float) -> float:
-            return sigma / np.pi * data.dpsi_fn(t) / (sigma**2 + (t - tau) ** 2)
-
-        val2, err2 = _kernel_quad(parts_kernel, -T, T, special, quad_tol)
-        by_parts = float(val2)
-        agreement = float(abs(val - val2))
-        err += err2
+    val, err = _theta_integral(
+        zeta, lambda t, theta, sigma: data.psi_at(t) * np.sin(2.0 * theta) / sigma
+    )
+    by_parts = agreement = None
+    if data.dpsi_fn is not None:
+        by_parts, err2 = _theta_integral(zeta, lambda t, theta, sigma: _sampled(data.dpsi_fn, t))
+        agreement = np.abs(val - by_parts)
+        err = err + err2
     return KernelRatioEstimate(
-        derivative_form=float(val),
+        derivative_form=val,
         by_parts_form=by_parts,
         agreement_delta=agreement,
-        error_bound=float(err + tail),
+        error_bound=err,
     )
 
 
@@ -411,30 +366,30 @@ def verify_poisson(
         data = BoundaryArgumentData.from_pair(pair)
     if points is None:
         points = [complex(s, t) for s in (0.5, 1.0, 2.0, 5.0) for t in (-3, -1, 0, 1, 3)]
-
-    worst = 0.0
-    worst_agree = 0.0
-    worst_at = points[0]
-    for zeta in points:
-        im_log = poisson_im_log_hprime(data, zeta)
-        ratio = poisson_re_ratio(data, zeta)
-        dev = abs(im_log.value - float(np.angle(pair.h.jet(zeta).d1)))
-        dev = max(dev, abs(ratio.derivative_form - float(np.real(_log_ratio(pair, zeta)))))
-        if ratio.agreement_delta is not None:
-            worst_agree = max(worst_agree, ratio.agreement_delta)
-        if dev > worst:
-            worst, worst_at = dev, zeta
+    zetas = np.array(points, dtype=complex)
+    im_log = poisson_im_log_hprime(data, zetas)
+    ratio = poisson_re_ratio(data, zetas)
+    jet = pair.h.jet(zetas)
+    dev = np.maximum(
+        np.abs(im_log.value - np.angle(jet.d1)),
+        np.abs(ratio.derivative_form - np.real(log_derivative(jet))),
+    )
+    worst_idx = int(np.argmax(dev))
+    worst, worst_at = float(dev[worst_idx]), zetas[worst_idx]
+    worst_agree = 0.0 if ratio.agreement_delta is None else float(np.max(ratio.agreement_delta))
+    worst_err = float(np.max(np.maximum(im_log.error_bound, ratio.error_bound)))
     passed = worst <= value_tol and worst_agree <= agreement_tol
     return VerificationReport(
         check_name="poisson_boundary_reconstruction",
         passed=bool(passed),
-        empirical_constant=float(worst),
+        empirical_constant=worst,
         extremal_point=(float(worst_at.real), float(worst_at.imag)),
         tolerance=value_tol,
-        grid_descriptor=f"{len(points)} interior points, truncation {data.truncation:g}",
+        grid_descriptor=f"{len(points)} interior points, Gauss-Legendre in theta",
         notes=(
             f"max closed-form deviation {worst:.3e}; "
-            f"kernel-vs-by-parts agreement {worst_agree:.3e} (tol {agreement_tol:g})"
+            f"kernel-vs-by-parts agreement {worst_agree:.3e} (tol {agreement_tol:g}); "
+            f"worst quadrature n-vs-2n estimate {worst_err:.3e}"
         ),
     )
 
@@ -496,7 +451,7 @@ def disk_transfer_check(
     """
     zetas = grid.points()
     w = (zetas - 1.0) / (zetas + 1.0)
-    ratio = _log_ratio(pair, zetas)
+    ratio = log_derivative(pair.h.jet(zetas))
     h_ratio = ratio * (zetas + 1.0) ** 2 / 2.0 + (zetas + 1.0)
     slack = 1.0 - np.abs(w)
     a1_vals = slack * np.abs(h_ratio)

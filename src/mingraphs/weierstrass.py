@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .analytic import AffineMap, AnalyticMap, PowerAffineMap, ScaledMap, DERIVATIVE_FLOOR
-from .errors import DomainError, ParameterError, QuadratureError, SingularityError
+from .analytic import gauss_legendre
+from .errors import DomainError, ParameterError, SingularityError
 
 #: Probe points used to sanity-check a closed-form g against g' = -k/h'.
 _DILATATION_PROBES = (0.5 + 0.0j, 1.0 + 1.0j, 2.0 - 1.5j, 0.25 + 3.0j, 4.0 + 0.5j)
@@ -52,9 +52,10 @@ class WeierstrassPair:
     """Analytic map h plus the height slope k0 (and an evaluation path for g).
 
     Exactly one of ``g`` (closed form) or ``g_anchor`` (a point zeta_a with the
-    value g(zeta_a), from which g is continued by segment quadrature of
-    -k/h') must be provided.  ``k`` is stored redundantly and must equal
-    k0**2/4 exactly; pass None to have it derived.
+    value g(zeta_a), from which g is continued by integrating -k/h' along
+    straight segments with the package's one Gauss-Legendre rule,
+    ``analytic.gauss_legendre``) must be provided.  ``k`` is stored
+    redundantly and must equal k0**2/4 exactly; pass None to have it derived.
     """
 
     h: AnalyticMap
@@ -65,7 +66,6 @@ class WeierstrassPair:
     gamma: float | None = None
     degenerate: bool = False
     label: str = "pair"
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
         if not (np.isfinite(self.k0) and self.k0 > 0.0):
@@ -96,9 +96,6 @@ class WeierstrassPair:
                     f"closed-form g violates g'h' = -k at zeta={zeta}: got {gp * hp}"
                 )
 
-    def hprime(self, zeta):
-        return self.h.jet(zeta).d1
-
 
 def g_prime(pair: WeierstrassPair, zeta, floor: float = DERIVATIVE_FLOOR):
     """g'(zeta) = -k/h'(zeta), exact wherever h' is above the derivative floor."""
@@ -108,49 +105,31 @@ def g_prime(pair: WeierstrassPair, zeta, floor: float = DERIVATIVE_FLOOR):
     return -pair.k / hp
 
 
-def _segment_quad(fn, z0: complex, z1: complex, tol: float) -> complex:
-    """Integrate a complex integrand along the straight segment [z0, z1]."""
-    dz = z1 - z0
-    if dz == 0:
-        return 0.0 + 0.0j
+def _segment_integral(fn, z0, z1):
+    """Integral of fn along the straight segments [z0, z1] (broadcast together),
+    one Gauss-Legendre rule for the whole batch."""
+    half = (np.asarray(z1, dtype=complex) - z0) / 2.0
+    mid = z0 + half
 
-    def real_part(t: float) -> float:
-        return (fn(z0 + t * dz) * dz).real
+    def integrand(x):
+        return fn(mid[..., None] + half[..., None] * x) * half[..., None]
 
-    def imag_part(t: float) -> float:
-        return (fn(z0 + t * dz) * dz).imag
-
-    re, re_err = quad(real_part, 0.0, 1.0, epsabs=tol / 4, epsrel=tol / 4, limit=200)
-    im, im_err = quad(imag_part, 0.0, 1.0, epsabs=tol / 4, epsrel=tol / 4, limit=200)
-    if re_err + im_err > tol:
-        raise QuadratureError(
-            f"segment quadrature error {re_err + im_err:.3e} above tolerance {tol:.3e}"
-        )
-    return complex(re, im)
+    return gauss_legendre(integrand)[0]
 
 
 def g_value(pair: WeierstrassPair, zeta):
-    """g(zeta), from the closed form or by quadrature of -k/h' from the anchor.
+    """g(zeta), from the closed form or by integrating -k/h' from the anchor.
 
     The anchored integral runs along the straight segment from zeta_a, which
     stays inside the (convex) closed half-plane, so the value is
-    path-independent.
+    path-independent.  All targets share one jet call per rule size.
     """
     if pair.g is not None:
         return pair.g.jet(zeta).v
     zeta_a, value_a = pair.g_anchor
-
-    def integrand(xi: complex) -> complex:
-        return -pair.k / pair.h.jet(xi).d1
-
-    arr = np.asarray(zeta, dtype=complex)
-    if arr.ndim == 0:
-        return value_a + _segment_quad(integrand, complex(zeta_a), complex(arr[()]), pair.quad_tol)
-    flat = np.array(
-        [value_a + _segment_quad(integrand, complex(zeta_a), complex(z), pair.quad_tol)
-         for z in arr.ravel()]
+    return value_a + _segment_integral(
+        lambda xi: -pair.k / pair.h.jet(xi).d1, complex(zeta_a), zeta
     )
-    return flat.reshape(arr.shape)
 
 
 def eval_surface(pair: WeierstrassPair, zeta) -> SurfacePoint:
@@ -180,11 +159,11 @@ def height_via_integral(pair: WeierstrassPair, zeta: complex) -> float:
         raise DomainError("height_via_integral requires sigma >= 0")
     z0 = complex(0.0, zeta.imag)
 
-    def integrand(xi: complex) -> complex:
+    def integrand(xi):
         w = pair.h.jet(xi).d1 * g_prime(pair, xi)
         return -1j * np.sqrt(-w)  # root with Im <= 0
 
-    integral = _segment_quad(integrand, z0, zeta, pair.quad_tol)
+    integral = _segment_integral(integrand, z0, zeta)
     return float(2.0 * (1j * integral).real)
 
 

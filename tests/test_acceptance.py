@@ -105,7 +105,6 @@ def test_criterion_5_poisson_machinery():
     pair = lw_family(gamma)
     data = BoundaryArgumentData.from_function(
         lambda t: (gamma - 1.0) * np.arctan(t),
-        truncation=1e4,
         dpsi_fn=lambda t: (gamma - 1.0) / (1.0 + t * t),
     )
     points = [complex(s, t) for s in (0.5, 1.0, 2.0, 5.0) for t in (-3, -1, 0, 1, 3)]

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+
+from mingraphs.analytic import QUAD_TOL, gauss_legendre
+from mingraphs.errors import QuadratureError
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -169,3 +172,30 @@ def test_scaled_map_scales_all_jet_entries(sigma, tau, c):
     assert got.v == pytest.approx(c * base.v, rel=1e-14)
     assert got.d1 == pytest.approx(c * base.d1, rel=1e-14)
     assert got.d2 == pytest.approx(c * base.d2, rel=1e-14)
+
+
+class TestGaussLegendre:
+    def test_batch_of_exponentials(self):
+        c = np.array([0.5, 1.0, 3.0])
+        value, err = gauss_legendre(lambda x: np.exp(c[:, None] * x))
+        assert np.allclose(value, 2.0 * np.sinh(c) / c, rtol=1e-13, atol=0.0)
+        assert np.all(err <= QUAD_TOL)
+
+    def test_scalar_target(self):
+        value, err = gauss_legendre(lambda x: x**6)
+        assert value == pytest.approx(2.0 / 7.0, rel=1e-14)
+        assert np.ndim(value) == 0 and err <= QUAD_TOL
+
+    def test_value_independent_of_batch(self):
+        # the second target needs many more nodes than the first
+        alone, _ = gauss_legendre(lambda x: np.cos(x)[None, :])
+        both, _ = gauss_legendre(lambda x: np.stack([np.cos(x), 1.0 / (1.01 - x)]))
+        assert both[0] == alone[0]
+
+    def test_kink_cannot_settle(self):
+        with pytest.raises(QuadratureError, match="n-vs-2n difference"):
+            gauss_legendre(lambda x: np.abs(x - 0.3))
+
+    def test_nonfinite_integrand(self):
+        with pytest.raises(QuadratureError):
+            gauss_legendre(lambda x: np.full_like(x, np.nan))

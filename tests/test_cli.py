@@ -217,6 +217,76 @@ class TestReconstructCommand:
         assert "no seed" in capsys.readouterr().err
 
 
+SIGN_FLIP_CONFIG = (
+    "[pair]\nkind = custom\nk0 = 2\n"
+    "h = power-affine offset=1 exponent=2 coeff=0.5 + affine slope=-5\ng_anchor = 1:0\n"
+    "[verify]\nsigma_min = 4\nsigma_max = 4\nn_sigma = 1\n"
+)
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+class TestMalformedInput:
+    """Each malformed input exits 2 with one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize("grid", ["0.5,3,-2,2,0", "0.5,3,-2,2,-0.1", "0.5,3,-2,2,nan"])
+    def test_bad_grid_spacing(self, tmp_path, capsys, grid):
+        status = run("reconstruct", "--gamma", "1.5", "--out", str(tmp_path / "out"),
+                     f"--grid={grid}")
+        assert status == 2
+        assert "spacing" in one_line_error(capsys)
+
+    def test_unknown_tol_flag(self, tmp_path, capsys):
+        status = run("verify", "poisson", "--gamma", "1.5", "--out", str(tmp_path / "out"),
+                     "--tol", "poisson_valu=1e-30")
+        assert status == 2
+        assert "poisson_valu" in one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_tolerance_key(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[tolerances]\noracle = 1e-6\n")
+        status = run("verify", "lemma2", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert status == 2
+        assert "oracle" in one_line_error(capsys)
+
+    def test_critical_point_on_grid(self, tmp_path, capsys):
+        # h' = zeta - 4 vanishes at the grid point zeta = 4
+        config = tmp_path / "flip.ini"
+        config.write_text(SIGN_FLIP_CONFIG)
+        status = run("verify", "lemma2", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert status == 2
+        assert "critical point" in one_line_error(capsys)
+
+    def test_unsettled_quadrature(self, tmp_path, capsys):
+        config = tmp_path / "near_singular.ini"
+        config.write_text("[pair]\nkind = custom\nk0 = 2\n"
+                          "h = power-affine offset=1e-12 exponent=1.5\ng_anchor = 0j:0j\n")
+        status = run("levelcurves", "--config", str(config), "--levels", "1",
+                     "--out", str(tmp_path / "out"), "--tau=-2,2,5")
+        assert status == 2
+        assert "Gauss-Legendre" in one_line_error(capsys)
+
+
+def test_anchored_levelcurves_match_closed_form(tmp_path):
+    config = tmp_path / "anchored.ini"
+    config.write_text("[pair]\nkind = custom\nk0 = 2\nh = power-affine offset=1 exponent=1.5\n"
+                      "g_anchor = 0j:-1.3333333333333333\n")
+    common = ("--levels", "1", "--format", "json")
+    assert run("levelcurves", "--config", str(config), "--out", str(tmp_path / "a"), *common) == 0
+    assert run("levelcurves", "--gamma", "1.5", "--out", str(tmp_path / "c"), *common) == 0
+    anchored = json.loads((tmp_path / "a" / "level_1.json").read_text())
+    closed = json.loads((tmp_path / "c" / "level_1.json").read_text())
+    assert len(anchored) == len(closed) == 401
+    for got, want in zip(anchored, closed):
+        assert got["x"] == pytest.approx(want["x"], abs=1e-9)
+        assert got["y"] == pytest.approx(want["y"], abs=1e-9)
+
+
 def test_console_entry_help():
     with pytest.raises(SystemExit) as excinfo:
         run("--help")

@@ -190,8 +190,6 @@ class TestSampling:
             LevelCurveSpec(c=1.0, tau_min=2.0, tau_max=-2.0)
         with pytest.raises(ParameterError):
             LevelCurveSpec(c=1.0, n_samples=1)
-        with pytest.raises(ParameterError):
-            LevelCurveSpec(c=1.0, fd_step=0.0)
 
 
 class TestBoundaryTrace:

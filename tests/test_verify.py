@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +12,9 @@ from mingraphs import (
     ConvergenceError,
     ParameterError,
     PowerAffineMap,
+    QuadratureError,
     SampleGrid,
+    SingularityError,
     SumMap,
     WeierstrassPair,
     curvature_closed_form,
@@ -34,6 +37,25 @@ def sign_flip_pair() -> WeierstrassPair:
     """Synthetic negative control: h' = zeta - 4 so Re h' changes sign."""
     h = SumMap((PowerAffineMap(offset=1.0, exponent=2.0, coeff=0.5), AffineMap(-5.0)))
     return WeierstrassPair(h=h, k0=2.0, g_anchor=(1.0 + 0j, 0j), label="sign-flip")
+
+
+def t_space_kernels(gamma: float, zeta: complex) -> tuple[float, float, float]:
+    """The three original t-space Poisson kernels for lw(gamma), by mpmath at
+    30 digits: Im log h', the tau-derivative form and the by-parts form."""
+    with mpmath.workdps(30):
+        s, t = mpmath.mpf(zeta.real), mpmath.mpf(zeta.imag)
+        a = mpmath.mpf(gamma) - 1
+
+        def poisson(u):
+            return s / mpmath.pi / (s**2 + (u - t) ** 2)
+
+        pts = [-mpmath.inf, t - 5 * s, t, t + 5 * s, mpmath.inf]
+        im_log = mpmath.quad(lambda u: poisson(u) * a * mpmath.atan(u), pts)
+        deriv = mpmath.quad(
+            lambda u: 2 * (u - t) / (s**2 + (u - t) ** 2) * poisson(u) * a * mpmath.atan(u), pts
+        )
+        by_parts = mpmath.quad(lambda u: poisson(u) * a / (1 + u * u), pts)
+        return float(im_log), float(deriv), float(by_parts)
 
 
 class TestSampleGrid:
@@ -68,6 +90,21 @@ class TestLemma2:
         report = verify_lemma2(lw_family(gamma), GRID)
         assert report.passed
         assert report.empirical_constant <= gamma - 1.0 + 1e-12
+
+
+class TestDerivativeFloor:
+    """h' = zeta - 4 vanishes at zeta = 4: every h''/h' must refuse it."""
+
+    GRID = SampleGrid(sigmas=np.array([1.0, 4.0]), taus=np.array([-1.0, 0.0, 1.0]),
+                      descriptor="contains zeta = 4")
+
+    def test_lemma2_raises(self):
+        with pytest.raises(SingularityError):
+            verify_lemma2(sign_flip_pair(), self.GRID)
+
+    def test_disk_raises(self):
+        with pytest.raises(SingularityError):
+            disk_transfer_check(sign_flip_pair(), self.GRID)
 
 
 class TestThm1:
@@ -161,15 +198,69 @@ class TestPoisson:
         with pytest.raises(ParameterError):
             BoundaryArgumentData.from_function(lambda t: 2.0)
 
+    def test_psi_bound_enforced_on_integrated_values(self):
+        # the spike at 1e-3 < t < 2e-3 misses every construction sample but
+        # not the quadrature nodes near this point
+        data = BoundaryArgumentData.from_function(
+            lambda t: np.where((t > 1e-3) & (t < 2e-3), 2.0, 0.0)
+        )
+        assert np.max(np.abs(data.psi)) == 0.0
+        with pytest.raises(ParameterError):
+            poisson_im_log_hprime(data, 0.0015 + 0j)
+
+    @pytest.mark.parametrize("zeta", [0.5 - 3.0j, 0.5 + 1.0j, 1.0 + 0j, 2.0 + 3.0j])
+    def test_mpmath_oracle(self, lw15, zeta):
+        im_log, deriv, by_parts = t_space_kernels(1.5, zeta)
+        data = BoundaryArgumentData.from_pair(lw15)
+        est = poisson_im_log_hprime(data, zeta)
+        ratio = poisson_re_ratio(data, zeta)
+        assert abs(est.value - im_log) <= 1e-12
+        assert abs(ratio.derivative_form - deriv) <= 1e-12
+        assert abs(ratio.by_parts_form - by_parts) <= 1e-12
+        for err in (est.error_bound, ratio.error_bound):
+            assert np.isfinite(err) and err <= 1e-10
+
+    def test_one_call_per_rule_size(self):
+        calls = []
+
+        def psi(t):
+            calls.append(t.shape)
+            return 0.5 * np.arctan(t)
+
+        data = BoundaryArgumentData.from_function(psi)
+        calls.clear()
+        points = np.array([complex(s, t) for s in (0.5, 1.0, 2.0, 5.0) for t in (-3, -1, 0, 1, 3)])
+        poisson_im_log_hprime(data, points)
+        assert 2 <= len(calls) <= 7  # rule sizes 64, 128, ..., 4096
+        assert all(shape[0] == 20 for shape in calls)
+
+    def test_nonconvergent_data_raises(self):
+        # a jump in psi away from the symmetric node set: O(1/n) convergence
+        data = BoundaryArgumentData.from_function(lambda t: 0.5 * np.sign(t - 0.3))
+        with pytest.raises(QuadratureError):
+            poisson_im_log_hprime(data, 1.0 + 0j)
+
+    def test_wrong_pair_data_fails(self):
+        report = verify_poisson(lw_family(1.9), BoundaryArgumentData.from_pair(lw_family(1.5)))
+        assert not report.passed
+        assert report.empirical_constant > 1e-4
+
     @pytest.mark.parametrize("gamma", [1.1, 1.3, 1.5, 1.7, 1.9])
     def test_psi_bound_on_family(self, gamma):
-        data = BoundaryArgumentData.from_pair(lw_family(gamma), n_samples=801)
+        data = BoundaryArgumentData.from_pair(lw_family(gamma))
         assert np.max(np.abs(data.psi)) <= np.pi / 2
 
     def test_report(self, lw15):
         report = verify_poisson(lw15, points=[0.5 + 0j, 1.0 + 2.0j, 2.0 - 1.0j])
         assert report.passed
         assert report.empirical_constant <= 1e-4
+
+    @pytest.mark.parametrize("gamma", [1.001, 1.5, 1.999])
+    def test_report_accuracy(self, gamma):
+        report = verify_poisson(lw_family(gamma))
+        assert report.passed
+        assert report.empirical_constant <= 1e-12
+        assert "n-vs-2n" in report.notes
 
 
 class TestScaling:

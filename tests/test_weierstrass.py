@@ -7,6 +7,7 @@ from mingraphs import (
     AffineMap,
     ParameterError,
     PowerAffineMap,
+    QuadratureError,
     WeierstrassPair,
     eval_surface,
     g_prime,
@@ -221,6 +222,31 @@ class TestInvariants:
 
     def test_planar_lower_bound(self, planar22):
         assert abs(planar22.h.jet(1j).d1) - np.sqrt(planar22.k) == pytest.approx(1.0)
+
+    def test_anchored_at_origin_along_level(self, lw15):
+        anchored = WeierstrassPair(h=lw15.h, k0=2.0, g_anchor=(0j, complex(-4.0 / 3.0)))
+        zetas = 0.5 + 1j * np.linspace(-20.0, 20.0, 401)
+        got = g_value(anchored, zetas)
+        assert got.shape == zetas.shape
+        assert np.max(np.abs(got - g_value(lw15, zetas))) <= 1e-12
+
+    def test_anchored_far_along_boundary(self, lw15):
+        anchored = WeierstrassPair(h=lw15.h, k0=2.0, g_anchor=(0j, complex(-4.0 / 3.0)))
+        zetas = 1j * np.linspace(-1000.0, 1000.0, 81)
+        assert np.max(np.abs(g_value(anchored, zetas) - g_value(lw15, zetas))) <= 1e-11
+
+    def test_anchored_value_independent_of_batch(self, lw15):
+        anchored = WeierstrassPair(h=lw15.h, k0=2.0, g_anchor=(0j, complex(-4.0 / 3.0)))
+        alone = g_value(anchored, 1.0 + 1.0j)
+        batched = g_value(anchored, np.array([1.0 + 1.0j, 0.01 + 900.0j]))
+        assert batched[0] == alone
+
+    def test_anchored_nonconvergent_raises(self):
+        # g' ~ zeta**-0.5 near the anchor: the rule cannot settle by the cap
+        pair = WeierstrassPair(h=PowerAffineMap(offset=1e-12, exponent=1.5), k0=2.0,
+                               g_anchor=(0j, 0j))
+        with pytest.raises(QuadratureError):
+            g_value(pair, 0.5 + 1.0j)
 
     def test_anchored_matches_closed_form(self, lw15):
         anchored = WeierstrassPair(h=lw15.h, k0=2.0, g_anchor=(0j, complex(-4.0 / 3.0)))
