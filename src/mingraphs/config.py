@@ -17,6 +17,9 @@ family):
     [output]        dir = out, formats = csv, json
     [sweep]         gammas = 1.1, 1.2, ..., 1.9
 
+Any other section or key, and a file that configparser cannot parse, is a
+ParameterError.  [pair] keys are checked against the given kind.
+
 Map expressions are sums of primitive terms joined by " + ":
 
     power-affine offset=1 exponent=1.5 coeff=1
@@ -47,6 +50,25 @@ DEFAULT_TOLERANCES = {
     "poisson_agreement": 2e-4,
     "angles": 1e-3,
     "msr_exact": 1e-10,
+}
+
+
+PAIR_KEYS = {
+    "lw": ("kind", "gamma"),
+    "planar": ("kind", "a", "k0"),
+    "custom": ("kind", "k0", "h", "g", "g_anchor"),
+}
+
+SECTION_KEYS = {
+    "pair": None,  # checked per kind, PAIR_KEYS
+    "levels": ("values",),
+    "tau": ("min", "max", "n"),
+    "grid": ("x0", "x1", "y0", "y1", "spacing"),
+    "verify": ("sigma_min", "sigma_max", "n_sigma", "tau_abs", "n_tau"),
+    "scaling": ("factors",),
+    "tolerances": tuple(DEFAULT_TOLERANCES),
+    "output": ("dir", "formats"),
+    "sweep": ("gammas",),
 }
 
 
@@ -138,15 +160,48 @@ def build_pair(spec: dict) -> WeierstrassPair:
     raise ParameterError(f"unknown pair kind {kind!r}")
 
 
+def _check_known(parser: configparser.ConfigParser) -> None:
+    """Raise one ParameterError that names every unknown section and key."""
+    unknown, known = [], {}
+    defaults = [parser.default_section] if parser.defaults() else []
+    for name in defaults + parser.sections():
+        if name not in SECTION_KEYS:
+            unknown.append(f"section [{name}]")
+            known["sections"] = ", ".join(SECTION_KEYS)
+            continue
+        keys = SECTION_KEYS[name]
+        if name == "pair":
+            kind = parser.get("pair", "kind", fallback="lw")
+            if kind not in PAIR_KEYS:
+                raise ParameterError(f"unknown pair kind {kind!r}")
+            keys = PAIR_KEYS[kind]
+        bad = [key for key in parser.options(name) if key not in keys]
+        if bad:
+            unknown.extend(f"[{name}] {key}" for key in bad)
+            known[f"[{name}]"] = ", ".join(keys)
+    if unknown:
+        hint = "; ".join(f"{where} {keys}" for where, keys in known.items())
+        raise ParameterError(f"unknown config {', '.join(unknown)} (known: {hint})")
+
+
 def load_config(path: str | Path | None) -> RunConfig:
     """Read the config file (when given) over the built-in defaults."""
     config = RunConfig()
     if path is None:
         return config
+    try:
+        return _read_config(config, path)
+    except configparser.Error as exc:
+        message = " ".join(str(exc).split())
+        raise ParameterError(f"config file {path}: {message}") from None
+
+
+def _read_config(config: RunConfig, path: str | Path) -> RunConfig:
     parser = configparser.ConfigParser()
     read = parser.read(str(path))
     if not read:
         raise ParameterError(f"config file {path} not found or unreadable")
+    _check_known(parser)
 
     updates: dict = {}
     if parser.has_section("pair"):
@@ -180,7 +235,6 @@ def load_config(path: str | Path | None) -> RunConfig:
         tols = dict(config.tolerances)
         for key, value in parser.items("tolerances"):
             tols[key] = float(value)
-        check_tolerance_names(tols)
         updates["tolerances"] = tols
     if parser.has_section("output"):
         section = parser["output"]

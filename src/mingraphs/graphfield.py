@@ -10,9 +10,9 @@ f by a Newton iteration whose exact 2x2 Jacobian comes from h' and
 g' = -k/h' (Wirtinger derivatives f_zeta = h', f_zetabar = conj(g')), so an
 update solves a*d + b*conj(d) = -r with a = h', b = conj(g').  Univalence
 (|h'| > |g'|) keeps the Jacobian determinant positive, so a converged
-iterate is the preimage.  Seeds come from a coarse forward-evaluated cloud
-and then march column to column; within a column, rows that lost their
-neighbor seed are repaired from adjacent rows.
+iterate is the preimage.  Seeds come from the brute-force nearest point of
+a coarse forward-evaluated cloud and then march column to column; within a
+column, rows that lost their neighbor seed are repaired from adjacent rows.
 
 Stencil conventions (all centered, second order):
   * a node is *interior* iff its full 3x3 neighborhood is masked-in;
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConvergenceError, EmptyInteriorError, ParameterError
 from .serialize import fmt_float
@@ -289,6 +288,23 @@ def _forward_cloud(pair: WeierstrassPair, window: Window) -> tuple[np.ndarray, n
     return zetas, f_img
 
 
+def _nearest(cloud: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Index of the nearest cloud point for each target (both complex arrays).
+
+    Brute force over (dx)^2 + (dy)^2 in target chunks, so each temporary stays
+    near 2**18 entries whatever the number of targets.
+    """
+    cx, cy = cloud.real[None, :], cloud.imag[None, :]
+    tx, ty = targets.real[:, None], targets.imag[:, None]
+    chunk = max(1, 2**18 // cloud.size)
+    idx = np.empty(targets.size, dtype=np.intp)
+    for start in range(0, targets.size, chunk):
+        dx = tx[start:start + chunk] - cx
+        dy = ty[start:start + chunk] - cy
+        idx[start:start + chunk] = np.argmin(dx * dx + dy * dy, axis=1)
+    return idx
+
+
 def reconstruct_u(
     pair: WeierstrassPair,
     window: Window,
@@ -304,8 +320,6 @@ def reconstruct_u(
     masked out; the attached stats record the failure count and whether a
     seed could be placed at all.
     """
-    if pair.g is None:
-        raise ParameterError("grid reconstruction needs a pair with closed-form g")
     xs = _axis(window[0], spacing)
     ys = _axis(window[1], spacing)
     nx, ny = len(xs), len(ys)
@@ -314,11 +328,9 @@ def reconstruct_u(
     ok = np.zeros((ny, nx), dtype=bool)
 
     cloud_z, cloud_f = _forward_cloud(pair, window)
-    tree = cKDTree(np.column_stack([cloud_f.real, cloud_f.imag]))
 
-    def cloud_guesses(i: int) -> np.ndarray:
-        _, idx = tree.query(np.column_stack([np.full(ny, xs[i]), ys]))
-        return cloud_z[idx]
+    def cloud_guesses(i: int, rows=slice(None)) -> np.ndarray:
+        return cloud_z[_nearest(cloud_f, targets[rows, i])]
 
     def solve_column(i: int, guesses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z, good = _newton_batch(pair, targets[:, i], guesses, newton_tol, max_iter)
@@ -363,7 +375,7 @@ def reconstruct_u(
             guesses = np.where(ok[:, prev], zeta[:, prev], np.nan + 0j)
             missing = ~np.isfinite(guesses)
             if missing.any():
-                guesses[missing] = cloud_guesses(i)[missing]
+                guesses[missing] = cloud_guesses(i, missing)
             z, good = solve_column(i, guesses)
             zeta[:, i], ok[:, i] = z, good
 
@@ -384,10 +396,8 @@ def preimages(pair: WeierstrassPair, field: ScalarField2D) -> np.ndarray:
     xs, ys = field.xs(), field.ys()
     window = ((float(xs[0]), float(xs[-1])), (float(ys[0]), float(ys[-1])))
     cloud_z, cloud_f = _forward_cloud(pair, window)
-    tree = cKDTree(np.column_stack([cloud_f.real, cloud_f.imag]))
     targets = (xs[None, :] + 1j * ys[:, None])[field.mask]
-    _, idx = tree.query(np.column_stack([targets.real, targets.imag]))
-    z, good = _newton_batch(pair, targets, cloud_z[idx], 1e-12, 50)
+    z, good = _newton_batch(pair, targets, cloud_z[_nearest(cloud_f, targets)], 1e-12, 50)
     out = np.full(field.values.shape, np.nan, dtype=complex)
     out[field.mask] = np.where(good, z, np.nan)
     return out

@@ -1,6 +1,7 @@
 """CLI commands: artifacts, exit codes, determinism, config handling."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +68,15 @@ class TestConfig:
         assert config.tolerance("scaling") == 1e-8
         assert config.tolerance("thm1") == 1e-9  # default survives
         assert config.out_dir == "artifacts"
+
+    def test_readme_config_examples_load(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = [block.split("```", 1)[0] for block in readme.split("```ini\n")[1:]]
+        assert len(blocks) == 2
+        for n, block in enumerate(blocks):
+            path = tmp_path / f"example{n}.ini"
+            path.write_text(block)
+            build_pair(load_config(path).pair_spec)
 
     def test_missing_config_file(self):
         with pytest.raises(ParameterError):
@@ -224,6 +234,12 @@ SIGN_FLIP_CONFIG = (
 )
 
 
+ANCHOR_ZERO_CONFIG = (
+    "[pair]\nkind = custom\nk0 = 2\nh = power-affine offset=1 exponent=1.5\n"
+    "g_anchor = 0j:-1.3333333333333333\n"
+)
+
+
 def one_line_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -254,6 +270,27 @@ class TestMalformedInput:
         assert status == 2
         assert "oracle" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("text, named", [
+        ("kind = lw\ngamma = 1.5\n", ["no section headers"]),
+        ("[pair]\nkind = lw\n\n[pair]\ngamma = 1.5\n", ["section 'pair' already exists"]),
+        ("[tau]\nmn = -5\nfd_step = 1e-4\n\n[verify]\ntruncation = 1e4\n",
+         ["[tau] mn", "[tau] fd_step", "[verify] truncation"]),
+        ("[levels]\nvalues = 1\n\n[plot]\nwidth = 3\n", ["section [plot]"]),
+        ("[pair]\nkind = lw\nk0 = 2\n", ["[pair] k0"]),
+        ("[pair]\nkind = planar\ngamma = 1.5\n", ["[pair] gamma"]),
+        ("[pair]\nkind = custom\nh = affine\ng = affine\ngamma = 1.5\n", ["[pair] gamma"]),
+    ], ids=["no-section-header", "duplicate-section", "unknown-keys", "unknown-section",
+            "lw-key", "planar-key", "custom-key"])
+    def test_bad_config_file(self, tmp_path, capsys, text, named):
+        config = tmp_path / "run.ini"
+        config.write_text(text)
+        status = run("levelcurves", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert status == 2
+        err = one_line_error(capsys)
+        for entry in named:
+            assert entry in err
+        assert not (tmp_path / "out").exists()
+
     def test_critical_point_on_grid(self, tmp_path, capsys):
         # h' = zeta - 4 vanishes at the grid point zeta = 4
         config = tmp_path / "flip.ini"
@@ -274,8 +311,7 @@ class TestMalformedInput:
 
 def test_anchored_levelcurves_match_closed_form(tmp_path):
     config = tmp_path / "anchored.ini"
-    config.write_text("[pair]\nkind = custom\nk0 = 2\nh = power-affine offset=1 exponent=1.5\n"
-                      "g_anchor = 0j:-1.3333333333333333\n")
+    config.write_text(ANCHOR_ZERO_CONFIG)
     common = ("--levels", "1", "--format", "json")
     assert run("levelcurves", "--config", str(config), "--out", str(tmp_path / "a"), *common) == 0
     assert run("levelcurves", "--gamma", "1.5", "--out", str(tmp_path / "c"), *common) == 0
@@ -285,6 +321,16 @@ def test_anchored_levelcurves_match_closed_form(tmp_path):
     for got, want in zip(anchored, closed):
         assert got["x"] == pytest.approx(want["x"], abs=1e-9)
         assert got["y"] == pytest.approx(want["y"], abs=1e-9)
+
+
+def test_anchored_reconstruct(tmp_path):
+    config = tmp_path / "anchor-zero.ini"
+    config.write_text(ANCHOR_ZERO_CONFIG)
+    out = tmp_path / "out"
+    assert run("reconstruct", "--config", str(config), "--out", str(out),
+               "--grid=0.5,3,-2,2,0.125") == 0
+    field = ScalarField2D.from_grid_text((out / "field.grid").read_text())
+    assert field.mask.all()
 
 
 def test_console_entry_help():

@@ -1,8 +1,13 @@
 """Grid reconstruction, PDE residual, stencil operators, serialization."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mingraphs
 from mingraphs import (
     ConvergenceError,
     EmptyInteriorError,
@@ -21,7 +26,57 @@ from mingraphs import (
     reconstruct_u,
     residual_convergence_order,
 )
-from mingraphs.graphfield import msr_report, superharmonic_report
+from mingraphs.config import build_pair
+from mingraphs.graphfield import (
+    _axis,
+    _forward_cloud,
+    _nearest,
+    msr_report,
+    superharmonic_report,
+)
+
+WINDOW = ((0.5, 3.0), (-2.0, 2.0))
+
+
+def _kdtree_nearest(cloud: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    spatial = pytest.importorskip("scipy.spatial")
+    tree = spatial.cKDTree(np.column_stack([cloud.real, cloud.imag]))
+    return tree.query(np.column_stack([targets.real, targets.imag]))[1]
+
+
+class TestNearestSeed:
+    """The brute-force nearest-seed lookup against a k-d tree oracle."""
+
+    @pytest.mark.parametrize("n_cloud, n_targets", [(1, 5), (7, 0), (500, 1000), (3000, 20000)])
+    def test_random_clouds(self, n_cloud, n_targets):
+        gen = np.random.default_rng(n_cloud + n_targets)
+        cloud = gen.normal(size=n_cloud) + 1j * gen.normal(size=n_cloud)
+        targets = 3.0 * (gen.random(n_targets) - 0.5) + 3j * (gen.random(n_targets) - 0.5)
+        got = _nearest(cloud, targets)
+        assert got.shape == (n_targets,)
+        assert np.array_equal(got, _kdtree_nearest(cloud, targets))
+
+    @pytest.mark.parametrize("gamma", [1.001, 1.5, 1.999])
+    def test_forward_cloud(self, gamma):
+        _, cloud = _forward_cloud(lw_family(gamma), WINDOW)
+        xs, ys = _axis(WINDOW[0], 1.0 / 64.0), _axis(WINDOW[1], 1.0 / 64.0)
+        targets = (xs[None, :] + 1j * ys[:, None]).ravel()
+        assert np.array_equal(_nearest(cloud, targets), _kdtree_nearest(cloud, targets))
+
+
+def test_cli_never_imports_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(mingraphs.__file__).parents[1])!r})\n"
+        "from mingraphs.cli import main\n"
+        "assert main(['levelcurves', '--gamma', '1.5', '--levels', '0,1', '--out', 'a']) == 0\n"
+        "assert main(['reconstruct', '--gamma', '1.5', '--grid=0.5,1.5,-0.5,0.5,0.25',\n"
+        "             '--out', 'b']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestInvertF:
@@ -66,6 +121,16 @@ class TestReconstruct:
         field = reconstruct_u(lw15, ((x_star - 8 * h, x_star + 8 * h), (-0.5, 0.5)), h)
         j = int(np.argmin(np.abs(field.ys())))
         assert field.values[j, 8] == pytest.approx(2.0, abs=1e-10)
+
+    def test_anchored_pair_matches_closed_form(self, lw15):
+        anchored = build_pair({
+            "kind": "custom", "k0": "2", "h": "power-affine offset=1 exponent=1.5",
+            "g_anchor": "0j:-1.3333333333333333",
+        })
+        got = reconstruct_u(anchored, WINDOW, 0.125)
+        want = reconstruct_u(lw15, WINDOW, 0.125)
+        assert got.mask.all() and np.array_equal(got.mask, want.mask)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12
 
     def test_window_outside_domain(self, planar22):
         field = reconstruct_u(planar22, ((-5.0, -3.0), (0.0, 1.0)), 0.5)
