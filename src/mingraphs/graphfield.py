@@ -28,6 +28,7 @@ Stencil conventions (all centered, second order):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +54,8 @@ class ScalarField2D:
 
     ``values`` and ``mask`` have shape (ny, nx); row j sits at
     y = origin[1] + j*spacing, column i at x = origin[0] + i*spacing.
-    Masked-in nodes always carry finite values.
+    Masked-in nodes always carry finite values.  The arrays are not changed
+    after construction: the writers cache the formatted values.
     """
 
     origin: tuple[float, float]
@@ -104,17 +106,19 @@ class ScalarField2D:
             mask=np.ones((len(ys), len(xs)), dtype=bool),
         )
 
+    @cached_property
+    def _value_text(self) -> list[list[str]]:
+        """Each nodal value formatted once ("nan" where masked), row by row;
+        shared by both writers."""
+        rows = np.where(self.mask, self.values, np.nan)
+        return [[fmt_float(u) for u in row.tolist()] for row in rows]
+
     def to_grid_text(self) -> str:
         header = (
             f"{fmt_float(self.origin[0])} {fmt_float(self.origin[1])} "
             f"{fmt_float(self.spacing)} {self.nx} {self.ny}"
         )
-        rows = []
-        for j in range(self.ny):
-            rows.append(" ".join(
-                fmt_float(self.values[j, i]) if self.mask[j, i] else "nan"
-                for i in range(self.nx)
-            ))
+        rows = [" ".join(row) for row in self._value_text]
         return header + "\n" + "\n".join(rows) + "\n"
 
     @classmethod
@@ -130,13 +134,12 @@ class ScalarField2D:
                    nx=nx, ny=ny, values=values, mask=mask)
 
     def to_csv(self) -> str:
-        lines = ["x,y,u,mask"]
-        xs, ys = self.xs(), self.ys()
-        for j in range(self.ny):
-            for i in range(self.nx):
-                u = fmt_float(self.values[j, i]) if self.mask[j, i] else "nan"
-                lines.append(f"{fmt_float(xs[i])},{fmt_float(ys[j])},{u},{int(self.mask[j, i])}")
-        return "\n".join(lines) + "\n"
+        xs = [fmt_float(x) for x in self.xs().tolist()]
+        rows = ["x,y,u,mask\n"]  # one string per grid row keeps few line objects alive
+        for y, row, flags in zip(self.ys().tolist(), self._value_text, self.mask.tolist()):
+            y = fmt_float(y)
+            rows.append("".join(f"{x},{y},{u},{m:d}\n" for x, u, m in zip(xs, row, flags)))
+        return "".join(rows)
 
 
 @dataclass

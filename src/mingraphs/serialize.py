@@ -8,20 +8,18 @@ a serializer.
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 from pathlib import Path
 
 
 def fmt_float(x: float) -> str:
-    """Render a float with 17 significant digits ('nan' for missing values)."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    """Render a float with 17 significant digits.
+
+    The ``g`` format already writes every NaN (either sign) as 'nan' and the
+    infinities as 'inf' and '-inf'.
+    """
+    return format(float(x), ".17g")
 
 
 def to_json(obj, indent: int = 0) -> str:

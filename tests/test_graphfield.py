@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from mingraphs import (
     reconstruct_u,
     residual_convergence_order,
 )
+from mingraphs import graphfield
 from mingraphs.config import build_pair
 from mingraphs.graphfield import (
     _axis,
@@ -34,6 +36,7 @@ from mingraphs.graphfield import (
     msr_report,
     superharmonic_report,
 )
+from mingraphs.serialize import fmt_float
 
 WINDOW = ((0.5, 3.0), (-2.0, 2.0))
 
@@ -298,6 +301,87 @@ class TestSerialization:
         with pytest.raises(ParameterError):
             ScalarField2D(origin=(0.0, 0.0), spacing=1.0, nx=2, ny=2,
                           values=np.full((2, 2), np.nan), mask=np.ones((2, 2), bool))
+
+
+def _reference_grid_text(field: ScalarField2D) -> str:
+    """The per-node writer the field formatters must match byte for byte."""
+    header = (
+        f"{fmt_float(field.origin[0])} {fmt_float(field.origin[1])} "
+        f"{fmt_float(field.spacing)} {field.nx} {field.ny}"
+    )
+    rows = []
+    for j in range(field.ny):
+        rows.append(" ".join(
+            fmt_float(field.values[j, i]) if field.mask[j, i] else "nan"
+            for i in range(field.nx)
+        ))
+    return header + "\n" + "\n".join(rows) + "\n"
+
+
+def _reference_csv(field: ScalarField2D) -> str:
+    lines = ["x,y,u,mask"]
+    xs, ys = field.xs(), field.ys()
+    for j in range(field.ny):
+        for i in range(field.nx):
+            u = fmt_float(field.values[j, i]) if field.mask[j, i] else "nan"
+            lines.append(f"{fmt_float(xs[i])},{fmt_float(ys[j])},{u},{int(field.mask[j, i])}")
+    return "\n".join(lines) + "\n"
+
+
+def _hand_built_field() -> ScalarField2D:
+    values = np.array([
+        [1.0, -0.0, 5e-324, np.nan],
+        [0.1, 2.0 / 3.0, -1e300, 7.0],
+        [np.inf, 3.0, -2.5e-310, 0.0],
+    ])
+    mask = np.array([
+        [True, True, True, False],
+        [True, True, True, True],
+        [False, True, True, True],
+    ])
+    return ScalarField2D(origin=(-0.1, -0.0), spacing=0.1, nx=4, ny=3,
+                         values=values, mask=mask)
+
+
+@pytest.fixture(scope="module")
+def masked_field(lw15):
+    field = reconstruct_u(lw15, ((-3.0, 3.0), (-2.0, 2.0)), 1.0 / 32.0)
+    assert 0 < field.stats.failed < field.stats.attempted
+    return field
+
+
+@pytest.fixture(params=["hand_built", "masked", "solved"])
+def writer_field(request):
+    """A field with no formatted values cached yet."""
+    if request.param == "hand_built":
+        return _hand_built_field()
+    name = "masked_field" if request.param == "masked" else "field32"
+    return replace(request.getfixturevalue(name))
+
+
+class TestFieldWriters:
+    """Each float is formatted once, and the text is the per-node writers'."""
+
+    def test_byte_identical_to_reference(self, writer_field):
+        grid_text, csv_text = _reference_grid_text(writer_field), _reference_csv(writer_field)
+        assert writer_field.to_grid_text() == grid_text
+        assert writer_field.to_csv() == csv_text
+        fresh = replace(writer_field)  # the other order, CSV first
+        assert fresh.to_csv() == csv_text
+        assert fresh.to_grid_text() == grid_text
+
+    def test_one_format_call_per_float(self, writer_field, monkeypatch):
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return fmt_float(x)
+
+        monkeypatch.setattr(graphfield, "fmt_float", counting)
+        writer_field.to_grid_text()
+        writer_field.to_csv()
+        nx, ny = writer_field.nx, writer_field.ny
+        assert len(calls) == nx * ny + nx + ny + 3
 
 
 def test_interior_mask_erosion():
