@@ -12,6 +12,13 @@ the shifted half-plane Re(zeta + offset) > 0, where no cut is crossed.
 
 Evaluators are numpy-transparent: a complex scalar yields scalar jets, a
 complex ndarray yields arraywise jets of the same shape.
+
+The catalog maps check their point and branch domain when ``jet`` is
+called, and compute each part of the jet on its first read, from the same
+expression and so with the same bits as an eager evaluation.  A caller that
+reads only the value and the first derivative (Newton inversion, g' = -k/h')
+pays for those complex powers alone.  Map constants are checked once, when
+the map is built.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, QuadratureError, SingularityError
+from .errors import DomainError, ParameterError, QuadratureError, SingularityError
 
 #: Magnitudes of the first derivative below this floor raise SingularityError
 #: instead of silently producing Inf in downstream curvature formulas.
@@ -35,13 +42,44 @@ QUAD_MAX_NODES = 4096
 QUAD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Jet2:
-    """Value and first two complex derivatives of an analytic map at a point."""
+_PENDING = object()
 
-    v: complex
-    d1: complex
-    d2: complex
+
+def _part(slot: str, index: int) -> property:
+    def read(self):
+        value = getattr(self, slot)
+        if value is _PENDING:
+            value = self._make[index]()
+            setattr(self, slot, value)
+        return value
+
+    return property(read)
+
+
+class Jet2:
+    """Value and first two complex derivatives of an analytic map at a point.
+
+    ``Jet2(v, d1, d2)`` holds the parts as given.  ``Jet2.deferred`` takes a
+    zero-argument function per part instead; each is called on the first
+    read of its part and the result is kept, so a caller pays only for the
+    parts it reads and gets the same bits as an eager evaluation.  The parts
+    are read-only.
+    """
+
+    __slots__ = ("_v", "_d1", "_d2", "_make")
+
+    def __init__(self, v, d1, d2):
+        self._v, self._d1, self._d2 = v, d1, d2
+
+    @classmethod
+    def deferred(cls, v, d1, d2) -> "Jet2":
+        jet = cls(_PENDING, _PENDING, _PENDING)
+        jet._make = (v, d1, d2)
+        return jet
+
+    v = _part("_v", 0)
+    d1 = _part("_d1", 1)
+    d2 = _part("_d2", 2)
 
     def is_finite(self) -> bool:
         return bool(
@@ -50,11 +88,20 @@ class Jet2:
             and np.all(np.isfinite(self.d2))
         )
 
+    def __repr__(self) -> str:
+        return f"Jet2(v={self.v!r}, d1={self.d1!r}, d2={self.d2!r})"
+
 
 def _check_finite(*values) -> None:
     for value in values:
         if not np.all(np.isfinite(value)):
             raise DomainError("non-finite evaluation input")
+
+
+def _check_constants(kind: str, **constants) -> None:
+    for name, value in constants.items():
+        if not np.isfinite(value):
+            raise ParameterError(f"{kind} {name} must be finite, got {value}")
 
 
 def jet_affine(slope: complex, intercept: complex, zeta) -> Jet2:
@@ -64,24 +111,34 @@ def jet_affine(slope: complex, intercept: complex, zeta) -> Jet2:
     return Jet2(slope * zeta + intercept, slope * np.ones_like(zeta), np.zeros_like(zeta))
 
 
+def _power_jet(offset: complex, p: float, zeta) -> Jet2:
+    """Deferred jet of (zeta + offset)**p; checks zeta and the branch domain."""
+    zeta = np.asarray(zeta, dtype=complex)[()]
+    _check_finite(zeta)
+    base = zeta + offset  # a new array: later changes to zeta do not reach the parts
+    if not np.all(base.real > 0.0):
+        raise DomainError(
+            f"(zeta + {offset}) leaves the right half-plane; principal branch undefined"
+        )
+    return Jet2.deferred(
+        lambda: base**p,
+        lambda: p * base ** (p - 1.0),
+        lambda: p * (p - 1.0) * base ** (p - 2.0),
+    )
+
+
 def jet_pow_affine(offset: complex, exponent: float, zeta) -> Jet2:
     """Jet of the principal-branch power zeta -> (zeta + offset)**exponent.
 
     Requires Re(zeta + offset) > 0 so the shifted point stays in the open
     right half-plane where the principal branch is single-valued.
     """
-    zeta = np.asarray(zeta, dtype=complex)[()]
-    _check_finite(offset, exponent, zeta)
-    base = zeta + offset
-    if not np.all(base.real > 0.0):
-        raise DomainError(
-            f"(zeta + {offset}) leaves the right half-plane; principal branch undefined"
-        )
-    p = float(exponent)
-    v = base**p
-    d1 = p * base ** (p - 1.0)
-    d2 = p * (p - 1.0) * base ** (p - 2.0)
-    return Jet2(v, d1, d2)
+    _check_finite(offset, exponent)
+    return _power_jet(offset, float(exponent), zeta)
+
+
+def _scaled(c: complex, jet: Jet2) -> Jet2:
+    return Jet2.deferred(lambda: c * jet.v, lambda: c * jet.d1, lambda: c * jet.d2)
 
 
 def log_derivative(jet: Jet2, floor: float = DERIVATIVE_FLOOR) -> complex:
@@ -184,12 +241,16 @@ class PowerAffineMap(AnalyticMap):
     def name(self) -> str:
         return f"power({self.coeff}*(zeta+{self.offset})^{self.exponent})"
 
+    def __post_init__(self):
+        _check_constants(
+            "power-affine", offset=self.offset, exponent=self.exponent, coeff=self.coeff
+        )
+
     def jet(self, zeta) -> Jet2:
-        base = jet_pow_affine(self.offset, self.exponent, zeta)
+        base = _power_jet(self.offset, float(self.exponent), zeta)
         if self.coeff == 1.0:
             return base
-        c = complex(self.coeff)
-        return Jet2(c * base.v, c * base.d1, c * base.d2)
+        return _scaled(complex(self.coeff), base)
 
 
 @dataclass(frozen=True, repr=False)
@@ -203,10 +264,11 @@ class ScaledMap(AnalyticMap):
     def name(self) -> str:
         return f"{self.factor}*{self.inner.name}"
 
+    def __post_init__(self):
+        _check_constants("scaled map", factor=self.factor)
+
     def jet(self, zeta) -> Jet2:
-        inner = self.inner.jet(zeta)
-        c = complex(self.factor)
-        return Jet2(c * inner.v, c * inner.d1, c * inner.d2)
+        return _scaled(complex(self.factor), self.inner.jet(zeta))
 
 
 @dataclass(frozen=True, repr=False)
@@ -221,8 +283,8 @@ class SumMap(AnalyticMap):
 
     def jet(self, zeta) -> Jet2:
         jets = [part.jet(zeta) for part in self.parts]
-        return Jet2(
-            sum(j.v for j in jets),
-            sum(j.d1 for j in jets),
-            sum(j.d2 for j in jets),
+        return Jet2.deferred(
+            lambda: sum(j.v for j in jets),
+            lambda: sum(j.d1 for j in jets),
+            lambda: sum(j.d2 for j in jets),
         )

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import graphfield
-from .config import RunConfig, build_pair, check_tolerance_names, load_config
+from .config import RunConfig, build_pair, check_tolerances, load_config
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -62,7 +62,7 @@ def _parse_tols(items: list[str]) -> dict:
             raise ParameterError(f"--tol expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
         out[name.strip()] = float(value)
-    check_tolerance_names(out)
+    check_tolerances(out)
     return out
 
 
@@ -231,6 +231,9 @@ def cmd_verify(config: RunConfig, args) -> int:
 def cmd_sweep_gamma(config: RunConfig, args) -> int:
     from .weierstrass import lw_family
 
+    bad = [fmt_float(gamma) for gamma in config.sweep_gammas if not np.isfinite(gamma)]
+    if bad:
+        raise ParameterError(f"sweep gammas must be finite, got {', '.join(bad)}")
     grid = _verify_grid(config)
     out_dir = Path(config.out_dir)
     positive_levels = [c for c in config.levels if c > 0.0] or [0.5, 1.0, 2.0, 4.0, 8.0]

@@ -13,7 +13,8 @@ family):
     [grid]          x0, x1, y0, y1, spacing
     [verify]        sigma_min, sigma_max, n_sigma, tau_abs, n_tau
     [scaling]       factors = 0.5, 2, 10
-    [tolerances]    <name> = <value>   (names from DEFAULT_TOLERANCES only)
+    [tolerances]    <name> = <value>   (names from DEFAULT_TOLERANCES only;
+                                        values finite and >= 0)
     [output]        dir = out, formats = csv, json
     [sweep]         gammas = 1.1, 1.2, ..., 1.9
 
@@ -35,6 +36,7 @@ quadrature knob.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -96,12 +98,17 @@ class RunConfig:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
 
-def check_tolerance_names(names) -> None:
-    unknown = sorted(set(names) - set(DEFAULT_TOLERANCES))
+def check_tolerances(tolerances: dict) -> None:
+    """Each name must be a known tolerance and each value finite and >= 0."""
+    unknown = sorted(set(tolerances) - set(DEFAULT_TOLERANCES))
     if unknown:
         raise ParameterError(
             f"unknown tolerance {', '.join(unknown)} (known: {', '.join(DEFAULT_TOLERANCES)})"
         )
+    bad = [f"{name}={value}" for name, value in tolerances.items()
+           if not (math.isfinite(value) and value >= 0.0)]
+    if bad:
+        raise ParameterError(f"tolerance must be finite and non-negative: {', '.join(bad)}")
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -232,10 +239,9 @@ def _read_config(config: RunConfig, path: str | Path) -> RunConfig:
     if parser.has_option("scaling", "factors"):
         updates["scale_factors"] = _floats(parser.get("scaling", "factors"))
     if parser.has_section("tolerances"):
-        tols = dict(config.tolerances)
-        for key, value in parser.items("tolerances"):
-            tols[key] = float(value)
-        updates["tolerances"] = tols
+        given = {key: float(value) for key, value in parser.items("tolerances")}
+        check_tolerances(given)
+        updates["tolerances"] = {**config.tolerances, **given}
     if parser.has_section("output"):
         section = parser["output"]
         updates["out_dir"] = section.get("dir", config.out_dir)

@@ -39,6 +39,11 @@ from .weierstrass import WeierstrassPair, g_value
 
 Window = tuple[tuple[float, float], tuple[float, float]]
 
+#: reconstruct_u refuses larger grids before it allocates anything.  A
+#: `reconstruct` run peaks at about 190 bytes per node (60 MiB at h = 1/128,
+#: 150 MiB at h = 1/256 on the default window), so the cap is about 3 GiB.
+MAX_GRID_NODES = 2**24
+
 
 @dataclass(frozen=True)
 class ReconstructionStats:
@@ -162,14 +167,20 @@ class ResidualReport:
         }
 
 
-def _axis(rng: tuple[float, float], spacing: float) -> np.ndarray:
+def _axis_size(rng: tuple[float, float], spacing: float) -> int:
     lo, hi = rng
-    if hi <= lo:
-        raise ParameterError("window range must be increasing")
+    if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
+        raise ParameterError("window range must be finite and increasing")
     if not (np.isfinite(spacing) and spacing > 0.0):
         raise ParameterError(f"grid spacing must be finite and positive, got {spacing}")
-    n = int(round((hi - lo) / spacing)) + 1
-    return lo + spacing * np.arange(n)
+    steps = (hi - lo) / spacing
+    if not np.isfinite(steps):
+        raise ParameterError(f"grid spacing {spacing} is too small for the window")
+    return int(round(steps)) + 1
+
+
+def _axis(rng: tuple[float, float], spacing: float) -> np.ndarray:
+    return rng[0] + spacing * np.arange(_axis_size(rng, spacing))
 
 
 def _f_values(pair: WeierstrassPair, zetas: np.ndarray) -> np.ndarray:
@@ -323,9 +334,13 @@ def reconstruct_u(
     masked out; the attached stats record the failure count and whether a
     seed could be placed at all.
     """
+    nx, ny = _axis_size(window[0], spacing), _axis_size(window[1], spacing)
+    if nx * ny > MAX_GRID_NODES:
+        raise ParameterError(
+            f"grid of {nx} x {ny} = {nx * ny} nodes exceeds the limit of {MAX_GRID_NODES}"
+        )
     xs = _axis(window[0], spacing)
     ys = _axis(window[1], spacing)
-    nx, ny = len(xs), len(ys)
     targets = xs[None, :] + 1j * ys[:, None]
     zeta = np.full((ny, nx), np.nan, dtype=complex)
     ok = np.zeros((ny, nx), dtype=bool)

@@ -197,6 +197,20 @@ class TestSweepCommand:
         lines = (out / "sweep_gamma.csv").read_text().strip().split("\n")
         assert len(lines) == 1  # header only
 
+    def test_nonfinite_gamma_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("sweep-gamma", "--gammas", "1.5,nan", "--out", str(out)) == 2
+        assert "finite" in one_line_error(capsys)
+        assert not out.exists()
+
+    def test_nonfinite_gamma_config(self, tmp_path, capsys):
+        config = tmp_path / "sweep.ini"
+        config.write_text("[sweep]\ngammas = 1.5, inf\n")
+        out = tmp_path / "out"
+        assert run("sweep-gamma", "--config", str(config), "--out", str(out)) == 2
+        assert "finite" in one_line_error(capsys)
+        assert not out.exists()
+
     def test_bad_gamma_recorded_and_nonzero(self, tmp_path):
         out = tmp_path / "out"
         status = run("sweep-gamma", "--gammas", "1.5,2.5", "--out", str(out))
@@ -261,6 +275,55 @@ class TestMalformedInput:
                      "--tol", "poisson_valu=1e-30")
         assert status == 2
         assert "poisson_valu" in one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("check, tol", [
+        ("msr", "msr_exact=nan"), ("poisson", "poisson_value=nan"),
+        ("poisson", "poisson_agreement=inf"), ("lemma2", "lemma2_family=-1e-12"),
+    ])
+    def test_bad_tol_value_flag(self, tmp_path, capsys, check, tol):
+        status = run("verify", check, "--gamma", "1.5", "--out", str(tmp_path / "out"),
+                     "--tol", tol)
+        assert status == 2
+        assert tol in one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("check, tol", [
+        ("msr", "msr_exact = nan"), ("poisson", "poisson_agreement = inf"),
+        ("thm1", "thm1 = -1e-9"),
+    ])
+    def test_bad_tolerance_value_config(self, tmp_path, capsys, check, tol):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[tolerances]\n{tol}\n")
+        status = run("verify", check, "--config", str(config), "--out", str(tmp_path / "out"))
+        assert status == 2
+        assert tol.split(" = ")[0] in one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid, named", [
+        # 2.5e15 x 4e15 nodes: refused before any array is allocated
+        ("0.5,3,-2,2,1e-15", f"{(round(2.5e15) + 1) * (round(4e15) + 1)} nodes"),
+        ("0.5,3,-2,2,1e-320", "too small"),
+        ("0.5,inf,-2,2,0.1", "window range"),
+    ], ids=["too-many-nodes", "subnormal-spacing", "infinite-window"])
+    def test_grid_cannot_be_built(self, tmp_path, capsys, grid, named):
+        status = run("reconstruct", "--gamma", "1.5", "--out", str(tmp_path / "out"),
+                     f"--grid={grid}")
+        assert status == 2
+        assert named in one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config_text", [
+        "h = power-affine offset=1 exponent=inf\ng_anchor = 1:0\n",
+        "h = power-affine offset=nan exponent=1.5\ng_anchor = 1:0\n",
+    ], ids=["exponent-inf", "offset-nan"])
+    @pytest.mark.parametrize("command", ["levelcurves", "reconstruct"])
+    def test_nonfinite_map_constant(self, tmp_path, capsys, config_text, command):
+        config = tmp_path / "run.ini"
+        config.write_text("[pair]\nkind = custom\nk0 = 2\n" + config_text)
+        status = run(command, "--config", str(config), "--out", str(tmp_path / "out"))
+        assert status == 2
+        one_line_error(capsys)
         assert not (tmp_path / "out").exists()
 
     def test_unknown_tolerance_key(self, tmp_path, capsys):
