@@ -94,7 +94,7 @@ class Jet2:
 
 def _check_finite(*values) -> None:
     for value in values:
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():  # .all() skips np.all's Python dispatch
             raise DomainError("non-finite evaluation input")
 
 
@@ -116,7 +116,7 @@ def _power_jet(offset: complex, p: float, zeta) -> Jet2:
     zeta = np.asarray(zeta, dtype=complex)[()]
     _check_finite(zeta)
     base = zeta + offset  # a new array: later changes to zeta do not reach the parts
-    if not np.all(base.real > 0.0):
+    if not (base.real > 0.0).all():
         raise DomainError(
             f"(zeta + {offset}) leaves the right half-plane; principal branch undefined"
         )
@@ -149,7 +149,7 @@ def log_derivative(jet: Jet2, floor: float = DERIVATIVE_FLOOR) -> complex:
     ratio would be garbage.
     """
     mag = np.abs(jet.d1)
-    if not np.all(mag > floor):
+    if not (mag > floor).all():
         raise SingularityError(f"|d1| <= {floor:g}: critical point of the representation")
     return jet.d2 / jet.d1
 

@@ -11,8 +11,12 @@ g' = -k/h' (Wirtinger derivatives f_zeta = h', f_zetabar = conj(g')), so an
 update solves a*d + b*conj(d) = -r with a = h', b = conj(g').  Univalence
 (|h'| > |g'|) keeps the Jacobian determinant positive, so a converged
 iterate is the preimage.  Seeds come from the brute-force nearest point of
-a coarse forward-evaluated cloud and then march column to column; within a
-column, rows that lost their neighbor seed are repaired from adjacent rows.
+a coarse forward-evaluated cloud and then march column to column, outward
+from a seed column.  The two directions are independent chains, so each
+march step solves the pair of columns seed+d and seed-d in one Newton
+batch; within each column, rows that lost their neighbor seed are repaired
+from adjacent rows of that column.  Every node follows its own iteration,
+so the batching does not change a bit of the result.
 
 Stencil conventions (all centered, second order):
   * a node is *interior* iff its full 3x3 neighborhood is masked-in;
@@ -139,11 +143,16 @@ class ScalarField2D:
                    nx=nx, ny=ny, values=values, mask=mask)
 
     def to_csv(self) -> str:
-        xs = [fmt_float(x) for x in self.xs().tolist()]
+        nx = self.nx
+        line = [""] * (4 * nx)  # x, y, u and mask fields of one grid row, reused
+        line[0::4] = [fmt_float(x) + "," for x in self.xs().tolist()]
+        ends = (",0\n", ",1\n")
         rows = ["x,y,u,mask\n"]  # one string per grid row keeps few line objects alive
         for y, row, flags in zip(self.ys().tolist(), self._value_text, self.mask.tolist()):
-            y = fmt_float(y)
-            rows.append("".join(f"{x},{y},{u},{m:d}\n" for x, u, m in zip(xs, row, flags)))
+            line[1::4] = [fmt_float(y) + ","] * nx
+            line[2::4] = row
+            line[3::4] = [ends[m] for m in flags]
+            rows.append("".join(line))
         return "".join(rows)
 
 
@@ -191,46 +200,49 @@ def _newton_batch(pair, targets, guesses, tol: float, max_iter: int):
     """Vectorized Newton inversion of f over the closed half-plane.
 
     Iterates are projected to sigma >= 0 (the search domain); rows whose
-    update degenerates are frozen as failed.  Returns (zeta, ok).
+    update degenerates are frozen as failed.  The live rows are kept as
+    compacted arrays (index, iterate, target, tolerance bound), so each node
+    follows its own iteration whatever else is in the batch.  Returns
+    (zeta, ok).
     """
     t = np.asarray(targets, dtype=complex)
     z = np.array(guesses, dtype=complex)
     z = np.where(np.isfinite(z), z, 1.0 + 0.0j)
     z = np.maximum(z.real, 0.0) + 1j * z.imag
-    scale = 1.0 + np.abs(t)
     ok = np.zeros(t.shape, dtype=bool)
-    alive = np.ones(t.shape, dtype=bool)
+    idx = np.arange(t.size)
+    za, ta = z.ravel(), t.ravel()
+    bound = tol * (1.0 + np.abs(ta))
     k = pair.k
     for _ in range(max_iter):
-        if not alive.any():
+        if not idx.size:
             break
-        za = z[alive]
         jet = pair.h.jet(za)
-        r = jet.v + np.conj(g_value(pair, za)) - t[alive]
-        conv = np.abs(r) <= tol * scale[alive]
+        r = jet.v + np.conj(g_value(pair, za)) - ta
+        conv = np.abs(r) <= bound
         if conv.any():
-            idx = np.flatnonzero(alive)[conv]
-            ok[idx] = True
-            alive[idx] = False
+            done = idx[conv]
+            z.flat[done] = za[conv]
+            ok.flat[done] = True
             keep = ~conv
-            if not keep.any():
-                continue
-            za, r = za[keep], r[keep]
-            jet_d1 = jet.d1[keep] if np.ndim(jet.d1) else jet.d1
+            idx, za, ta, bound, r = idx[keep], za[keep], ta[keep], bound[keep], r[keep]
+            if not idx.size:
+                break
+            a = jet.d1[keep] if np.ndim(jet.d1) else jet.d1
         else:
-            jet_d1 = jet.d1
-        a = jet_d1
+            a = jet.d1
         b = -k / np.conj(a)  # conj(g') with g' = -k/h'
         denom = np.abs(a) ** 2 - np.abs(b) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             delta = (b * np.conj(r) - np.conj(a) * r) / denom
         bad = ~np.isfinite(delta)
-        znew = za + np.where(bad, 0.0, delta)
-        znew = np.maximum(znew.real, 0.0) + 1j * znew.imag
-        idx_alive = np.flatnonzero(alive)
-        z[idx_alive] = znew
+        za = za + np.where(bad, 0.0, delta)
+        za = np.maximum(za.real, 0.0) + 1j * za.imag
         if bad.any():
-            alive[idx_alive[bad]] = False
+            z.flat[idx[bad]] = za[bad]
+            keep = ~bad
+            idx, za, ta, bound = idx[keep], za[keep], ta[keep], bound[keep]
+    z.flat[idx] = za
     return z, ok
 
 
@@ -329,10 +341,14 @@ def reconstruct_u(
     """Invert f on every grid node of the window and set u = k0*sigma.
 
     A seed column is solved from nearest-cloud initial guesses, then columns
-    march outward, each row seeded by its neighbor's preimage.  Nodes whose
-    inversion fails (in particular nodes outside the image domain) are
-    masked out; the attached stats record the failure count and whether a
-    seed could be placed at all.
+    march outward, each row seeded by its neighbor's preimage.  Column
+    seed+d is seeded only from seed+d-1 and column seed-d only from
+    seed-d+1, so both march directions share one Newton batch per step;
+    each column keeps its own cloud fallback for rows without a solved
+    neighbor and its own row repair.  Nodes whose inversion fails (in
+    particular nodes outside the image domain) are masked out; the attached
+    stats record the failure count and whether a seed could be placed at
+    all.
     """
     nx, ny = _axis_size(window[0], spacing), _axis_size(window[1], spacing)
     if nx * ny > MAX_GRID_NODES:
@@ -347,35 +363,38 @@ def reconstruct_u(
 
     cloud_z, cloud_f = _forward_cloud(pair, window)
 
-    def cloud_guesses(i: int, rows=slice(None)) -> np.ndarray:
-        return cloud_z[_nearest(cloud_f, targets[rows, i])]
-
-    def solve_column(i: int, guesses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z, good = _newton_batch(pair, targets[:, i], guesses, newton_tol, max_iter)
-        for _ in range(2):  # repair rows from solved row-neighbors
-            retry_guess = np.full(ny, np.nan, dtype=complex)
-            for j in np.flatnonzero(~good):
-                if j > 0 and good[j - 1]:
-                    retry_guess[j] = z[j - 1]
-                elif j + 1 < ny and good[j + 1]:
-                    retry_guess[j] = z[j + 1]
-            retry = np.isfinite(retry_guess)
+    def solve_columns(cols: list[int], guesses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve whole columns in one Newton batch, then repair the rows of
+        each column from solved row-neighbors in that column.  ``guesses``
+        has shape (len(cols), ny), NaN where the nearest cloud point seeds
+        the row; returns (zeta, ok) of shape (ny, len(cols))."""
+        t = targets[:, cols].T
+        missing = ~np.isfinite(guesses)
+        if missing.any():
+            guesses[missing] = cloud_z[_nearest(cloud_f, t[missing])]
+        z, good = _newton_batch(pair, t.ravel(), guesses.ravel(), newton_tol, max_iter)
+        z, good = z.reshape(t.shape), good.reshape(t.shape)
+        for _ in range(2):
+            below = np.zeros_like(good)  # row j - 1 solved
+            below[:, 1:] = good[:, :-1]
+            above = np.zeros_like(good)  # row j + 1 solved
+            above[:, :-1] = good[:, 1:]
+            retry = ~good & (below | above)
             if not retry.any():
                 break
-            z2, good2 = _newton_batch(
-                pair, targets[retry, i], retry_guess[retry], newton_tol, max_iter
-            )
+            retry_guess = np.where(below, np.roll(z, 1, axis=1), np.roll(z, -1, axis=1))[retry]
+            z2, good2 = _newton_batch(pair, t[retry], retry_guess, newton_tol, max_iter)
             z[retry] = np.where(good2, z2, z[retry])
             good[retry] |= good2
-        return z, good
+        return z.T, good.T
 
     # place the seed column, middle outward
     seed_i = None
     for i in sorted(range(nx), key=lambda col: (abs(col - nx // 2), col)):
-        z, good = solve_column(i, cloud_guesses(i))
+        z, good = solve_columns([i], np.full((1, ny), np.nan + 0j))
         if good.any():
             seed_i = i
-            zeta[:, i], ok[:, i] = z, good
+            zeta[:, [i]], ok[:, [i]] = z, good
             break
 
     if seed_i is None:
@@ -386,16 +405,13 @@ def reconstruct_u(
             nx=nx, ny=ny, values=np.full((ny, nx), np.nan), mask=ok, stats=stats,
         )
 
-    for direction in (1, -1):
-        cols = range(seed_i + direction, nx if direction > 0 else -1, direction)
-        for i in cols:
-            prev = i - direction
-            guesses = np.where(ok[:, prev], zeta[:, prev], np.nan + 0j)
-            missing = ~np.isfinite(guesses)
-            if missing.any():
-                guesses[missing] = cloud_guesses(i, missing)
-            z, good = solve_column(i, guesses)
-            zeta[:, i], ok[:, i] = z, good
+    # march outward, both directions in one batch per step
+    for d in range(1, max(seed_i + 1, nx - seed_i)):
+        cols = [i for i in (seed_i + d, seed_i - d) if 0 <= i < nx]
+        prev = [i - 1 if i > seed_i else i + 1 for i in cols]
+        zeta[:, cols], ok[:, cols] = solve_columns(
+            cols, np.where(ok[:, prev], zeta[:, prev], np.nan + 0j).T
+        )
 
     values = np.where(ok, pair.k0 * zeta.real, np.nan)
     stats = ReconstructionStats(

@@ -313,6 +313,20 @@ class TestMalformedInput:
         assert named in one_line_error(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_too_many_level_samples(self, tmp_path, capsys, how):
+        # 1e11 samples would need 745 GiB for tau alone: refused before any array exists
+        if how == "flag":
+            argv = ["--gamma", "1.5", "--tau=-1,1,100000000000"]
+        else:
+            config = tmp_path / "run.ini"
+            config.write_text("[tau]\nmin = -1\nmax = 1\nn = 100000000000\n")
+            argv = ["--config", str(config)]
+        status = run("levelcurves", *argv, "--out", str(tmp_path / "out"))
+        assert status == 2
+        assert "100000000000 samples" in one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("config_text", [
         "h = power-affine offset=1 exponent=inf\ng_anchor = 1:0\n",
         "h = power-affine offset=nan exponent=1.5\ng_anchor = 1:0\n",

@@ -30,13 +30,16 @@ from mingraphs import (
 from mingraphs import graphfield
 from mingraphs.config import build_pair
 from mingraphs.graphfield import (
+    ReconstructionStats,
     _axis,
+    _axis_size,
     _forward_cloud,
     _nearest,
     msr_report,
     superharmonic_report,
 )
 from mingraphs.serialize import fmt_float
+from mingraphs.weierstrass import g_value
 
 WINDOW = ((0.5, 3.0), (-2.0, 2.0))
 
@@ -343,6 +346,21 @@ def _hand_built_field() -> ScalarField2D:
                          values=values, mask=mask)
 
 
+def _edge_rows_field() -> ScalarField2D:
+    """A fully masked row, a fully masked-in row with -0.0, and one column."""
+    values = np.array([[np.nan, 2.0, np.nan], [-0.0, 0.0, -1e-300], [0.5, np.nan, -0.0]])
+    mask = np.array([[False, False, False], [True, True, True], [True, False, True]])
+    return ScalarField2D(origin=(-0.0, -0.5), spacing=0.25, nx=3, ny=3,
+                         values=values, mask=mask)
+
+
+def _one_column_field() -> ScalarField2D:
+    values = np.array([[-0.0], [np.nan], [1.0 / 3.0], [4.0]])
+    mask = np.array([[True], [False], [True], [False]])
+    return ScalarField2D(origin=(2.0, -0.0), spacing=0.5, nx=1, ny=4,
+                         values=values, mask=mask)
+
+
 @pytest.fixture(scope="module")
 def masked_field(lw15):
     field = reconstruct_u(lw15, ((-3.0, 3.0), (-2.0, 2.0)), 1.0 / 32.0)
@@ -350,11 +368,15 @@ def masked_field(lw15):
     return field
 
 
-@pytest.fixture(params=["hand_built", "masked", "solved"])
+@pytest.fixture(params=["hand_built", "edge_rows", "one_column", "masked", "solved"])
 def writer_field(request):
     """A field with no formatted values cached yet."""
     if request.param == "hand_built":
         return _hand_built_field()
+    if request.param == "edge_rows":
+        return _edge_rows_field()
+    if request.param == "one_column":
+        return _one_column_field()
     name = "masked_field" if request.param == "masked" else "field32"
     return replace(request.getfixturevalue(name))
 
@@ -370,6 +392,15 @@ class TestFieldWriters:
         assert fresh.to_csv() == csv_text
         assert fresh.to_grid_text() == grid_text
 
+    def test_edge_rows_text(self):
+        csv_lines = _edge_rows_field().to_csv().splitlines()
+        assert csv_lines[1:4] == ["0,-0.5,nan,0", "0.25,-0.5,nan,0", "0.5,-0.5,nan,0"]
+        assert csv_lines[4:7] == ["0,-0.25,-0,1", "0.25,-0.25,0,1",
+                                  "0.5,-0.25,-1e-300,1"]
+        assert _one_column_field().to_csv() == (
+            "x,y,u,mask\n2,0,-0,1\n2,0.5,nan,0\n2,1,0.33333333333333331,1\n2,1.5,nan,0\n"
+        )
+
     def test_one_format_call_per_float(self, writer_field, monkeypatch):
         calls = []
 
@@ -382,6 +413,173 @@ class TestFieldWriters:
         writer_field.to_csv()
         nx, ny = writer_field.nx, writer_field.ny
         assert len(calls) == nx * ny + nx + ny + 3
+
+
+def _reference_newton_batch(pair, targets, guesses, tol, max_iter):
+    """Newton with a boolean live mask over the whole batch, as the
+    batched march's ``_newton_batch`` must match node for node."""
+    t = np.asarray(targets, dtype=complex)
+    z = np.array(guesses, dtype=complex)
+    z = np.where(np.isfinite(z), z, 1.0 + 0.0j)
+    z = np.maximum(z.real, 0.0) + 1j * z.imag
+    scale = 1.0 + np.abs(t)
+    ok = np.zeros(t.shape, dtype=bool)
+    alive = np.ones(t.shape, dtype=bool)
+    for _ in range(max_iter):
+        if not alive.any():
+            break
+        za = z[alive]
+        jet = pair.h.jet(za)
+        r = jet.v + np.conj(g_value(pair, za)) - t[alive]
+        conv = np.abs(r) <= tol * scale[alive]
+        if conv.any():
+            idx = np.flatnonzero(alive)[conv]
+            ok[idx] = True
+            alive[idx] = False
+            keep = ~conv
+            if not keep.any():
+                continue
+            za, r = za[keep], r[keep]
+            a = jet.d1[keep] if np.ndim(jet.d1) else jet.d1
+        else:
+            a = jet.d1
+        b = -pair.k / np.conj(a)
+        denom = np.abs(a) ** 2 - np.abs(b) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = (b * np.conj(r) - np.conj(a) * r) / denom
+        bad = ~np.isfinite(delta)
+        znew = za + np.where(bad, 0.0, delta)
+        znew = np.maximum(znew.real, 0.0) + 1j * znew.imag
+        idx_alive = np.flatnonzero(alive)
+        z[idx_alive] = znew
+        if bad.any():
+            alive[idx_alive[bad]] = False
+    return z, ok
+
+
+def _reference_reconstruct_u(pair, window, spacing, newton_tol=1e-12, max_iter=50):
+    """One Newton batch per column: each direction marches on its own from
+    the seed column, and each column repairs its rows in a Python loop."""
+    nx, ny = _axis_size(window[0], spacing), _axis_size(window[1], spacing)
+    xs, ys = _axis(window[0], spacing), _axis(window[1], spacing)
+    targets = xs[None, :] + 1j * ys[:, None]
+    zeta = np.full((ny, nx), np.nan, dtype=complex)
+    ok = np.zeros((ny, nx), dtype=bool)
+    cloud_z, cloud_f = _forward_cloud(pair, window)
+
+    def cloud_guesses(i, rows=slice(None)):
+        return cloud_z[_nearest(cloud_f, targets[rows, i])]
+
+    def solve_column(i, guesses):
+        z, good = _reference_newton_batch(pair, targets[:, i], guesses, newton_tol, max_iter)
+        for _ in range(2):
+            retry_guess = np.full(ny, np.nan, dtype=complex)
+            for j in np.flatnonzero(~good):
+                if j > 0 and good[j - 1]:
+                    retry_guess[j] = z[j - 1]
+                elif j + 1 < ny and good[j + 1]:
+                    retry_guess[j] = z[j + 1]
+            retry = np.isfinite(retry_guess)
+            if not retry.any():
+                break
+            z2, good2 = _reference_newton_batch(
+                pair, targets[retry, i], retry_guess[retry], newton_tol, max_iter
+            )
+            z[retry] = np.where(good2, z2, z[retry])
+            good[retry] |= good2
+        return z, good
+
+    seed_i = None
+    for i in sorted(range(nx), key=lambda col: (abs(col - nx // 2), col)):
+        z, good = solve_column(i, cloud_guesses(i))
+        if good.any():
+            seed_i = i
+            zeta[:, i], ok[:, i] = z, good
+            break
+    assert seed_i is not None
+    for direction in (1, -1):
+        for i in range(seed_i + direction, nx if direction > 0 else -1, direction):
+            prev = i - direction
+            guesses = np.where(ok[:, prev], zeta[:, prev], np.nan + 0j)
+            missing = ~np.isfinite(guesses)
+            if missing.any():
+                guesses[missing] = cloud_guesses(i, missing)
+            zeta[:, i], ok[:, i] = solve_column(i, guesses)
+    values = np.where(ok, pair.k0 * zeta.real, np.nan)
+    stats = ReconstructionStats(attempted=nx * ny, solved=int(ok.sum()),
+                                failed=int(nx * ny - ok.sum()), seed_placed=True)
+    return values, ok, stats
+
+
+ANCHOR_ZERO_SPEC = {
+    "kind": "custom", "k0": "2", "h": "power-affine offset=1 exponent=1.5",
+    "g_anchor": "0j:-1.3333333333333333",
+}
+MASKED_WINDOW = ((-3.0, 3.0), (-2.0, 2.0))
+#: only the last two of its 29 columns at h = 1/16 meet D, so the seed column
+#: sits next to the right edge and the march to the right ends after one step
+EDGE_SEED_WINDOW = ((-2.0, -0.25), (-0.5, 0.5))
+
+
+class TestBatchedMarch:
+    """Both march directions share one Newton batch per step, with the same
+    bits as one batch per column."""
+
+    @pytest.mark.parametrize("pair, window, spacing", [
+        (lw_family(1.003), WINDOW, 1.0 / 32.0),
+        (lw_family(1.5), WINDOW, 1.0 / 32.0),
+        (lw_family(1.996), WINDOW, 1.0 / 32.0),
+        (lw_family(1.5), MASKED_WINDOW, 1.0 / 32.0),
+        (lw_family(1.5), EDGE_SEED_WINDOW, 1.0 / 16.0),
+        (build_pair(ANCHOR_ZERO_SPEC), WINDOW, 1.0 / 8.0),
+    ], ids=["lw1.003", "lw1.5", "lw1.996", "masked", "edge-seed", "anchor-zero"])
+    def test_same_bits_as_one_batch_per_column(self, pair, window, spacing):
+        values, mask, stats = _reference_reconstruct_u(pair, window, spacing)
+        field = reconstruct_u(pair, window, spacing)
+        assert field.mask.tobytes() == mask.tobytes()
+        assert field.values.tobytes() == values.tobytes()
+        assert field.stats == stats
+
+    def test_masked_window_runs_repair_and_cloud_fallback(self, lw15, monkeypatch):
+        newton_sizes, nearest_sizes = [], []
+        newton, nearest = graphfield._newton_batch, graphfield._nearest
+
+        def counting_newton(pair, targets, *args):
+            newton_sizes.append(np.size(targets))
+            return newton(pair, targets, *args)
+
+        def counting_nearest(cloud, targets):
+            nearest_sizes.append(targets.size)
+            return nearest(cloud, targets)
+
+        monkeypatch.setattr(graphfield, "_newton_batch", counting_newton)
+        monkeypatch.setattr(graphfield, "_nearest", counting_nearest)
+        field = reconstruct_u(lw15, MASKED_WINDOW, 1.0 / 32.0)
+        ny = field.ny
+        assert 0 < field.stats.failed < field.stats.attempted
+        assert any(size < ny for size in newton_sizes)  # row repairs ran
+        assert len(nearest_sizes) > 1  # rows without a solved neighbor took cloud seeds
+        assert max(newton_sizes) == 2 * ny  # both directions in one batch
+
+    def test_edge_seed_window(self, lw15):
+        field = reconstruct_u(lw15, EDGE_SEED_WINDOW, 1.0 / 16.0)
+        solved_cols = np.flatnonzero(field.mask.any(axis=0))
+        assert field.nx == 29 and solved_cols.tolist() == [27, 28]
+
+    def test_one_newton_batch_per_march_step(self, lw15, monkeypatch):
+        calls = []
+        newton = graphfield._newton_batch
+
+        def counting(*args):
+            calls.append(np.size(args[1]))
+            return newton(*args)
+
+        monkeypatch.setattr(graphfield, "_newton_batch", counting)
+        field = reconstruct_u(lw15, WINDOW, 1.0 / 32.0)
+        assert field.nx == 81 and field.stats.failed == 0
+        # the seed column, then 40 steps of two columns each; one batch per column is 81
+        assert len(calls) == 41
+        assert calls == [field.ny] + [2 * field.ny] * 40
 
 
 def test_interior_mask_erosion():

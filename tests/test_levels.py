@@ -24,7 +24,7 @@ from mingraphs import (
     tau_partials,
     tau_partials_conjugate_form,
 )
-from mingraphs.levels import SAMPLE_COLUMNS, samples_to_csv, samples_to_json
+from mingraphs.levels import MAX_LEVEL_SAMPLES, SAMPLE_COLUMNS, samples_to_csv, samples_to_json
 
 KAPPA_LW15_AT_1 = 1.5 * 2.0**0.5 / (4.5 + 1.0) * 0.25  # = 0.09642365...
 
@@ -190,6 +190,11 @@ class TestSampling:
             LevelCurveSpec(c=1.0, tau_min=2.0, tau_max=-2.0)
         with pytest.raises(ParameterError):
             LevelCurveSpec(c=1.0, n_samples=1)
+
+    def test_sample_cap(self):
+        assert LevelCurveSpec(c=1.0, n_samples=MAX_LEVEL_SAMPLES).n_samples == MAX_LEVEL_SAMPLES
+        with pytest.raises(ParameterError, match=f"{MAX_LEVEL_SAMPLES + 1} samples"):
+            LevelCurveSpec(c=1.0, n_samples=MAX_LEVEL_SAMPLES + 1)
 
 
 class TestBoundaryTrace:
