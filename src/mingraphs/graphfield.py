@@ -201,8 +201,8 @@ def _newton_batch(pair, targets, guesses, tol: float, max_iter: int):
 
     Iterates are projected to sigma >= 0 (the search domain); rows whose
     update degenerates are frozen as failed.  The live rows are kept as
-    compacted arrays (index, iterate, target, tolerance bound), so each node
-    follows its own iteration whatever else is in the batch.  Returns
+    compacted arrays (index, iterate, target, tolerance bound).  Each node
+    follows its own iteration, whatever else is in the batch.  Returns
     (zeta, ok).
     """
     t = np.asarray(targets, dtype=complex)

@@ -347,7 +347,7 @@ def _hand_built_field() -> ScalarField2D:
 
 
 def _edge_rows_field() -> ScalarField2D:
-    """A fully masked row, a fully masked-in row with -0.0, and one column."""
+    """A fully masked row, and a fully masked-in row with -0.0."""
     values = np.array([[np.nan, 2.0, np.nan], [-0.0, 0.0, -1e-300], [0.5, np.nan, -0.0]])
     mask = np.array([[False, False, False], [True, True, True], [True, False, True]])
     return ScalarField2D(origin=(-0.0, -0.5), spacing=0.25, nx=3, ny=3,

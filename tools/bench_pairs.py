@@ -65,7 +65,6 @@ def machine() -> dict:
         "cpu": cpu,
         "python": platform.python_version(),
         "numpy": numpy_version,
-        "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
     }
 
 
