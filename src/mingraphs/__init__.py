@@ -23,7 +23,6 @@ from .graphfield import (
     F_operator,
     ResidualReport,
     ScalarField2D,
-    invert_f,
     laplacian,
     levelset_curvature_field,
     msr_residual,

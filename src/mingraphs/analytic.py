@@ -141,16 +141,20 @@ def _scaled(c: complex, jet: Jet2) -> Jet2:
     return Jet2.deferred(lambda: c * jet.v, lambda: c * jet.d1, lambda: c * jet.d2)
 
 
-def log_derivative(jet: Jet2, floor: float = DERIVATIVE_FLOOR) -> complex:
-    """Ratio d2/d1 of a jet (the logarithmic derivative of the first derivative).
+def require_above_floor(d1, name: str = "d1") -> None:
+    """Raise SingularityError unless |d1| > DERIVATIVE_FLOOR everywhere: the
+    harmonic-map representation degenerates at such points and anything
+    built on 1/d1 would be garbage."""
+    if not (np.abs(d1) > DERIVATIVE_FLOOR).all():
+        raise SingularityError(
+            f"|{name}| <= {DERIVATIVE_FLOOR:g}: critical point of the representation"
+        )
 
-    Raises SingularityError when |d1| falls below ``floor``: the harmonic-map
-    representation degenerates at such points and any curvature built on the
-    ratio would be garbage.
-    """
-    mag = np.abs(jet.d1)
-    if not (mag > floor).all():
-        raise SingularityError(f"|d1| <= {floor:g}: critical point of the representation")
+
+def log_derivative(jet: Jet2) -> complex:
+    """Ratio d2/d1 of a jet (the logarithmic derivative of the first
+    derivative), refused where |d1| is at the derivative floor."""
+    require_above_floor(jet.d1)
     return jet.d2 / jet.d1
 
 

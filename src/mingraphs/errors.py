@@ -22,11 +22,4 @@ class EmptyInteriorError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration (Newton, sequence extrapolation) failed to converge.
-
-    ``best`` carries the best iterate seen, when one exists.
-    """
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
+    """A limit estimate (asymptotic angles, the finite-difference oracle) did not settle."""

@@ -14,9 +14,9 @@ iterate is the preimage.  Seeds come from the brute-force nearest point of
 a coarse forward-evaluated cloud and then march column to column, outward
 from a seed column.  The two directions are independent chains, so each
 march step solves the pair of columns seed+d and seed-d in one Newton
-batch; within each column, rows that lost their neighbor seed are repaired
-from adjacent rows of that column.  Every node follows its own iteration,
-so the batching does not change a bit of the result.
+batch; a row whose neighbor in the previous column failed takes a cloud
+seed again.  Every node follows its own iteration, so the batching does
+not change a bit of the result.
 
 Stencil conventions (all centered, second order):
   * a node is *interior* iff its full 3x3 neighborhood is masked-in;
@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, EmptyInteriorError, ParameterError
+from .errors import EmptyInteriorError, ParameterError
 from .serialize import fmt_float
 from .verify import VerificationReport
 from .weierstrass import WeierstrassPair, g_value
@@ -47,6 +47,14 @@ Window = tuple[tuple[float, float], tuple[float, float]]
 #: `reconstruct` run peaks at about 190 bytes per node (60 MiB at h = 1/128,
 #: 150 MiB at h = 1/256 on the default window), so the cap is about 3 GiB.
 MAX_GRID_NODES = 2**24
+
+#: Newton stops at |f(zeta) - t| <= NEWTON_TOL*(1 + |t|), or fails after
+#: NEWTON_MAX_ITER iterations.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
+
+#: levelset_curvature_field masks nodes with |grad u| below this.
+GRAD_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -246,46 +254,6 @@ def _newton_batch(pair, targets, guesses, tol: float, max_iter: int):
     return z, ok
 
 
-def invert_f(
-    pair: WeierstrassPair,
-    target: tuple[float, float] | complex,
-    initial: complex = 1.0 + 0.0j,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-) -> complex:
-    """Invert f at one target point; Newton with the exact Jacobian.
-
-    Terminates when |f(zeta) - target| <= tol*(1 + |target|); raises
-    ConvergenceError (carrying the best iterate) otherwise.  The returned
-    preimage has sigma >= 0.
-    """
-    t = complex(target[0], target[1]) if isinstance(target, tuple) else complex(target)
-    z = complex(initial)
-    z = complex(max(z.real, 0.0), z.imag)
-    best, best_r = z, np.inf
-    for _ in range(max_iter):
-        jet = pair.h.jet(z)
-        r = jet.v + np.conj(g_value(pair, z)) - t
-        if abs(r) < best_r:
-            best, best_r = z, abs(r)
-        if abs(r) <= tol * (1.0 + abs(t)):
-            return z
-        a = jet.d1
-        b = -pair.k / np.conj(a)
-        denom = abs(a) ** 2 - abs(b) ** 2
-        if not np.isfinite(denom) or denom <= 0.0:
-            raise ConvergenceError(
-                f"Jacobian degenerate at zeta={z}: univalence margin {denom:g}", best=best
-            )
-        delta = (b * np.conj(r) - np.conj(a) * r) / denom
-        z = z + complex(delta)
-        z = complex(max(z.real, 0.0), z.imag)
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations; best |f-target| = {best_r:.3e}",
-        best=best,
-    )
-
-
 def _forward_cloud(pair: WeierstrassPair, window: Window) -> tuple[np.ndarray, np.ndarray]:
     """Coarse forward-evaluated lattice whose image roughly covers the window."""
     (x_lo, x_hi), (y_lo, y_hi) = window
@@ -331,24 +299,17 @@ def _nearest(cloud: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return idx
 
 
-def reconstruct_u(
-    pair: WeierstrassPair,
-    window: Window,
-    spacing: float,
-    newton_tol: float = 1e-12,
-    max_iter: int = 50,
-) -> ScalarField2D:
+def reconstruct_u(pair: WeierstrassPair, window: Window, spacing: float) -> ScalarField2D:
     """Invert f on every grid node of the window and set u = k0*sigma.
 
     A seed column is solved from nearest-cloud initial guesses, then columns
     march outward, each row seeded by its neighbor's preimage.  Column
     seed+d is seeded only from seed+d-1 and column seed-d only from
     seed-d+1, so both march directions share one Newton batch per step;
-    each column keeps its own cloud fallback for rows without a solved
-    neighbor and its own row repair.  Nodes whose inversion fails (in
-    particular nodes outside the image domain) are masked out; the attached
-    stats record the failure count and whether a seed could be placed at
-    all.
+    rows without a solved neighbor take nearest-cloud seeds.  Nodes whose
+    inversion fails (in particular nodes outside the image domain) are
+    masked out; the attached stats record the failure count and whether a
+    seed could be placed at all.
     """
     nx, ny = _axis_size(window[0], spacing), _axis_size(window[1], spacing)
     if nx * ny > MAX_GRID_NODES:
@@ -364,29 +325,15 @@ def reconstruct_u(
     cloud_z, cloud_f = _forward_cloud(pair, window)
 
     def solve_columns(cols: list[int], guesses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve whole columns in one Newton batch, then repair the rows of
-        each column from solved row-neighbors in that column.  ``guesses``
-        has shape (len(cols), ny), NaN where the nearest cloud point seeds
-        the row; returns (zeta, ok) of shape (ny, len(cols))."""
+        """Solve whole columns in one Newton batch.  ``guesses`` has shape
+        (len(cols), ny), NaN where the nearest cloud point seeds the row;
+        returns (zeta, ok) of shape (ny, len(cols))."""
         t = targets[:, cols].T
         missing = ~np.isfinite(guesses)
         if missing.any():
             guesses[missing] = cloud_z[_nearest(cloud_f, t[missing])]
-        z, good = _newton_batch(pair, t.ravel(), guesses.ravel(), newton_tol, max_iter)
-        z, good = z.reshape(t.shape), good.reshape(t.shape)
-        for _ in range(2):
-            below = np.zeros_like(good)  # row j - 1 solved
-            below[:, 1:] = good[:, :-1]
-            above = np.zeros_like(good)  # row j + 1 solved
-            above[:, :-1] = good[:, 1:]
-            retry = ~good & (below | above)
-            if not retry.any():
-                break
-            retry_guess = np.where(below, np.roll(z, 1, axis=1), np.roll(z, -1, axis=1))[retry]
-            z2, good2 = _newton_batch(pair, t[retry], retry_guess, newton_tol, max_iter)
-            z[retry] = np.where(good2, z2, z[retry])
-            good[retry] |= good2
-        return z.T, good.T
+        z, good = _newton_batch(pair, t.ravel(), guesses.ravel(), NEWTON_TOL, NEWTON_MAX_ITER)
+        return z.reshape(t.shape).T, good.reshape(t.shape).T
 
     # place the seed column, middle outward
     seed_i = None
@@ -397,26 +344,19 @@ def reconstruct_u(
             zeta[:, [i]], ok[:, [i]] = z, good
             break
 
-    if seed_i is None:
-        stats = ReconstructionStats(attempted=nx * ny, solved=0, failed=nx * ny,
-                                    seed_placed=False)
-        return ScalarField2D(
-            origin=(float(xs[0]), float(ys[0])), spacing=float(spacing),
-            nx=nx, ny=ny, values=np.full((ny, nx), np.nan), mask=ok, stats=stats,
-        )
-
     # march outward, both directions in one batch per step
-    for d in range(1, max(seed_i + 1, nx - seed_i)):
-        cols = [i for i in (seed_i + d, seed_i - d) if 0 <= i < nx]
-        prev = [i - 1 if i > seed_i else i + 1 for i in cols]
-        zeta[:, cols], ok[:, cols] = solve_columns(
-            cols, np.where(ok[:, prev], zeta[:, prev], np.nan + 0j).T
-        )
+    if seed_i is not None:
+        for d in range(1, max(seed_i + 1, nx - seed_i)):
+            cols = [i for i in (seed_i + d, seed_i - d) if 0 <= i < nx]
+            prev = [i - 1 if i > seed_i else i + 1 for i in cols]
+            zeta[:, cols], ok[:, cols] = solve_columns(
+                cols, np.where(ok[:, prev], zeta[:, prev], np.nan + 0j).T
+            )
 
     values = np.where(ok, pair.k0 * zeta.real, np.nan)
     stats = ReconstructionStats(
         attempted=nx * ny, solved=int(ok.sum()), failed=int(nx * ny - ok.sum()),
-        seed_placed=True,
+        seed_placed=seed_i is not None,
     )
     return ScalarField2D(
         origin=(float(xs[0]), float(ys[0])), spacing=float(spacing),
@@ -431,7 +371,8 @@ def preimages(pair: WeierstrassPair, field: ScalarField2D) -> np.ndarray:
     window = ((float(xs[0]), float(xs[-1])), (float(ys[0]), float(ys[-1])))
     cloud_z, cloud_f = _forward_cloud(pair, window)
     targets = (xs[None, :] + 1j * ys[:, None])[field.mask]
-    z, good = _newton_batch(pair, targets, cloud_z[_nearest(cloud_f, targets)], 1e-12, 50)
+    z, good = _newton_batch(pair, targets, cloud_z[_nearest(cloud_f, targets)],
+                            NEWTON_TOL, NEWTON_MAX_ITER)
     out = np.full(field.values.shape, np.nan, dtype=complex)
     out[field.mask] = np.where(good, z, np.nan)
     return out
@@ -516,12 +457,14 @@ def _first_second(field: ScalarField2D):
     return ux, uy, uxx, uyy, uxy
 
 
+def _f_term(ux, uy, uxx, uyy, uxy):
+    return uy * uy * uxx + ux * ux * uyy - 2.0 * ux * uy * uxy
+
+
 def F_operator(field: ScalarField2D) -> ScalarField2D:
     """Nodewise F = uy^2*uxx + ux^2*uyy - 2*ux*uy*uxy on interior nodes."""
     interior = _interior_or_raise(field)
-    ux, uy, uxx, uyy, uxy = _first_second(field)
-    core = uy * uy * uxx + ux * ux * uyy - 2.0 * ux * uy * uxy
-    return _derived_field(field, core, interior)
+    return _derived_field(field, _f_term(*_first_second(field)), interior)
 
 
 def laplacian(field: ScalarField2D) -> ScalarField2D:
@@ -532,20 +475,17 @@ def laplacian(field: ScalarField2D) -> ScalarField2D:
     return _derived_field(field, uxx + uyy, interior)
 
 
-def levelset_curvature_field(
-    field: ScalarField2D, c: float, grad_floor: float = 1e-8
-) -> ScalarField2D:
+def levelset_curvature_field(field: ScalarField2D, c: float) -> ScalarField2D:
     """Graph-form level-set curvature F(u-c)/|grad u|^3 (F is shift-invariant,
     so the level offset c does not change the nodal values, only where they
-    are meaningful).  Nodes with |grad u| below ``grad_floor`` are masked."""
+    are meaningful).  Nodes with |grad u| below ``GRAD_FLOOR`` are masked."""
     interior = _interior_or_raise(field)
     ux, uy, uxx, uyy, uxy = _first_second(field)
     grad = np.sqrt(ux * ux + uy * uy)
-    core_f = uy * uy * uxx + ux * ux * uyy - 2.0 * ux * uy * uxy
     with np.errstate(invalid="ignore", divide="ignore"):
-        core = core_f / grad**3
+        core = _f_term(ux, uy, uxx, uyy, uxy) / grad**3
     mask = interior.copy()
-    mask[1:-1, 1:-1] &= grad >= grad_floor
+    mask[1:-1, 1:-1] &= grad >= GRAD_FLOOR
     return _derived_field(field, core, mask)
 
 
@@ -556,8 +496,7 @@ def nondivergence_gap(field: ScalarField2D) -> float:
     interior = _interior_or_raise(field)
     ux, uy, uxx, uyy, uxy = _first_second(field)
     lap = uxx + uyy
-    f_op = uy * uy * uxx + ux * ux * uyy - 2.0 * ux * uy * uxy
-    gap = np.abs(lap + f_op) / (1.0 + ux * ux + uy * uy) ** 1.5
+    gap = np.abs(lap + _f_term(ux, uy, uxx, uyy, uxy)) / (1.0 + ux * ux + uy * uy) ** 1.5
     return float(np.max(gap[interior[1:-1, 1:-1]]))
 
 

@@ -28,6 +28,12 @@ from .serialize import to_json
 from .weierstrass import WeierstrassPair, scale_solution
 
 
+#: SampleGrid.rectangular refuses more points than this.  `verify all` and
+#: `sweep-gamma` peak at about 136 bytes per point (84 MiB at 400,000
+#: points, 239 MiB at 1,600,000), so the cap is about 2.2 GiB.
+MAX_SAMPLE_POINTS = 2**24
+
+
 @dataclass(frozen=True, eq=False)
 class SampleGrid:
     """A rectangular sigma x tau sampling of the half-plane with a text label."""
@@ -53,6 +59,14 @@ class SampleGrid:
         n_tau: int,
         geometric: bool = True,
     ) -> "SampleGrid":
+        for name, count in (("n_sigma", n_sigma), ("n_tau", n_tau)):
+            if count < 1:
+                raise ParameterError(f"{name} must be at least 1, got {count}")
+        if n_sigma * n_tau > MAX_SAMPLE_POINTS:
+            raise ParameterError(
+                f"n_sigma x n_tau = {n_sigma} x {n_tau} = {n_sigma * n_tau} points "
+                f"exceeds the limit of {MAX_SAMPLE_POINTS}"
+            )
         if geometric:
             sigmas = np.geomspace(sigma_lo, sigma_hi, n_sigma)
         else:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import AffineMap, AnalyticMap, PowerAffineMap, ScaledMap, DERIVATIVE_FLOOR
-from .analytic import gauss_legendre
+from .analytic import gauss_legendre, require_above_floor
 from .errors import DomainError, ParameterError, SingularityError
 
 #: Probe points used to sanity-check a closed-form g against g' = -k/h'.
@@ -97,11 +97,10 @@ class WeierstrassPair:
                 )
 
 
-def g_prime(pair: WeierstrassPair, zeta, floor: float = DERIVATIVE_FLOOR):
+def g_prime(pair: WeierstrassPair, zeta):
     """g'(zeta) = -k/h'(zeta), exact wherever h' is above the derivative floor."""
     hp = pair.h.jet(zeta).d1
-    if not np.all(np.abs(hp) > floor):
-        raise SingularityError("|h'| at derivative floor: representation degenerates")
+    require_above_floor(hp, "h'")
     return -pair.k / hp
 
 
@@ -167,11 +166,11 @@ def height_via_integral(pair: WeierstrassPair, zeta: complex) -> float:
     return float(2.0 * (1j * integral).real)
 
 
-def jacobian_det(pair: WeierstrassPair, zeta, floor: float = DERIVATIVE_FLOOR):
+def jacobian_det(pair: WeierstrassPair, zeta):
     """Univalence margin |h'|**2 - k**2/|h'|**2; positive for valid data."""
     hp = pair.h.jet(zeta).d1
     mag2 = np.abs(hp) ** 2
-    if not np.all(mag2 > floor):
+    if not np.all(mag2 > DERIVATIVE_FLOOR):
         raise SingularityError("|h'| at derivative floor")
     return mag2 - pair.k**2 / mag2
 

@@ -192,5 +192,5 @@ def test_criterion_10_inversion_round_trip(lw15, field64):
     frac = float(np.sum(err <= 1e-10)) / float(field64.mask.sum())
     failures = int(field64.mask.sum()) - int(np.sum(err <= 1e-10))
     ok = frac >= 0.999
-    report(10, ok, f"f(invert_f(x,y)) within 1e-10 at {100 * frac:.2f}% of "
+    report(10, ok, f"f(preimages(x,y)) within 1e-10 at {100 * frac:.2f}% of "
            f"{int(field64.mask.sum())} masked nodes ({failures} failures reported)")

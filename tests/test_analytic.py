@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mingraphs.analytic import QUAD_TOL, gauss_legendre
+from mingraphs.analytic import QUAD_TOL, gauss_legendre, require_above_floor
 from mingraphs.errors import QuadratureError
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +95,11 @@ class TestLogDerivative:
     def test_floor_raises(self):
         with pytest.raises(SingularityError):
             log_derivative(Jet2(1.0, 0.0, 1.0))
+
+    def test_floor_is_strict(self):
+        require_above_floor(np.array([1.0, 2e-300]))
+        with pytest.raises(SingularityError, match=r"\|h'\| <= 1e-300"):
+            require_above_floor(np.array([1.0, 1e-300]), "h'")
 
 
 def _catalog_maps():

@@ -327,6 +327,25 @@ class TestMalformedInput:
         assert "100000000000 samples" in one_line_error(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("entry, named", [
+        # 24 x 1e11 points would need 18 TiB for the sample points alone
+        ("n_tau = 100000000000", "n_sigma x n_tau = 24 x 100000000000"),
+        ("n_tau = 0", "n_tau must be at least 1, got 0"),
+        ("n_sigma = -3", "n_sigma must be at least 1, got -3"),
+    ], ids=["too-many-points", "zero-tau", "negative-sigma"])
+    def test_verify_grid_cannot_be_built(self, tmp_path, capsys, monkeypatch, entry, named):
+        def no_axis(*args, **kwargs):
+            raise AssertionError("a sample axis was allocated")
+
+        monkeypatch.setattr(np, "geomspace", no_axis)
+        monkeypatch.setattr(np, "linspace", no_axis)
+        config = tmp_path / "run.ini"
+        config.write_text(f"[verify]\n{entry}\n")
+        status = run("verify", "thm1", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert status == 2
+        assert named in one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("config_text", [
         "h = power-affine offset=1 exponent=inf\ng_anchor = 1:0\n",
         "h = power-affine offset=nan exponent=1.5\ng_anchor = 1:0\n",

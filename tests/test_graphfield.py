@@ -10,13 +10,11 @@ import pytest
 
 import mingraphs
 from mingraphs import (
-    ConvergenceError,
     EmptyInteriorError,
     F_operator,
     ParameterError,
     ScalarField2D,
     eval_surface,
-    invert_f,
     laplacian,
     levelset_curvature_field,
     lw_family,
@@ -30,11 +28,14 @@ from mingraphs import (
 from mingraphs import graphfield
 from mingraphs.config import build_pair
 from mingraphs.graphfield import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     ReconstructionStats,
     _axis,
     _axis_size,
     _forward_cloud,
     _nearest,
+    _newton_batch,
     msr_report,
     superharmonic_report,
 )
@@ -85,25 +86,37 @@ def test_cli_never_imports_scipy(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
+def _invert_one(pair, target, initial):
+    """Newton inversion of f at one node, with the tolerance and iteration
+    cap that reconstruct_u and preimages use."""
+    z, ok = _newton_batch(pair, np.array([target]), np.array([initial]),
+                          NEWTON_TOL, NEWTON_MAX_ITER)
+    assert z.shape == ok.shape == (1,)
+    return complex(z[0]), bool(ok[0])
+
+
 class TestInvertF:
+    """Inverting f at a single node through the one Newton path."""
+
     def test_planar_one_step(self, planar22):
-        assert invert_f(planar22, (1.5, 2.5), initial=0.3 + 0j) == pytest.approx(1.0 + 1.0j)
+        zeta, ok = _invert_one(planar22, 1.5 + 2.5j, 0.3 + 0j)
+        assert ok and zeta == pytest.approx(1.0 + 1.0j)
 
     def test_lw15_round_trip(self, lw15):
         target = eval_surface(lw15, 1.0 + 0j)
-        zeta = invert_f(lw15, (target.x, target.y), initial=2.0 + 1.0j)
-        assert zeta == pytest.approx(1.0 + 0j, abs=1e-12)
+        zeta, ok = _invert_one(lw15, complex(target.x, target.y), 2.0 + 1.0j)
+        assert ok and zeta == pytest.approx(1.0 + 0j, abs=1e-12)
 
     def test_lw15_boundary_target(self, lw15):
-        zeta = invert_f(lw15, (-1.0 / 3.0, 0.0), initial=1.0 + 0j)
+        zeta, ok = _invert_one(lw15, -1.0 / 3.0 + 0j, 1.0 + 0j)
+        assert ok
         assert abs(zeta) < 1e-9
         assert zeta.real >= 0.0
 
-    def test_outside_domain_raises_with_best(self, planar22):
-        with pytest.raises(ConvergenceError) as excinfo:
-            invert_f(planar22, (-5.0, 0.0), initial=1.0 + 0j)
-        best = excinfo.value.best
-        assert best is not None and best.real >= 0.0
+    def test_outside_domain_fails_in_half_plane(self, planar22):
+        zeta, ok = _invert_one(planar22, -5.0 + 0j, 1.0 + 0j)
+        assert not ok
+        assert np.isfinite(zeta) and zeta.real >= 0.0
 
 
 class TestReconstruct:
@@ -540,7 +553,7 @@ class TestBatchedMarch:
         assert field.values.tobytes() == values.tobytes()
         assert field.stats == stats
 
-    def test_masked_window_runs_repair_and_cloud_fallback(self, lw15, monkeypatch):
+    def test_masked_window_runs_cloud_fallback(self, lw15, monkeypatch):
         newton_sizes, nearest_sizes = [], []
         newton, nearest = graphfield._newton_batch, graphfield._nearest
 
@@ -557,9 +570,9 @@ class TestBatchedMarch:
         field = reconstruct_u(lw15, MASKED_WINDOW, 1.0 / 32.0)
         ny = field.ny
         assert 0 < field.stats.failed < field.stats.attempted
-        assert any(size < ny for size in newton_sizes)  # row repairs ran
         assert len(nearest_sizes) > 1  # rows without a solved neighbor took cloud seeds
         assert max(newton_sizes) == 2 * ny  # both directions in one batch
+        assert set(newton_sizes) <= {ny, 2 * ny}  # whole columns only, no row retries
 
     def test_edge_seed_window(self, lw15):
         field = reconstruct_u(lw15, EDGE_SEED_WINDOW, 1.0 / 16.0)

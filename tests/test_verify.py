@@ -29,6 +29,7 @@ from mingraphs import (
     verify_thm1,
     verify_thm2,
 )
+from mingraphs.verify import MAX_SAMPLE_POINTS
 
 GRID = SampleGrid.rectangular(0.02, 10.0, 24, 10.0, 21)
 
@@ -66,6 +67,13 @@ class TestSampleGrid:
     def test_positive_sigma_enforced(self):
         with pytest.raises(ParameterError):
             SampleGrid(sigmas=np.array([0.0, 1.0]), taus=np.array([0.0]), descriptor="bad")
+
+    def test_point_cap(self):
+        # only the two axes are built, so the grid at the cap stays small
+        grid = SampleGrid.rectangular(0.1, 1.0, 2**12, 2.0, 2**12)
+        assert grid.sigmas.size * grid.taus.size == MAX_SAMPLE_POINTS
+        with pytest.raises(ParameterError, match=f"{2**12 * (2**12 + 1)} points"):
+            SampleGrid.rectangular(0.1, 1.0, 2**12, 2.0, 2**12 + 1)
 
 
 class TestLemma2:

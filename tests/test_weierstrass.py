@@ -8,6 +8,7 @@ from mingraphs import (
     ParameterError,
     PowerAffineMap,
     QuadratureError,
+    SingularityError,
     WeierstrassPair,
     eval_surface,
     g_prime,
@@ -18,6 +19,7 @@ from mingraphs import (
     planar_pair,
     scale_solution,
 )
+from mingraphs.config import build_pair
 
 
 class TestCatalog:
@@ -110,6 +112,13 @@ class TestGPrime:
         pair = lw_family(1.9)
         hp = pair.h.jet(1j).d1
         assert abs(g_prime(pair, 1j)) * abs(hp) == pytest.approx(pair.k, rel=1e-12)
+
+    def test_critical_point_raises(self):
+        # h' = zeta - 4 vanishes at zeta = 4, the same floor as log_derivative
+        pair = build_pair({"kind": "custom", "k0": "2", "g_anchor": "1:0",
+                           "h": "power-affine offset=1 exponent=2 coeff=0.5 + affine slope=-5"})
+        with pytest.raises(SingularityError, match=r"\|h'\| <= 1e-300"):
+            g_prime(pair, 4.0 + 0j)
 
 
 class TestEvalSurface:

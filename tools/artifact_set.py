@@ -1,0 +1,106 @@
+"""Run a fixed set of CLI commands and keep every byte they produce.
+
+Usage:
+
+    python3 tools/artifact_set.py OUT_DIR
+
+Each command of ``COMMANDS`` runs as ``python -m mingraphs.cli`` with this
+checkout's ``src`` first on PYTHONPATH, from its own directory
+OUT_DIR/<name>.  Its output files go to OUT_DIR/<name>/out (``--out out``,
+a relative path, so the paths that the CLI prints are the same in every
+tree), and its stdout, stderr and exit status to ``stdout.txt``,
+``stderr.txt`` and ``status.txt`` next to it.  Run the tool on two
+checkouts and compare the trees with ``diff -r``: identical trees mean
+byte-identical artifacts, messages and exit statuses.
+
+The set covers ``reconstruct`` (csv) at gamma 1.23, 1.5 and 1.77 times
+h = 1/32, 1/64 and 1/128 on the default window, plus the masked window
+x in [-3, 3] x y in [-2, 2] at h = 1/64; ``verify all`` near both ends of
+the family and at 1.5; ``levelcurves`` (csv, json, svg) at three gammas;
+and ``verify all``, ``levelcurves`` and ``reconstruct`` on a custom pair
+whose g is anchored at zeta = 0.
+
+Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+ANCHOR_ZERO_CONFIG = (
+    "[pair]\nkind = custom\nk0 = 2\nh = power-affine offset=1 exponent=1.5\n"
+    "g_anchor = 0j:-1.3333333333333333\n"
+)
+CONFIG_NAME = "pair.ini"
+
+
+def _commands() -> list[tuple[str, list[str], str | None]]:
+    """(name, CLI arguments, config text or None) for each command of the set."""
+    out: list[tuple[str, list[str], str | None]] = []
+    for gamma in ("1.23", "1.5", "1.77"):
+        for denom, spacing in (("32", "0.03125"), ("64", "0.015625"), ("128", "0.0078125")):
+            out.append((f"reconstruct_g{gamma}_h{denom}",
+                        ["reconstruct", "--gamma", gamma, "--format", "csv",
+                         f"--grid=0.5,3,-2,2,{spacing}"], None))
+    out.append(("reconstruct_masked_g1.5_h64",
+                ["reconstruct", "--gamma", "1.5", "--format", "csv",
+                 "--grid=-3,3,-2,2,0.015625"], None))
+    for gamma in ("1.0013", "1.004", "1.5", "1.995", "1.9985"):
+        out.append((f"verify_all_g{gamma}", ["verify", "all", "--gamma", gamma], None))
+    for gamma in ("1.2", "1.5", "1.8"):
+        out.append((f"levelcurves_g{gamma}",
+                    ["levelcurves", "--gamma", gamma, "--format", "csv,json,svg"], None))
+    anchored = ["--config", CONFIG_NAME]
+    out.append(("anchor_zero_verify_all", ["verify", "all", *anchored], ANCHOR_ZERO_CONFIG))
+    out.append(("anchor_zero_levelcurves",
+                ["levelcurves", *anchored, "--format", "csv,json,svg"], ANCHOR_ZERO_CONFIG))
+    out.append(("anchor_zero_reconstruct",
+                ["reconstruct", *anchored, "--format", "csv"], ANCHOR_ZERO_CONFIG))
+    return out
+
+
+COMMANDS = _commands()
+
+
+def run_command(out_dir: Path, name: str, args: list[str], config: str | None) -> int:
+    """Run one command from OUT_DIR/<name> and record its streams and status."""
+    where = out_dir / name
+    where.mkdir(parents=True)
+    if config is not None:
+        (where / CONFIG_NAME).write_text(config)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    done = subprocess.run([sys.executable, "-m", "mingraphs.cli", *args, "--out", "out"],
+                          cwd=where, env=env, capture_output=True)
+    (where / "stdout.txt").write_bytes(done.stdout)
+    (where / "stderr.txt").write_bytes(done.stderr)
+    (where / "status.txt").write_text(f"{done.returncode}\n")
+    return done.returncode
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", type=Path, help="new or empty directory for the tree")
+    args = parser.parse_args(argv)
+    out_dir = args.out_dir.resolve()
+    if out_dir.exists() and any(out_dir.iterdir()):
+        parser.error(f"{args.out_dir} is not empty")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, cli_args, config in COMMANDS:
+        status = run_command(out_dir, name, cli_args, config)
+        print(f"{name}: exit {status}", file=sys.stderr, flush=True)
+    files = sum(len(names) for _, _, names in os.walk(out_dir))
+    print(f"{len(COMMANDS)} commands, {files} files in {out_dir}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
