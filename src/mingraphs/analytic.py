@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, ParameterError, QuadratureError, SingularityError
 
@@ -158,7 +157,13 @@ def log_derivative(jet: Jet2) -> complex:
     return jet.d2 / jet.d1
 
 
-_legendre_rule = lru_cache(maxsize=None)(leggauss)
+@lru_cache(maxsize=None)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # numpy.polynomial is imported here, not with the module: only the
+    # quadratures (Poisson kernels, anchored g, the height integral) need it
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(n)
 
 
 def gauss_legendre(integrand):

@@ -9,17 +9,22 @@ Commands:
 Exit status is 0 iff every requested check passed; evaluation errors remove
 partial outputs and exit nonzero.  Identical configs produce byte-identical
 artifacts (17-significant-digit floats, fixed field order, no timestamps).
+
+Each command imports the modules it runs inside its own function, so a
+process loads neither ``verify`` for ``levelcurves`` nor ``graphfield`` for
+a check that reconstructs no field.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import graphfield
 from .config import RunConfig, build_pair, check_tolerances, load_config
 from .errors import (
     ConvergenceError,
@@ -29,21 +34,10 @@ from .errors import (
     QuadratureError,
     SingularityError,
 )
-from .levels import LevelCurveSpec, boundary_trace, sample_level_curve, samples_to_csv, samples_to_json
 from .serialize import atomic_write, fmt_float
-from .svgplot import level_curves_svg
-from .verify import (
-    BoundaryArgumentData,
-    SampleGrid,
-    VerificationReport,
-    disk_transfer_check,
-    estimate_asymptotic_angles,
-    verify_lemma2,
-    verify_poisson,
-    verify_scaling,
-    verify_thm1,
-    verify_thm2,
-)
+
+if TYPE_CHECKING:
+    from .verify import SampleGrid, VerificationReport
 
 _ERRORS = (
     ParameterError, DomainError, SingularityError, QuadratureError,
@@ -98,6 +92,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _verify_grid(config: RunConfig) -> SampleGrid:
+    from .verify import SampleGrid
+
     return SampleGrid.rectangular(
         config.sigma_min, config.sigma_max, config.n_sigma,
         config.vtau_abs, config.vn_tau,
@@ -109,6 +105,16 @@ def _level_name(c: float) -> str:
 
 
 def cmd_levelcurves(config: RunConfig, args) -> int:
+    from .levels import (
+        LevelCurveSpec,
+        boundary_trace,
+        rows_to_csv,
+        rows_to_json,
+        sample_level_curve,
+        sample_rows,
+    )
+    from .svgplot import level_curves_svg
+
     pair = build_pair(config.pair_spec)
     out_dir = Path(config.out_dir)
     written: list[Path] = []
@@ -126,10 +132,12 @@ def cmd_levelcurves(config: RunConfig, args) -> int:
                 samples = sample_level_curve(pair, spec)
                 curves.append((c, samples))
             stem = out_dir / f"level_{_level_name(c)}"
+            if "csv" in config.formats or "json" in config.formats:
+                rows = sample_rows(samples)
             if "csv" in config.formats:
-                written.append(atomic_write(stem.with_suffix(".csv"), samples_to_csv(samples)))
+                written.append(atomic_write(stem.with_suffix(".csv"), rows_to_csv(rows)))
             if "json" in config.formats:
-                written.append(atomic_write(stem.with_suffix(".json"), samples_to_json(samples)))
+                written.append(atomic_write(stem.with_suffix(".json"), rows_to_json(rows)))
         if "svg" in config.formats:
             if boundary_samples is None:
                 spec0 = LevelCurveSpec(
@@ -149,6 +157,8 @@ def cmd_levelcurves(config: RunConfig, args) -> int:
 
 
 def _scaling_report(pair, config: RunConfig) -> VerificationReport:
+    from .verify import VerificationReport, verify_scaling
+
     points = [complex(s, t) for s in (0.3, 0.7, 1.0, 2.0, 5.0) for t in (-4.0, -1.0, 0.5, 3.0)]
     tol = config.tolerance("scaling")
     reports = [verify_scaling(pair, c, points, tol=tol) for c in config.scale_factors]
@@ -165,6 +175,8 @@ def _scaling_report(pair, config: RunConfig) -> VerificationReport:
 
 
 def _graph_reports(pair, config: RunConfig, which: list[str]) -> list[VerificationReport]:
+    from . import graphfield
+
     x0, x1, y0, y1 = config.grid_window
     window = ((x0, x1), (y0, y1))
     h = config.grid_spacing
@@ -182,6 +194,15 @@ def _graph_reports(pair, config: RunConfig, which: list[str]) -> list[Verificati
 
 
 def cmd_verify(config: RunConfig, args) -> int:
+    from .verify import (
+        BoundaryArgumentData,
+        disk_transfer_check,
+        verify_lemma2,
+        verify_poisson,
+        verify_thm1,
+        verify_thm2,
+    )
+
     which = list(VERIFY_CHECKS) if args.check == "all" else [args.check]
     pair = build_pair(config.pair_spec)
     grid = _verify_grid(config)
@@ -229,6 +250,7 @@ def cmd_verify(config: RunConfig, args) -> int:
 
 
 def cmd_sweep_gamma(config: RunConfig, args) -> int:
+    from .verify import estimate_asymptotic_angles, verify_lemma2, verify_thm1, verify_thm2
     from .weierstrass import lw_family
 
     bad = [fmt_float(gamma) for gamma in config.sweep_gammas if not np.isfinite(gamma)]
@@ -266,6 +288,8 @@ def cmd_sweep_gamma(config: RunConfig, args) -> int:
 
 
 def cmd_reconstruct(config: RunConfig, args) -> int:
+    from . import graphfield
+
     pair = build_pair(config.pair_spec)
     x0, x1, y0, y1 = config.grid_window
     out_dir = Path(config.out_dir)
@@ -337,4 +361,14 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Flush, then leave without interpreter teardown: unloading numpy and
+    # collecting every module costs tens of milliseconds per process and
+    # writes nothing.  A reader that closed its end of stdout (``| head``)
+    # ends the command with status 1 and no traceback.
+    try:
+        status = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        status = 1
+    os._exit(status)

@@ -33,13 +33,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EmptyInteriorError, ParameterError
 from .serialize import fmt_float
-from .verify import VerificationReport
 from .weierstrass import WeierstrassPair, g_value
+
+if TYPE_CHECKING:
+    from .verify import VerificationReport
 
 Window = tuple[tuple[float, float], tuple[float, float]]
 
@@ -501,11 +504,14 @@ def nondivergence_gap(field: ScalarField2D) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Report builders used by the CLI verify command
+# Report builders used by the CLI verify command; they import verify
+# themselves, so ``reconstruct`` does not load it
 # ---------------------------------------------------------------------------
 
 def superharmonic_report(field: ScalarField2D, descriptor: str = "") -> VerificationReport:
     """Pass iff the discrete Laplacian is strictly negative at every interior node."""
+    from .verify import VerificationReport
+
     lap = laplacian(field)
     vals = lap.values[lap.mask]
     worst = float(np.max(vals))
@@ -535,6 +541,8 @@ def msr_report(
     outright; otherwise the max-norm residual ratio must fall in
     ``ratio_range`` (second-order convergence).
     """
+    from .verify import VerificationReport
+
     rep_c = msr_residual(coarse)
     rep_f = msr_residual(fine)
     gap = nondivergence_gap(fine)

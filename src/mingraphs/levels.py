@@ -37,7 +37,7 @@ import numpy as np
 
 from .analytic import log_derivative
 from .errors import ConvergenceError, ParameterError, SingularityError
-from .serialize import fmt_float, to_json
+from .serialize import NON_FINITE_TEXT, fmt_float, json_number
 from .weierstrass import WeierstrassPair, eval_surface
 
 #: Column order for CSV/JSON export of sampled curves (fixed, do not reorder).
@@ -247,21 +247,31 @@ def boundary_trace(pair: WeierstrassPair, spec: LevelCurveSpec) -> BoundaryTrace
     return BoundaryTrace(samples=samples, y_tau_nonnegative=y_tau_ok, kappa_nonnegative=kappa_ok)
 
 
-def samples_to_csv(samples: list[LevelCurveSample]) -> str:
-    """CSV text with the fixed column schema, 17-significant-digit floats."""
+def sample_rows(samples: list[LevelCurveSample]) -> list[list[str]]:
+    """Each sample's fields as 17-significant-digit strings, in SAMPLE_COLUMNS
+    order: formatted once, then written by rows_to_csv and rows_to_json."""
+    return [[fmt_float(getattr(sample, name)) for name in SAMPLE_COLUMNS] for sample in samples]
+
+
+def rows_to_csv(rows: list[list[str]]) -> str:
+    """CSV text with the fixed column schema."""
     lines = [",".join(SAMPLE_COLUMNS)]
-    for sample in samples:
-        lines.append(",".join(fmt_float(getattr(sample, name)) for name in SAMPLE_COLUMNS))
+    lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def samples_to_json(samples: list[LevelCurveSample]) -> str:
-    """JSON array of sample records, keys in the fixed column order."""
-    records = [
-        {name: float(getattr(sample, name)) for name in SAMPLE_COLUMNS}
-        for sample in samples
-    ]
-    return to_json(records) + "\n"
+#: One JSON record, keys in the fixed column order (serialize.to_json's layout).
+_JSON_RECORD = "{" + ", ".join(f'"{name}": %s' for name in SAMPLE_COLUMNS) + "}"
+
+
+def rows_to_json(rows: list[list[str]]) -> str:
+    """JSON array of sample records, the text serialize.to_json writes for them."""
+    records = []
+    for row in rows:
+        if not NON_FINITE_TEXT.isdisjoint(row):
+            row = [json_number(text) for text in row]
+        records.append(_JSON_RECORD % tuple(row))
+    return "[" + ", ".join(records) + "]\n"
 
 
 # the dataclass must expose exactly the exported columns (schema lock)

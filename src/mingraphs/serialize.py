@@ -22,6 +22,16 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+#: fmt_float's text for NaN and the infinities.  Bare NaN/Inf are not JSON,
+#: so JSON output quotes them and every parser survives.
+NON_FINITE_TEXT = frozenset(("nan", "inf", "-inf"))
+
+
+def json_number(text: str) -> str:
+    """A fmt_float text as a JSON value."""
+    return f'"{text}"' if text in NON_FINITE_TEXT else text
+
+
 def to_json(obj, indent: int = 0) -> str:
     """Small JSON emitter with fmt_float for every float and stable field order."""
     pad = " " * indent
@@ -34,9 +44,7 @@ def to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        value = fmt_float(obj)
-        # bare NaN/Inf are not JSON; quote them so every parser survives
-        return f'"{value}"' if value in ("nan", "inf", "-inf") else value
+        return json_number(fmt_float(obj))
     if isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         return f'"{escaped}"'

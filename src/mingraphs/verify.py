@@ -59,6 +59,15 @@ class SampleGrid:
         n_tau: int,
         geometric: bool = True,
     ) -> "SampleGrid":
+        # messages name the [verify] config keys these arguments come from
+        if not (np.isfinite(sigma_lo) and sigma_lo > 0.0):
+            raise ParameterError(f"sigma_min must be finite and above 0, got {sigma_lo}")
+        if not (np.isfinite(sigma_hi) and sigma_hi >= sigma_lo):
+            raise ParameterError(
+                f"sigma_max must be finite and at least sigma_min = {sigma_lo}, got {sigma_hi}"
+            )
+        if not (np.isfinite(tau_abs) and tau_abs > 0.0):
+            raise ParameterError(f"tau_abs must be finite and above 0, got {tau_abs}")
         for name, count in (("n_sigma", n_sigma), ("n_tau", n_tau)):
             if count < 1:
                 raise ParameterError(f"{name} must be at least 1, got {count}")

@@ -16,7 +16,7 @@ SMALL = ["levelcurves", "--gamma", "1.5", "--levels", "1", "--tau=-1,1,5", "--fo
 
 def test_command_set():
     names = [name for name, _, _ in artifact_set.COMMANDS]
-    assert len(names) == 21 and len(set(names)) == 21
+    assert len(names) == 22 and len(set(names)) == 22
     assert "reconstruct_masked_g1.5_h64" in names
     anchored = [args for name, args, config in artifact_set.COMMANDS if config is not None]
     assert [args[0] for args in anchored] == ["verify", "levelcurves", "reconstruct"]

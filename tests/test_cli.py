@@ -1,5 +1,6 @@
 """CLI commands: artifacts, exit codes, determinism, config handling."""
 
+import importlib
 import json
 from pathlib import Path
 
@@ -332,11 +333,18 @@ class TestMalformedInput:
         ("n_tau = 100000000000", "n_sigma x n_tau = 24 x 100000000000"),
         ("n_tau = 0", "n_tau must be at least 1, got 0"),
         ("n_sigma = -3", "n_sigma must be at least 1, got -3"),
-    ], ids=["too-many-points", "zero-tau", "negative-sigma"])
+        ("sigma_min = 0", "sigma_min must be finite and above 0, got 0.0"),
+        ("tau_abs = nan", "tau_abs must be finite and above 0, got nan"),
+        ("sigma_min = 5\nsigma_max = 1", "sigma_max must be finite and at least sigma_min = 5.0"),
+        ("tau_abs = -3", "tau_abs must be finite and above 0, got -3.0"),
+    ], ids=["too-many-points", "zero-tau", "negative-sigma", "zero-sigma-min", "nan-tau-abs",
+            "reversed-sigma-range", "negative-tau-abs"])
     def test_verify_grid_cannot_be_built(self, tmp_path, capsys, monkeypatch, entry, named):
         def no_axis(*args, **kwargs):
             raise AssertionError("a sample axis was allocated")
 
+        # the CLI imports verify on first use, and its module constants call linspace
+        importlib.import_module("mingraphs.verify")
         monkeypatch.setattr(np, "geomspace", no_axis)
         monkeypatch.setattr(np, "linspace", no_axis)
         config = tmp_path / "run.ini"

@@ -24,7 +24,17 @@ from mingraphs import (
     tau_partials,
     tau_partials_conjugate_form,
 )
-from mingraphs.levels import MAX_LEVEL_SAMPLES, SAMPLE_COLUMNS, samples_to_csv, samples_to_json
+from mingraphs import levels, serialize
+from mingraphs.cli import main
+from mingraphs.levels import (
+    MAX_LEVEL_SAMPLES,
+    SAMPLE_COLUMNS,
+    LevelCurveSample,
+    rows_to_csv,
+    rows_to_json,
+    sample_rows,
+)
+from mingraphs.serialize import fmt_float, to_json
 
 KAPPA_LW15_AT_1 = 1.5 * 2.0**0.5 / (4.5 + 1.0) * 0.25  # = 0.09642365...
 
@@ -219,22 +229,62 @@ class TestBoundaryTrace:
             boundary_trace(lw15, LevelCurveSpec(c=1.0))
 
 
+def _reference_csv(samples):
+    """The per-field CSV writer: fmt_float on every field of every sample."""
+    lines = [",".join(SAMPLE_COLUMNS)]
+    for sample in samples:
+        lines.append(",".join(fmt_float(getattr(sample, name)) for name in SAMPLE_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(samples):
+    """The per-value JSON writer: one dict per sample through to_json."""
+    records = [{name: float(getattr(sample, name)) for name in SAMPLE_COLUMNS}
+               for sample in samples]
+    return to_json(records) + "\n"
+
+
 class TestExport:
     def test_csv_schema_and_determinism(self, lw15):
         spec = LevelCurveSpec(c=2.0, tau_min=-1.0, tau_max=1.0, n_samples=5)
         samples = sample_level_curve(lw15, spec)
-        text = samples_to_csv(samples)
+        text = rows_to_csv(sample_rows(samples))
         header = text.split("\n", 1)[0]
         assert header == "tau,x,y,x_tau,y_tau,x_tautau,y_tautau,phi,s,kappa,kappa1"
-        assert text == samples_to_csv(sample_level_curve(lw15, spec))
+        assert text == rows_to_csv(sample_rows(sample_level_curve(lw15, spec)))
 
     def test_json_records(self, lw15):
         spec = LevelCurveSpec(c=2.0, tau_min=-1.0, tau_max=1.0, n_samples=3)
         samples = sample_level_curve(lw15, spec)
-        records = json.loads(samples_to_json(samples))
+        records = json.loads(rows_to_json(sample_rows(samples)))
         assert len(records) == 3
         assert list(records[0].keys()) == list(SAMPLE_COLUMNS)
         assert records[1]["tau"] == 0.0
+
+    def test_byte_identical_to_reference(self, lw15):
+        spec = LevelCurveSpec(c=2.0, tau_min=-3.0, tau_max=3.0, n_samples=7)
+        odd = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-310, 0.1, -2.5e300,
+               float("-nan"), 5.0, 1.0 / 3.0, 0.0]
+        samples = [*sample_level_curve(lw15, spec), LevelCurveSample(*odd),
+                   LevelCurveSample(*odd[::-1])]
+        rows = sample_rows(samples)
+        assert rows_to_csv(rows) == _reference_csv(samples)
+        assert rows_to_json(rows) == _reference_json(samples)
+        assert rows_to_csv([]) == _reference_csv([])
+        assert rows_to_json([]) == _reference_json([])
+
+    def test_one_format_call_per_float(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return fmt_float(x)
+
+        monkeypatch.setattr(levels, "fmt_float", counting)
+        monkeypatch.setattr(serialize, "fmt_float", counting)
+        assert main(["levelcurves", "--gamma", "1.5", "--levels", "0,1,2,3,4",
+                     "--tau=-20,20,401", "--format", "csv,json", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 5 * 401 * len(SAMPLE_COLUMNS)
 
 
 @settings(max_examples=120, deadline=None)

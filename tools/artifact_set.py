@@ -17,8 +17,10 @@ The set covers ``reconstruct`` (csv) at gamma 1.23, 1.5 and 1.77 times
 h = 1/32, 1/64 and 1/128 on the default window, plus the masked window
 x in [-3, 3] x y in [-2, 2] at h = 1/64; ``verify all`` near both ends of
 the family and at 1.5; ``levelcurves`` (csv, json, svg) at three gammas;
-and ``verify all``, ``levelcurves`` and ``reconstruct`` on a custom pair
-whose g is anchored at zeta = 0.
+``verify all``, ``levelcurves`` and ``reconstruct`` on a custom pair whose
+g is anchored at zeta = 0; and ``verify thm1 --gamma 2``, which the CLI
+refuses.  The set thus covers exit statuses 0, 1 (``verify all`` near the
+ends of the family fails ``msr``) and 2.
 
 Only the standard library is used.
 """
@@ -62,6 +64,7 @@ def _commands() -> list[tuple[str, list[str], str | None]]:
                 ["levelcurves", *anchored, "--format", "csv,json,svg"], ANCHOR_ZERO_CONFIG))
     out.append(("anchor_zero_reconstruct",
                 ["reconstruct", *anchored, "--format", "csv"], ANCHOR_ZERO_CONFIG))
+    out.append(("refused_verify_thm1_g2", ["verify", "thm1", "--gamma", "2"], None))
     return out
 
 
