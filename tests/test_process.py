@@ -38,7 +38,7 @@ LOADED = {
 
 def _env(unbuffered: bool) -> dict[str, str]:
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe or file is then block-buffered
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
