@@ -360,11 +360,15 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
-    # Flush, then leave without interpreter teardown: unloading numpy and
-    # collecting every module costs tens of milliseconds per process and
-    # writes nothing.  A reader that closed its end of stdout (``| head``)
-    # ends the command with status 1 and no traceback.
+def run() -> None:
+    """Run ``main()`` on the process arguments and end the process.
+
+    Flush, then leave without interpreter teardown: unloading numpy and
+    collecting every module costs tens of milliseconds per process and
+    writes nothing.  A reader that closed its end of stdout (``| head``)
+    ends the command with status 1 and no traceback.  This is the entry of
+    ``python -m mingraphs.cli`` and of the ``mingraphs`` console script.
+    """
     try:
         status = main()
         sys.stdout.flush()
@@ -372,3 +376,7 @@ if __name__ == "__main__":
     except BrokenPipeError:
         status = 1
     os._exit(status)
+
+
+if __name__ == "__main__":
+    run()

@@ -56,6 +56,10 @@ MAX_GRID_NODES = 2**24
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
+#: _nearest compares a block of targets with the whole cloud at a time, in
+#: about this many distances: 256 KiB per float64 temporary.
+NEAREST_BLOCK = 2**15
+
 #: levelset_curvature_field masks nodes with |grad u| below this.
 GRAD_FLOOR = 1e-8
 
@@ -288,17 +292,23 @@ def _forward_cloud(pair: WeierstrassPair, window: Window) -> tuple[np.ndarray, n
 def _nearest(cloud: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Index of the nearest cloud point for each target (both complex arrays).
 
-    Brute force over (dx)^2 + (dy)^2 in target chunks, so each temporary stays
-    near 2**18 entries whatever the number of targets.
+    Brute force over (dx)^2 + (dy)^2, a block of targets at a time, so each
+    temporary holds about NEAREST_BLOCK entries whatever the number of
+    targets and stays in cache.  argmin works row by row, so the block size
+    does not change an index.
     """
     cx, cy = cloud.real[None, :], cloud.imag[None, :]
     tx, ty = targets.real[:, None], targets.imag[:, None]
-    chunk = max(1, 2**18 // cloud.size)
+    rows = max(1, NEAREST_BLOCK // cloud.size)
     idx = np.empty(targets.size, dtype=np.intp)
-    for start in range(0, targets.size, chunk):
-        dx = tx[start:start + chunk] - cx
-        dy = ty[start:start + chunk] - cy
-        idx[start:start + chunk] = np.argmin(dx * dx + dy * dy, axis=1)
+    for start in range(0, targets.size, rows):
+        block = slice(start, start + rows)
+        dist = tx[block] - cx
+        dist *= dist
+        dy = ty[block] - cy
+        dy *= dy
+        dist += dy
+        idx[block] = np.argmin(dist, axis=1)
     return idx
 
 

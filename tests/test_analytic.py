@@ -1,9 +1,12 @@
 """Jet evaluation: exact derivative rules, branches, and FD consistency."""
 
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
-from mingraphs.analytic import QUAD_TOL, gauss_legendre, require_above_floor
+from mingraphs.analytic import QUAD_TOL, _legendre_rule, gauss_legendre, require_above_floor
 from mingraphs.errors import QuadratureError
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,3 +207,39 @@ class TestGaussLegendre:
     def test_nonfinite_integrand(self):
         with pytest.raises(QuadratureError):
             gauss_legendre(lambda x: np.full_like(x, np.nan))
+
+
+def _polished_node(n: int, x0: float):
+    """Root of P_n next to x0 > 0 and its Gauss weight, by 40-digit Newton
+    on mpmath.legendre; P_n' = n (x P_n - P_{n-1}) / (x^2 - 1)."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x0)
+        for _ in range(2):  # from a double node, one step leaves an error near 1e-26
+            p, q = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
+            dp = n * (x * p - q) / (x * x - 1)
+            x -= p / dp
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
+class TestLegendreRule:
+    @pytest.mark.parametrize("n", [64, 512, 1024])
+    def test_against_mpmath(self, n):
+        x, w = _legendre_rule(n)
+        assert np.array_equal(x, -x[::-1])
+        assert np.all(np.diff(x) > 0.0)
+        assert abs(w.sum() - 2.0) <= 4e-16 * n
+        # the top end, a quarter and the middle node; the bottom end mirrors the top
+        for i, sign in [(n - 1, 1), (0, -1), (3 * n // 4, 1), (n // 2, 1)]:
+            node, weight = _polished_node(n, sign * x[i])
+            with mpmath.workdps(40):
+                assert abs(sign * x[i] - node) <= 2.5e-16, i
+                assert abs(w[i] / weight - 1) <= 1e-10, i
+
+    def test_memory_is_linear(self):
+        tracemalloc.start()
+        try:
+            _legendre_rule.__wrapped__(1024)  # past the cache: build the rule again
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20

@@ -48,3 +48,27 @@ def test_refuses_non_empty_out_dir(tmp_path):
     (tmp_path / "old.txt").write_text("x")
     with pytest.raises(SystemExit):
         artifact_set.main([str(tmp_path)])
+
+
+def test_compare_trees(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    files = {
+        "same.txt": ("x,1.5\n", "x,1.5\n"),
+        "out/numbers.csv": ("tau,u\n-1,2.5e-3\n0,1\n", "tau,u\n-1,2.5000000000000001e-3\n0,1.5\n"),
+        "out/text.json": ('{"verdict": "PASS", "n": 3}\n', '{"verdict": "FAIL", "n": 3}\n'),
+        "only_a.txt": ("1\n", None),
+    }
+    for name, (text_a, text_b) in files.items():
+        for root, text in ((a, text_a), (b, text_b)):
+            if text is not None:
+                (root / name).parent.mkdir(parents=True, exist_ok=True)
+                (root / name).write_text(text)
+    assert artifact_set.main(["--compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"only_a.txt: only in {a}",
+        "out/numbers.csv: numbers differ, max abs 0.5, max rel 0.333",
+        "out/text.json: text differs",
+        "3 of 4 files differ",
+    ]
+    assert artifact_set.main(["--compare", str(a), str(a)]) == 0
+    assert capsys.readouterr().out == "0 of 4 files differ\n"

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -69,6 +70,17 @@ class TestNearestSeed:
         xs, ys = _axis(WINDOW[0], 1.0 / 64.0), _axis(WINDOW[1], 1.0 / 64.0)
         targets = (xs[None, :] + 1j * ys[:, None]).ravel()
         assert np.array_equal(_nearest(cloud, targets), _kdtree_nearest(cloud, targets))
+
+    def test_temporaries_stay_small(self):
+        _, cloud = _forward_cloud(lw_family(1.5), WINDOW)
+        targets = np.linspace(0.5, 3.0, 513) + 0.25j  # a column of a 1/128 grid, as long
+        tracemalloc.start()
+        try:
+            _nearest(cloud, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cloud.size == 1486 and peak < 2**20
 
 
 def test_cli_never_imports_scipy(tmp_path):

@@ -33,6 +33,11 @@ LOADED = {
         "mingraphs.errors", "mingraphs.graphfield", "mingraphs.serialize",
         "mingraphs.weierstrass",
     ],
+    ("verify", "all", "--gamma", "1.5"): [
+        "mingraphs", "mingraphs.analytic", "mingraphs.cli", "mingraphs.config",
+        "mingraphs.errors", "mingraphs.graphfield", "mingraphs.levels", "mingraphs.serialize",
+        "mingraphs.verify", "mingraphs.weierstrass",
+    ],
 }
 
 
@@ -45,7 +50,8 @@ def _env(unbuffered: bool) -> dict[str, str]:
     return env
 
 
-@pytest.mark.parametrize("argv", list(LOADED), ids=["levelcurves", "verify-thm1", "reconstruct"])
+@pytest.mark.parametrize("argv", list(LOADED),
+                         ids=["levelcurves", "verify-thm1", "reconstruct", "verify-all"])
 def test_command_loads_only_its_modules(tmp_path, argv):
     code = (
         "import sys\n"
@@ -87,21 +93,25 @@ def test_exit_status_and_streams(tmp_path, monkeypatch, capsys, argv, status):
     assert (tmp_path / "stderr.txt").read_text() == want.err
 
 
+#: The two process entries that end in ``cli.run``: ``python -m`` and the
+#: ``mingraphs`` console script, whose wrapper imports ``run`` and calls it.
+ENTRIES = [["-m", "mingraphs.cli"], ["-c", "from mingraphs.cli import run; run()"]]
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_1_without_traceback(tmp_path, unbuffered):
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "mingraphs.cli", "verify", "thm1", "--gamma", "1.5",
-             "--out", "out"],
-            cwd=tmp_path, env=_env(unbuffered), stdout=write_end, stderr=subprocess.PIPE,
-            text=True,
-        )
-    finally:
-        os.close(write_end)
-    assert done.returncode == 1
-    assert done.stderr == ""
+    for entry in ENTRIES:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, *entry, "verify", "thm1", "--gamma", "1.5", "--out", "out"],
+                cwd=tmp_path, env=_env(unbuffered), stdout=write_end, stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (entry, done.returncode, done.stderr) == (entry, 1, "")
 
 
 def test_every_public_name_resolves():

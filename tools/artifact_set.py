@@ -3,6 +3,7 @@
 Usage:
 
     python3 tools/artifact_set.py OUT_DIR
+    python3 tools/artifact_set.py --compare A B
 
 Each command of ``COMMANDS`` runs as ``python -m mingraphs.cli`` with this
 checkout's ``src`` first on PYTHONPATH, from its own directory
@@ -10,8 +11,14 @@ OUT_DIR/<name>.  Its output files go to OUT_DIR/<name>/out (``--out out``,
 a relative path, so the paths that the CLI prints are the same in every
 tree), and its stdout, stderr and exit status to ``stdout.txt``,
 ``stderr.txt`` and ``status.txt`` next to it.  Run the tool on two
-checkouts and compare the trees with ``diff -r``: identical trees mean
-byte-identical artifacts, messages and exit statuses.
+checkouts and compare the trees: identical trees mean byte-identical
+artifacts, messages and exit statuses.
+
+``--compare A B`` prints the path of each file that differs between the
+trees A and B, or exists in only one of them.  Where the two texts differ
+only in their numbers, it adds the largest absolute and relative difference
+between numbers at the same place; otherwise it says "text differs".  It
+exits 0 when the trees are identical and 1 otherwise.
 
 The set covers ``reconstruct`` (csv) at gamma 1.23, 1.5 and 1.77 times
 h = 1/32, 1/64 and 1/128 on the default window, plus the masked window
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,10 +97,68 @@ def run_command(out_dir: Path, name: str, args: list[str], config: str | None) -
     return done.returncode
 
 
+#: A decimal number as the CLI writes one: sign, digits, fraction, exponent.
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def number_diff(a: str, b: str) -> tuple[float, float] | None:
+    """Largest (absolute, relative) difference between the numbers at the same
+    places of two texts, or None when the texts differ other than in numbers."""
+    parts_a, parts_b = NUMBER.split(a), NUMBER.split(b)
+    if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
+        return None
+    largest_abs = largest_rel = 0.0
+    for x, y in zip(map(float, parts_a[1::2]), map(float, parts_b[1::2])):
+        if x != y:
+            largest_abs = max(largest_abs, abs(x - y))
+            largest_rel = max(largest_rel, abs(x - y) / max(abs(x), abs(y)))
+    return largest_abs, largest_rel
+
+
+def _files(root: Path) -> set[str]:
+    return {path.relative_to(root).as_posix() for path in root.rglob("*") if path.is_file()}
+
+
+def compare(a: Path, b: Path) -> tuple[list[str], int]:
+    """One line per file that differs between the trees a and b, by path, and
+    the number of files in either tree."""
+    files_a, files_b = _files(a), _files(b)
+    lines = []
+    for name in sorted(files_a | files_b):
+        if name not in files_b:
+            lines.append(f"{name}: only in {a}")
+        elif name not in files_a:
+            lines.append(f"{name}: only in {b}")
+        else:
+            bytes_a, bytes_b = (a / name).read_bytes(), (b / name).read_bytes()
+            if bytes_a == bytes_b:
+                continue
+            diff = number_diff(bytes_a.decode(errors="replace"), bytes_b.decode(errors="replace"))
+            if diff is None:
+                lines.append(f"{name}: text differs")
+            else:
+                lines.append(f"{name}: numbers differ, max abs {diff[0]:.3g}, max rel {diff[1]:.3g}")
+    return lines, len(files_a | files_b)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out_dir", type=Path, help="new or empty directory for the tree")
+    parser.add_argument("out_dir", type=Path, nargs="?",
+                        help="new or empty directory for the tree")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
+                        help="compare two trees instead of building one")
     args = parser.parse_args(argv)
+    if (args.out_dir is None) == (args.compare is None):
+        parser.error("give either OUT_DIR or --compare A B")
+    if args.compare is not None:
+        for tree in args.compare:
+            if not tree.is_dir():
+                parser.error(f"{tree} is not a directory")
+        lines, total = compare(*args.compare)
+        for line in lines:
+            print(line)
+        print(f"{len(lines)} of {total} files differ")
+        return 1 if lines else 0
     out_dir = args.out_dir.resolve()
     if out_dir.exists() and any(out_dir.iterdir()):
         parser.error(f"{args.out_dir} is not empty")
