@@ -12,7 +12,7 @@ import importlib
 _EXPORTS = {
     "analytic": (
         "AffineMap", "AnalyticMap", "Jet2", "PowerAffineMap", "ScaledMap", "SumMap",
-        "jet_affine", "jet_pow_affine", "log_derivative",
+        "log_derivative",
     ),
     "errors": (
         "ConvergenceError", "DomainError", "EmptyInteriorError", "ParameterError",
@@ -24,10 +24,9 @@ _EXPORTS = {
         "reconstruct_u", "residual_convergence_order",
     ),
     "levels": (
-        "BoundaryTrace", "LevelCurveSample", "LevelCurveSpec", "boundary_trace",
-        "curvature_closed_form", "curvature_fd_oracle", "curvature_generic",
-        "curvature_h_image", "sample_level_curve", "sigma_for_level", "tau_partials",
-        "tau_partials_conjugate_form",
+        "LevelCurve", "LevelCurveSpec", "boundary_trace", "curvature_closed_form",
+        "curvature_generic", "curvature_h_image", "sample_level_curve", "sigma_for_level",
+        "tau_partials",
     ),
     "verify": (
         "BoundaryArgumentData", "SampleGrid", "VerificationReport", "disk_transfer_check",
@@ -36,7 +35,7 @@ _EXPORTS = {
     ),
     "weierstrass": (
         "SurfacePoint", "WeierstrassPair", "eval_surface", "g_prime", "g_value",
-        "height_via_integral", "jacobian_det", "lw_family", "planar_pair", "scale_solution",
+        "lw_family", "planar_pair", "scale_solution",
     ),
 }
 

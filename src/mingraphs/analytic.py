@@ -21,7 +21,7 @@ pays for those complex powers alone.  Map constants are checked once, when
 the map is built.
 
 ``gauss_legendre`` is the one quadrature of the package (Poisson kernels,
-anchored g, the height integral).  Its rules come from Newton's method on
+anchored g).  Its rules come from Newton's method on
 the Legendre three-term recurrence, in O(n) memory and without an
 eigen-solve, and are kept for the life of the process.
 """
@@ -112,13 +112,6 @@ def _check_constants(kind: str, **constants) -> None:
             raise ParameterError(f"{kind} {name} must be finite, got {value}")
 
 
-def jet_affine(slope: complex, intercept: complex, zeta) -> Jet2:
-    """Jet of the affine map zeta -> slope*zeta + intercept."""
-    zeta = np.asarray(zeta, dtype=complex)[()]
-    _check_finite(slope, intercept, zeta)
-    return Jet2(slope * zeta + intercept, slope * np.ones_like(zeta), np.zeros_like(zeta))
-
-
 def _power_jet(offset: complex, p: float, zeta) -> Jet2:
     """Deferred jet of (zeta + offset)**p; checks zeta and the branch domain."""
     zeta = np.asarray(zeta, dtype=complex)[()]
@@ -133,16 +126,6 @@ def _power_jet(offset: complex, p: float, zeta) -> Jet2:
         lambda: p * base ** (p - 1.0),
         lambda: p * (p - 1.0) * base ** (p - 2.0),
     )
-
-
-def jet_pow_affine(offset: complex, exponent: float, zeta) -> Jet2:
-    """Jet of the principal-branch power zeta -> (zeta + offset)**exponent.
-
-    Requires Re(zeta + offset) > 0 so the shifted point stays in the open
-    right half-plane where the principal branch is single-valued.
-    """
-    _check_finite(offset, exponent)
-    return _power_jet(offset, float(exponent), zeta)
 
 
 def _scaled(c: complex, jet: Jet2) -> Jet2:
@@ -279,7 +262,12 @@ class AffineMap(AnalyticMap):
         return f"affine({self.slope}, {self.intercept})"
 
     def jet(self, zeta) -> Jet2:
-        return jet_affine(self.slope, self.intercept, zeta)
+        zeta = np.asarray(zeta, dtype=complex)[()]
+        _check_finite(self.slope, self.intercept, zeta)
+        return Jet2(
+            self.slope * zeta + self.intercept, self.slope * np.ones_like(zeta),
+            np.zeros_like(zeta),
+        )
 
 
 @dataclass(frozen=True, repr=False)

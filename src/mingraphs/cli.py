@@ -120,31 +120,30 @@ def cmd_levelcurves(config: RunConfig, args) -> int:
     written: list[Path] = []
     try:
         curves = []
-        boundary_samples = None
+        boundary = None
         for c in config.levels:
             spec = LevelCurveSpec(
                 c=c, tau_min=config.tau_min, tau_max=config.tau_max, n_samples=config.tau_n,
             )
             if c == 0.0:
-                samples = boundary_trace(pair, spec).samples
-                boundary_samples = samples
+                curve = boundary = boundary_trace(pair, spec)
             else:
-                samples = sample_level_curve(pair, spec)
-                curves.append((c, samples))
+                curve = sample_level_curve(pair, spec)
+                curves.append((c, curve))
             stem = out_dir / f"level_{_level_name(c)}"
             if "csv" in config.formats or "json" in config.formats:
-                rows = sample_rows(samples)
+                rows = sample_rows(curve)
             if "csv" in config.formats:
                 written.append(atomic_write(stem.with_suffix(".csv"), rows_to_csv(rows)))
             if "json" in config.formats:
                 written.append(atomic_write(stem.with_suffix(".json"), rows_to_json(rows)))
         if "svg" in config.formats:
-            if boundary_samples is None:
+            if boundary is None:
                 spec0 = LevelCurveSpec(
                     c=0.0, tau_min=config.tau_min, tau_max=config.tau_max, n_samples=config.tau_n,
                 )
-                boundary_samples = boundary_trace(pair, spec0).samples
-            svg = level_curves_svg(curves, boundary_samples, title=pair.label)
+                boundary = boundary_trace(pair, spec0)
+            svg = level_curves_svg(curves, boundary, title=pair.label)
             written.append(atomic_write(out_dir / "levelcurves.svg", svg))
     except _ERRORS as exc:
         for path in written:

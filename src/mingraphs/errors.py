@@ -22,4 +22,4 @@ class EmptyInteriorError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """A limit estimate (asymptotic angles, the finite-difference oracle) did not settle."""
+    """A limit estimate (the asymptotic boundary angles) did not settle."""

@@ -63,6 +63,10 @@ NEAREST_BLOCK = 2**15
 #: levelset_curvature_field masks nodes with |grad u| below this.
 GRAD_FLOOR = 1e-8
 
+#: msr_report passes a field whose max-norm residual falls by a factor in
+#: this range when the spacing halves (second-order convergence).
+MSR_RATIO_RANGE = (3.0, 5.0)
+
 
 @dataclass(frozen=True)
 class ReconstructionStats:
@@ -542,14 +546,13 @@ def msr_report(
     coarse: ScalarField2D,
     fine: ScalarField2D,
     exact_tol: float = 1e-10,
-    ratio_range: tuple[float, float] = (3.0, 5.0),
     descriptor: str = "",
 ) -> VerificationReport:
     """PDE residual check across one grid refinement.
 
     Fields that are discrete-exact (both residuals below ``exact_tol``) pass
     outright; otherwise the max-norm residual ratio must fall in
-    ``ratio_range`` (second-order convergence).
+    ``MSR_RATIO_RANGE`` (second-order convergence).
     """
     from .verify import VerificationReport
 
@@ -561,7 +564,7 @@ def msr_report(
         note = "discrete-exact field (residual at rounding level at both spacings)"
     else:
         ratio = rep_c.max_abs_residual / rep_f.max_abs_residual
-        passed = ratio_range[0] <= ratio <= ratio_range[1]
+        passed = MSR_RATIO_RANGE[0] <= ratio <= MSR_RATIO_RANGE[1]
         note = (
             f"max residual {rep_c.max_abs_residual:.3e} (h={rep_c.spacing:g}) -> "
             f"{rep_f.max_abs_residual:.3e} (h={rep_f.spacing:g}), ratio {ratio:.3f}"

@@ -24,9 +24,9 @@ orientation makes kappa positive exactly when the curve bends away from
 the region u > C; the sign is verified against that geometric definition
 in the test suite rather than assumed.
 
-A finite-difference oracle (central differences of tau -> (x, y) through
-the surface evaluator, then the generic formula) provides an independent
-check of the closed form.
+A sampled curve is one ``LevelCurve``, with an array per export column.
+The finite-difference curvature oracle that checks the closed form lives
+with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -36,15 +36,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .analytic import log_derivative
-from .errors import ConvergenceError, ParameterError, SingularityError
+from .errors import ParameterError, SingularityError
 from .serialize import NON_FINITE_TEXT, fmt_float, json_number
 from .weierstrass import WeierstrassPair, eval_surface
-
-#: Column order for CSV/JSON export of sampled curves (fixed, do not reorder).
-SAMPLE_COLUMNS = (
-    "tau", "x", "y", "x_tau", "y_tau", "x_tautau", "y_tautau",
-    "phi", "s", "kappa", "kappa1",
-)
 
 #: LevelCurveSpec refuses more samples than this.  A `levelcurves` run peaks
 #: at about 2.8 KiB per sample with csv, json and svg output (600 MiB at
@@ -77,30 +71,31 @@ class LevelCurveSpec:
         return np.linspace(self.tau_min, self.tau_max, self.n_samples)
 
 
-@dataclass(frozen=True)
-class LevelCurveSample:
-    """One fully populated point of a sampled level curve."""
+@dataclass(frozen=True, eq=False)
+class LevelCurve:
+    """One sampled level curve: an array per column, samples in tau order.
 
-    tau: float
-    x: float
-    y: float
-    x_tau: float
-    y_tau: float
-    x_tautau: float
-    y_tautau: float
-    phi: float
-    s: float
-    kappa: float
-    kappa1: float
+    The field order is the CSV/JSON column order (``SAMPLE_COLUMNS``).
+    """
+
+    tau: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    x_tau: np.ndarray
+    y_tau: np.ndarray
+    x_tautau: np.ndarray
+    y_tautau: np.ndarray
+    phi: np.ndarray
+    s: np.ndarray
+    kappa: np.ndarray
+    kappa1: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.tau)
 
 
-@dataclass(frozen=True)
-class BoundaryTrace:
-    """Boundary curve samples plus the concavity preconditions they exhibit."""
-
-    samples: list[LevelCurveSample]
-    y_tau_nonnegative: bool
-    kappa_nonnegative: bool
+#: Column order for CSV/JSON export of sampled curves (fixed, do not reorder).
+SAMPLE_COLUMNS = tuple(f.name for f in fields(LevelCurve))
 
 
 def sigma_for_level(pair: WeierstrassPair, c: float) -> float:
@@ -122,14 +117,6 @@ def tau_partials(pair: WeierstrassPair, zeta):
     x_tautau = -np.real(hpp + k * ratio / hp)
     y_tautau = -np.imag(hpp - k * ratio / hp)
     return x_tau, y_tau, x_tautau, y_tautau
-
-
-def tau_partials_conjugate_form(pair: WeierstrassPair, zeta):
-    """Equivalent first partials (|h'|^2+k)*(-Im, Re) of 1/conj(h'), for cross-checks."""
-    hp = pair.h.jet(zeta).d1
-    inv_conj = 1.0 / np.conj(hp)
-    weight = np.abs(hp) ** 2 + pair.k
-    return -weight * np.imag(inv_conj), weight * np.real(inv_conj)
 
 
 def curvature_generic(x_tau, y_tau, x_tautau, y_tautau):
@@ -156,50 +143,7 @@ def curvature_h_image(pair: WeierstrassPair, zeta):
     return np.real(ratio) / np.abs(jet.d1)
 
 
-def curvature_fd_oracle(
-    pair: WeierstrassPair,
-    sigma0: float,
-    tau: float,
-    step: float = 1e-4,
-    tol: float | None = None,
-) -> float:
-    """Independent curvature estimate from central differences of the surface map.
-
-    Evaluates tau -> (x, y) at five stations tau + {-2, -1, 0, 1, 2}*step,
-    forms second-order central first/second differences, and applies the
-    generic curvature formula.  The same stations also yield the double-step
-    estimate; the Richardson gap |kappa(step) - kappa(2*step)|/3 serves as a
-    truncation-error estimate and trips ConvergenceError when ``tol`` is set
-    and exceeded.
-    """
-    if step <= 0.0:
-        raise ParameterError("step must be positive")
-    if sigma0 < 0.0:
-        raise ParameterError("sigma0 must be >= 0")
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * step
-    pts = [eval_surface(pair, complex(sigma0, tau + d)) for d in offsets]
-    x = np.array([p.x for p in pts])
-    y = np.array([p.y for p in pts])
-
-    def estimate(idx_lo: int, idx_hi: int, h: float) -> float:
-        xt = (x[idx_hi] - x[idx_lo]) / (2.0 * h)
-        yt = (y[idx_hi] - y[idx_lo]) / (2.0 * h)
-        xtt = (x[idx_hi] - 2.0 * x[2] + x[idx_lo]) / h**2
-        ytt = (y[idx_hi] - 2.0 * y[2] + y[idx_lo]) / h**2
-        return float(curvature_generic(xt, yt, xtt, ytt))
-
-    kappa = estimate(1, 3, step)
-    kappa_double = estimate(0, 4, 2.0 * step)
-    err_est = abs(kappa - kappa_double) / 3.0
-    if tol is not None and err_est > tol:
-        raise ConvergenceError(
-            f"FD oracle truncation estimate {err_est:.3e} above tolerance {tol:.3e}; "
-            "reduce the step"
-        )
-    return kappa
-
-
-def sample_level_curve(pair: WeierstrassPair, spec: LevelCurveSpec) -> list[LevelCurveSample]:
+def sample_level_curve(pair: WeierstrassPair, spec: LevelCurveSpec) -> LevelCurve:
     """Sample the level u = spec.c at n uniformly spaced tau values.
 
     Arc length s accumulates by the trapezoid rule on the analytic speed
@@ -212,48 +156,37 @@ def sample_level_curve(pair: WeierstrassPair, spec: LevelCurveSpec) -> list[Leve
     x_tau, y_tau, x_tautau, y_tautau = tau_partials(pair, zetas)
     kappa = curvature_generic(x_tau, y_tau, x_tautau, y_tautau)
     kappa_closed = curvature_closed_form(pair, zetas)
-    kappa1 = curvature_h_image(pair, zetas)
-    phi = np.arctan2(y_tau, x_tau)
     speed = np.sqrt(x_tau**2 + y_tau**2)
     ds = 0.5 * (speed[1:] + speed[:-1]) * np.diff(taus)
-    s = np.concatenate([[0.0], np.cumsum(ds)])
     # closed form is the stored kappa; the generic route must agree and acts
     # as a free consistency check on every sample
     if not np.allclose(kappa, kappa_closed, rtol=0.0, atol=1e-9 * (1.0 + np.abs(kappa_closed).max())):
         raise SingularityError("curvature routes disagree; data likely degenerate")
-    x = np.broadcast_to(np.asarray(pts.x), taus.shape)
-    y = np.broadcast_to(np.asarray(pts.y), taus.shape)
-    return [
-        LevelCurveSample(
-            tau=float(taus[i]), x=float(x[i]), y=float(y[i]),
-            x_tau=float(x_tau[i]), y_tau=float(y_tau[i]),
-            x_tautau=float(x_tautau[i]), y_tautau=float(y_tautau[i]),
-            phi=float(phi[i]), s=float(s[i]),
-            kappa=float(kappa_closed[i]), kappa1=float(kappa1[i]),
-        )
-        for i in range(len(taus))
-    ]
+    return LevelCurve(
+        tau=taus, x=pts.x, y=pts.y,
+        x_tau=x_tau, y_tau=y_tau, x_tautau=x_tautau, y_tautau=y_tautau,
+        phi=np.arctan2(y_tau, x_tau),
+        s=np.concatenate([[0.0], np.cumsum(ds)]),
+        kappa=kappa_closed,
+        kappa1=curvature_h_image(pair, zetas),
+    )
 
 
-def boundary_trace(pair: WeierstrassPair, spec: LevelCurveSpec) -> BoundaryTrace:
-    """Trace the boundary curve f(i*tau) (level c = 0) and report whether
-    y_tau >= 0 and kappa >= 0 hold throughout -- the two geometric
-    preconditions of concavity propagation."""
+def boundary_trace(pair: WeierstrassPair, spec: LevelCurveSpec) -> LevelCurve:
+    """Trace the boundary curve f(i*tau), the level c = 0."""
     if spec.c != 0.0:
         raise ParameterError("boundary_trace requires a spec with c = 0")
-    samples = sample_level_curve(pair, spec)
-    y_tau_ok = all(sample.y_tau >= 0.0 for sample in samples)
-    kappa_ok = all(sample.kappa >= 0.0 for sample in samples)
-    return BoundaryTrace(samples=samples, y_tau_nonnegative=y_tau_ok, kappa_nonnegative=kappa_ok)
+    return sample_level_curve(pair, spec)
 
 
-def sample_rows(samples: list[LevelCurveSample]) -> list[list[str]]:
+def sample_rows(curve: LevelCurve) -> list[tuple[str, ...]]:
     """Each sample's fields as 17-significant-digit strings, in SAMPLE_COLUMNS
     order: formatted once, then written by rows_to_csv and rows_to_json."""
-    return [[fmt_float(getattr(sample, name)) for name in SAMPLE_COLUMNS] for sample in samples]
+    columns = [map(fmt_float, getattr(curve, name).tolist()) for name in SAMPLE_COLUMNS]
+    return list(zip(*columns))
 
 
-def rows_to_csv(rows: list[list[str]]) -> str:
+def rows_to_csv(rows: list[tuple[str, ...]]) -> str:
     """CSV text with the fixed column schema."""
     lines = [",".join(SAMPLE_COLUMNS)]
     lines.extend(",".join(row) for row in rows)
@@ -264,7 +197,7 @@ def rows_to_csv(rows: list[list[str]]) -> str:
 _JSON_RECORD = "{" + ", ".join(f'"{name}": %s' for name in SAMPLE_COLUMNS) + "}"
 
 
-def rows_to_json(rows: list[list[str]]) -> str:
+def rows_to_json(rows: list[tuple[str, ...]]) -> str:
     """JSON array of sample records, the text serialize.to_json writes for them."""
     records = []
     for row in rows:
@@ -273,6 +206,3 @@ def rows_to_json(rows: list[list[str]]) -> str:
         records.append(_JSON_RECORD % tuple(row))
     return "[" + ", ".join(records) + "]\n"
 
-
-# the dataclass must expose exactly the exported columns (schema lock)
-assert {f.name for f in fields(LevelCurveSample)} == set(SAMPLE_COLUMNS)

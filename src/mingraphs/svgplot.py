@@ -7,7 +7,7 @@ boundary curve in black.  Output is deterministic text.
 
 from __future__ import annotations
 
-from .levels import LevelCurveSample
+from .levels import LevelCurve
 
 _SIZE = 640
 _MARGIN = 48
@@ -23,18 +23,18 @@ def _ramp(value: float, lo: float, hi: float) -> str:
 
 
 def level_curves_svg(
-    curves: list[tuple[float, list[LevelCurveSample]]],
-    boundary: list[LevelCurveSample] | None = None,
+    curves: list[tuple[float, LevelCurve]],
+    boundary: LevelCurve | None = None,
     title: str = "",
 ) -> str:
-    """Render (level, samples) curves plus an optional boundary trace."""
-    all_samples = [s for _, samples in curves for s in samples]
-    if boundary:
-        all_samples += list(boundary)
-    if not all_samples:
+    """Render (level, curve) pairs plus an optional boundary trace."""
+    drawn = [curve for _, curve in curves]
+    if boundary is not None:
+        drawn.append(boundary)
+    xs = [x for curve in drawn for x in curve.x.tolist()]
+    ys = [y for curve in drawn for y in curve.y.tolist()]
+    if not xs:
         raise ValueError("nothing to draw")
-    xs = [s.x for s in all_samples]
-    ys = [s.y for s in all_samples]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     span = max(x_hi - x_lo, y_hi - y_lo) or 1.0
@@ -43,7 +43,7 @@ def level_curves_svg(
     def to_px(x: float, y: float) -> tuple[float, float]:
         return (_MARGIN + (x - x_lo) * scale, _SIZE - _MARGIN - (y - y_lo) * scale)
 
-    kappas = [s.kappa for _, samples in curves for s in samples]
+    kappas = [k for _, curve in curves for k in curve.kappa.tolist()]
     k_lo, k_hi = (min(kappas), max(kappas)) if kappas else (0.0, 1.0)
 
     parts = [
@@ -70,23 +70,24 @@ def level_curves_svg(
             f'<line x1="{_MARGIN}" y1="{py:.2f}" x2="{_SIZE - _MARGIN}" y2="{py:.2f}" '
             'stroke="#bbb" stroke-dasharray="4 4"/>'
         )
-    if boundary:
-        points = " ".join("{:.3f},{:.3f}".format(*to_px(s.x, s.y)) for s in boundary)
+    if boundary is not None:
+        points = " ".join(
+            "{:.3f},{:.3f}".format(*to_px(x, y))
+            for x, y in zip(boundary.x.tolist(), boundary.y.tolist())
+        )
         parts.append(f'<polyline points="{points}" fill="none" stroke="black" stroke-width="2"/>')
-    for level, samples in curves:
-        for left, right in zip(samples[:-1], samples[1:]):
-            x1, y1 = to_px(left.x, left.y)
-            x2, y2 = to_px(right.x, right.y)
-            color = _ramp(left.kappa, k_lo, k_hi)
+    for level, curve in curves:
+        pixels = [to_px(x, y) for x, y in zip(curve.x.tolist(), curve.y.tolist())]
+        for (x1, y1), (x2, y2), kappa in zip(pixels[:-1], pixels[1:], curve.kappa.tolist()):
+            color = _ramp(kappa, k_lo, k_hi)
             parts.append(
                 f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
                 f'stroke="{color}" stroke-width="1.5"/>'
             )
-        if samples:
-            x1, y1 = to_px(samples[0].x, samples[0].y)
-            parts.append(
-                f'<text x="{x1 + 4:.1f}" y="{y1:.1f}" font-size="11" '
-                f'font-family="monospace">u={level:g}</text>'
-            )
+        x1, y1 = pixels[0]
+        parts.append(
+            f'<text x="{x1 + 4:.1f}" y="{y1:.1f}" font-size="11" '
+            f'font-family="monospace">u={level:g}</text>'
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -30,9 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import AffineMap, AnalyticMap, PowerAffineMap, ScaledMap, DERIVATIVE_FLOOR
+from .analytic import AffineMap, AnalyticMap, PowerAffineMap, ScaledMap
 from .analytic import gauss_legendre, require_above_floor
-from .errors import DomainError, ParameterError, SingularityError
+from .errors import DomainError, ParameterError
 
 #: Probe points used to sanity-check a closed-form g against g' = -k/h'.
 _DILATATION_PROBES = (0.5 + 0.0j, 1.0 + 1.0j, 2.0 - 1.5j, 0.25 + 3.0j, 4.0 + 0.5j)
@@ -54,15 +54,13 @@ class WeierstrassPair:
     Exactly one of ``g`` (closed form) or ``g_anchor`` (a point zeta_a with the
     value g(zeta_a), from which g is continued by integrating -k/h' along
     straight segments with the package's one Gauss-Legendre rule,
-    ``analytic.gauss_legendre``) must be provided.  ``k`` is stored
-    redundantly and must equal k0**2/4 exactly; pass None to have it derived.
+    ``analytic.gauss_legendre``) must be provided.
     """
 
     h: AnalyticMap
     k0: float
     g: AnalyticMap | None = None
     g_anchor: tuple[complex, complex] | None = None
-    k: float | None = None
     gamma: float | None = None
     degenerate: bool = False
     label: str = "pair"
@@ -70,17 +68,17 @@ class WeierstrassPair:
     def __post_init__(self):
         if not (np.isfinite(self.k0) and self.k0 > 0.0):
             raise ParameterError(f"k0 must be positive, got {self.k0}")
-        derived = self.k0 * self.k0 / 4.0
-        if self.k is None:
-            object.__setattr__(self, "k", derived)
-        elif self.k != derived:
-            raise ParameterError(f"k = {self.k} does not equal k0**2/4 = {derived}")
         if (self.g is None) == (self.g_anchor is None):
             raise ParameterError("exactly one of g (closed form) or g_anchor is required")
         if self.g_anchor is not None and complex(self.g_anchor[0]).real < 0.0:
             raise ParameterError("g anchor must lie in the closed half-plane")
         if self.g is not None and not self.degenerate:
             self._probe_dilatation()
+
+    @property
+    def k(self) -> float:
+        """The coupling constant k = k0**2/4 of g' = -k/h'."""
+        return self.k0 * self.k0 / 4.0
 
     def _probe_dilatation(self) -> None:
         # g' * h' must equal -k identically; a handful of probes catches
@@ -117,7 +115,8 @@ def _segment_integral(fn, z0, z1):
 
 
 def g_value(pair: WeierstrassPair, zeta):
-    """g(zeta), from the closed form or by integrating -k/h' from the anchor.
+    """g(zeta), from the closed form or by integrating g' = -k/h' (``g_prime``,
+    which refuses h' at the derivative floor) from the anchor.
 
     The anchored integral runs along the straight segment from zeta_a, which
     stays inside the (convex) closed half-plane, so the value is
@@ -126,9 +125,7 @@ def g_value(pair: WeierstrassPair, zeta):
     if pair.g is not None:
         return pair.g.jet(zeta).v
     zeta_a, value_a = pair.g_anchor
-    return value_a + _segment_integral(
-        lambda xi: -pair.k / pair.h.jet(xi).d1, complex(zeta_a), zeta
-    )
+    return value_a + _segment_integral(lambda xi: g_prime(pair, xi), complex(zeta_a), zeta)
 
 
 def eval_surface(pair: WeierstrassPair, zeta) -> SurfacePoint:
@@ -142,37 +139,6 @@ def eval_surface(pair: WeierstrassPair, zeta) -> SurfacePoint:
         raise DomainError("eval_surface requires sigma >= 0")
     f = pair.h.jet(zeta).v + np.conj(g_value(pair, zeta))
     return SurfacePoint(x=f.real, y=f.imag, u=pair.k0 * zeta.real)
-
-
-def height_via_integral(pair: WeierstrassPair, zeta: complex) -> float:
-    """Height recovered as 2*Re[i * integral of sqrt(h'g')] from the boundary.
-
-    Integrates from the boundary foot i*tau to zeta along a horizontal
-    segment.  Of the two square roots of h'g', the one with nonpositive
-    imaginary part is the branch that keeps the height positive in H (for
-    valid data sqrt(h'g') == -i*k0/2 identically); the result must equal
-    k0*sigma.
-    """
-    zeta = complex(zeta)
-    if zeta.real < 0.0:
-        raise DomainError("height_via_integral requires sigma >= 0")
-    z0 = complex(0.0, zeta.imag)
-
-    def integrand(xi):
-        w = pair.h.jet(xi).d1 * g_prime(pair, xi)
-        return -1j * np.sqrt(-w)  # root with Im <= 0
-
-    integral = _segment_integral(integrand, z0, zeta)
-    return float(2.0 * (1j * integral).real)
-
-
-def jacobian_det(pair: WeierstrassPair, zeta):
-    """Univalence margin |h'|**2 - k**2/|h'|**2; positive for valid data."""
-    hp = pair.h.jet(zeta).d1
-    mag2 = np.abs(hp) ** 2
-    if not np.all(mag2 > DERIVATIVE_FLOOR):
-        raise SingularityError("|h'| at derivative floor")
-    return mag2 - pair.k**2 / mag2
 
 
 def lw_family(gamma: float, allow_endpoint: bool = False) -> WeierstrassPair:
@@ -234,6 +200,6 @@ def scale_solution(pair: WeierstrassPair, c: float) -> WeierstrassPair:
         zeta_a, value_a = pair.g_anchor
         scaled_anchor = (zeta_a, c * value_a)
     return replace(
-        pair, h=ScaledMap(float(c), pair.h), k0=c * pair.k0, k=None,
+        pair, h=ScaledMap(float(c), pair.h), k0=c * pair.k0,
         g=scaled_g, g_anchor=scaled_anchor, label=f"scale({c:g})*{pair.label}",
     )

@@ -11,7 +11,6 @@ from mingraphs import (
     BoundaryArgumentData,
     SampleGrid,
     curvature_closed_form,
-    curvature_fd_oracle,
     curvature_generic,
     eval_surface,
     laplacian,
@@ -31,6 +30,7 @@ from mingraphs import (
     verify_thm2,
 )
 from mingraphs.graphfield import ScalarField2D
+from oracles import curvature_fd_oracle
 
 GAMMAS_COARSE = (1.1, 1.5, 1.9)
 GAMMAS_FULL = tuple(round(1.1 + 0.1 * i, 10) for i in range(9))

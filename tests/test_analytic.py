@@ -15,53 +15,52 @@ from mingraphs import (
     AffineMap,
     DomainError,
     Jet2,
+    ParameterError,
     PowerAffineMap,
     ScaledMap,
     SingularityError,
     SumMap,
-    jet_affine,
-    jet_pow_affine,
     log_derivative,
 )
 
 
 class TestPowAffine:
     def test_power_three_halves_at_one(self):
-        jet = jet_pow_affine(1.0, 1.5, 1.0 + 0j)
+        jet = PowerAffineMap(1.0, 1.5).jet(1.0 + 0j)
         assert jet.v == pytest.approx(2.0**1.5, rel=1e-14)
         assert jet.d1 == pytest.approx(1.5 * 2.0**0.5, rel=1e-14)
         assert jet.d2 == pytest.approx(0.75 * 2.0**-0.5, rel=1e-14)
 
     def test_identity_power(self):
-        jet = jet_pow_affine(1.0, 1.0, 0.7 + 2.3j)
+        jet = PowerAffineMap(1.0, 1.0).jet(0.7 + 2.3j)
         assert jet.v == pytest.approx(1.7 + 2.3j)
         assert jet.d1 == 1.0
         assert jet.d2 == 0.0
 
     def test_half_power_at_i(self):
-        jet = jet_pow_affine(1.0, 0.5, 1j)
+        jet = PowerAffineMap(1.0, 0.5).jet(1j)
         expected = 2.0**0.25 * np.exp(1j * np.pi / 8)
         assert jet.v == pytest.approx(expected, rel=1e-14)
         assert jet.v**2 == pytest.approx(1.0 + 1.0j, rel=1e-14)
 
     def test_branch_domain_error(self):
         with pytest.raises(DomainError):
-            jet_pow_affine(1.0, 1.5, -1.0 + 2j)  # Re(zeta+1) = 0
+            PowerAffineMap(1.0, 1.5).jet(-1.0 + 2j)  # Re(zeta+1) = 0
         with pytest.raises(DomainError):
-            jet_pow_affine(0.0, 0.5, -0.5 + 0j)
+            PowerAffineMap(0.0, 0.5).jet(-0.5 + 0j)
 
     def test_nonfinite_input_rejected(self):
         with pytest.raises(DomainError):
-            jet_pow_affine(1.0, 1.5, complex(np.nan, 0.0))
-        with pytest.raises(DomainError):
-            jet_pow_affine(np.inf, 1.5, 1.0 + 0j)
+            PowerAffineMap(1.0, 1.5).jet(complex(np.nan, 0.0))
+        with pytest.raises(ParameterError):
+            PowerAffineMap(np.inf, 1.5)
 
     def test_vertical_line_continuity(self):
         # principal branch must not jump anywhere on sigma = const > 0
         for sigma in (0.1, 1.0, 10.0):
             for p in (0.5, 1.5, 1.9):
                 taus = np.linspace(-40.0, 40.0, 4001)
-                jets = jet_pow_affine(1.0, p, sigma + 1j * taus)
+                jets = PowerAffineMap(1.0, p).jet(sigma + 1j * taus)
                 dv = np.abs(np.diff(jets.v))
                 step_bound = np.abs(jets.d1)[:-1] * (taus[1] - taus[0])
                 assert np.all(dv <= 1.5 * step_bound + 1e-12)
@@ -69,15 +68,15 @@ class TestPowAffine:
 
 class TestAffine:
     def test_linear(self):
-        jet = jet_affine(2.0, 0.0, 1.0 + 1.0j)
+        jet = AffineMap(2.0, 0.0).jet(1.0 + 1.0j)
         assert (jet.v, jet.d1, jet.d2) == (2.0 + 2.0j, 2.0, 0.0)
 
     def test_constant(self):
-        jet = jet_affine(0.0, 5.0, 3.0 + 0j)
+        jet = AffineMap(0.0, 5.0).jet(3.0 + 0j)
         assert (jet.v, jet.d1, jet.d2) == (5.0, 0.0, 0.0)
 
     def test_complex_slope(self):
-        jet = jet_affine(1.0 - 1.0j, 2.0, 1.0 + 0j)
+        jet = AffineMap(1.0 - 1.0j, 2.0).jet(1.0 + 0j)
         assert jet.v == pytest.approx(3.0 - 1.0j)
         assert jet.d1 == pytest.approx(1.0 - 1.0j)
         assert jet.d2 == 0.0
@@ -85,14 +84,14 @@ class TestAffine:
 
 class TestLogDerivative:
     def test_power_closed_form(self):
-        jet = jet_pow_affine(1.0, 1.5, 1.0 + 0j)
+        jet = PowerAffineMap(1.0, 1.5).jet(1.0 + 0j)
         assert log_derivative(jet) == pytest.approx(0.25, rel=1e-13)
 
     def test_affine_is_zero(self):
-        assert log_derivative(jet_affine(3.0, 1.0, 2.0 + 0j)) == 0.0
+        assert log_derivative(AffineMap(3.0, 1.0).jet(2.0 + 0j)) == 0.0
 
     def test_power_19_at_i(self):
-        jet = jet_pow_affine(1.0, 1.9, 1j)
+        jet = PowerAffineMap(1.0, 1.9).jet(1j)
         assert log_derivative(jet) == pytest.approx(0.45 - 0.45j, rel=1e-13)
 
     def test_floor_raises(self):
@@ -143,13 +142,13 @@ def test_finite_difference_consistency(rng):
 
 def test_determinism():
     z = 0.37 + 1.41j
-    first = jet_pow_affine(1.0, 1.7, z)
-    second = jet_pow_affine(1.0, 1.7, z)
+    first = PowerAffineMap(1.0, 1.7).jet(z)
+    second = PowerAffineMap(1.0, 1.7).jet(z)
     assert first.v == second.v and first.d1 == second.d1 and first.d2 == second.d2
 
 
 def test_jet_is_finite_helper():
-    assert jet_affine(1.0, 0.0, 1.0 + 0j).is_finite()
+    assert AffineMap(1.0, 0.0).jet(1.0 + 0j).is_finite()
     assert not Jet2(complex(np.nan), 0.0, 0.0).is_finite()
 
 
@@ -161,7 +160,7 @@ def test_jet_is_finite_helper():
 )
 def test_log_derivative_matches_power_rule(p, sigma, tau):
     zeta = complex(sigma, tau)
-    got = log_derivative(jet_pow_affine(1.0, p, zeta))
+    got = log_derivative(PowerAffineMap(1.0, p).jet(zeta))
     want = (p - 1.0) / (zeta + 1.0)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 

@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 
 from mingraphs import (
     ConvergenceError,
+    LevelCurve,
     LevelCurveSpec,
     ParameterError,
     SingularityError,
     boundary_trace,
     curvature_closed_form,
-    curvature_fd_oracle,
     curvature_generic,
     curvature_h_image,
     eval_surface,
@@ -22,19 +23,18 @@ from mingraphs import (
     sample_level_curve,
     sigma_for_level,
     tau_partials,
-    tau_partials_conjugate_form,
 )
 from mingraphs import levels, serialize
 from mingraphs.cli import main
 from mingraphs.levels import (
     MAX_LEVEL_SAMPLES,
     SAMPLE_COLUMNS,
-    LevelCurveSample,
     rows_to_csv,
     rows_to_json,
     sample_rows,
 )
 from mingraphs.serialize import fmt_float, to_json
+from oracles import curvature_fd_oracle, tau_partials_conjugate_form
 
 KAPPA_LW15_AT_1 = 1.5 * 2.0**0.5 / (4.5 + 1.0) * 0.25  # = 0.09642365...
 
@@ -134,6 +134,30 @@ class TestCurvature:
             assert kappa == pytest.approx(mag2 / (mag2 + lw15.k) * kappa1, rel=1e-12)
 
 
+@pytest.mark.parametrize("gamma", [1.000001, 1.001, 1.5, 1.999, 1.999999])
+def test_closed_form_against_mpmath(gamma):
+    """kappa of lw(gamma) against a 40-digit evaluation of the same formula.
+
+    Re(h''/h') = (gamma-1)(1+sigma)/|zeta+1|^2 is a small real part of a
+    larger complex ratio when |tau| >> 1+sigma, so the double evaluation
+    loses about log10(|zeta+1|/(1+sigma)) digits to cancellation.  The bound
+    scales with that loss; its factor 16 is headroom over the worst case
+    measured on this grid, 4.2 eps |zeta+1|/(1+sigma).
+    """
+    pair = lw_family(gamma)
+    eps = np.finfo(float).eps
+    for sigma in (0.0, 1e-3, 1.0, 10.0, 1e3):
+        for tau in (0.0, 1e-3, -1.0, 1e2, -1e4, 1e6, -1e6):
+            zeta = complex(sigma, tau)
+            with mpmath.workdps(40):
+                p, base = mpmath.mpf(gamma), mpmath.mpc(sigma, tau) + 1
+                hp = p * base ** (p - 1)
+                hpp = p * (p - 1) * base ** (p - 2)
+                want = abs(hp) / (abs(hp) ** 2 + pair.k) * mpmath.re(hpp / hp)
+                rel = float(abs((curvature_closed_form(pair, zeta) - want) / want))
+            assert rel <= 16 * eps * (1.0 + abs(zeta + 1) / (1.0 + sigma)), (sigma, tau, rel)
+
+
 class TestFdOracle:
     def test_matches_closed_form(self, lw15):
         got = curvature_fd_oracle(lw15, 1.0, 0.0, 1e-4)
@@ -167,31 +191,31 @@ class TestFdOracle:
 class TestSampling:
     def test_planar_three_samples(self, planar22):
         spec = LevelCurveSpec(c=2.0, tau_min=-1.0, tau_max=1.0, n_samples=3)
-        samples = sample_level_curve(planar22, spec)
-        assert len(samples) == 3
-        assert all(s.kappa == 0.0 for s in samples)
-        assert all(s.x == pytest.approx(1.5) for s in samples)
-        assert [s.s for s in samples] == pytest.approx([0.0, 2.5, 5.0], rel=1e-13)
+        curve = sample_level_curve(planar22, spec)
+        assert len(curve) == 3
+        assert np.all(curve.kappa == 0.0)
+        assert curve.x == pytest.approx([1.5] * 3)
+        assert curve.s == pytest.approx([0.0, 2.5, 5.0], rel=1e-13)
 
     def test_lw15_all_positive(self, lw15):
         spec = LevelCurveSpec(c=2.0, tau_min=-5.0, tau_max=5.0, n_samples=101)
-        samples = sample_level_curve(lw15, spec)
-        assert min(s.kappa for s in samples) > 0.0
+        curve = sample_level_curve(lw15, spec)
+        assert curve.kappa.min() > 0.0
 
     def test_two_samples_chord(self, planar22):
         spec = LevelCurveSpec(c=2.0, tau_min=0.0, tau_max=0.7, n_samples=2)
-        a, b = sample_level_curve(planar22, spec)
-        assert a.s == 0.0
-        chord = np.hypot(b.x - a.x, b.y - a.y)
-        assert b.s == pytest.approx(chord, rel=1e-12)
+        curve = sample_level_curve(planar22, spec)
+        assert curve.s[0] == 0.0
+        chord = np.hypot(curve.x[1] - curve.x[0], curve.y[1] - curve.y[0])
+        assert curve.s[1] == pytest.approx(chord, rel=1e-12)
 
     def test_s_nondecreasing_phi_atan2(self, lw15):
         spec = LevelCurveSpec(c=1.0, tau_min=-8.0, tau_max=8.0, n_samples=64)
-        samples = sample_level_curve(lw15, spec)
-        s_vals = [s.s for s in samples]
-        assert all(b >= a for a, b in zip(s_vals, s_vals[1:]))
-        for s in samples[::9]:
-            assert s.phi == pytest.approx(np.arctan2(s.y_tau, s.x_tau))
+        curve = sample_level_curve(lw15, spec)
+        assert np.all(np.diff(curve.s) >= 0.0)
+        every9 = slice(None, None, 9)
+        assert curve.phi[every9] == pytest.approx(
+            np.arctan2(curve.y_tau[every9], curve.x_tau[every9]))
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
@@ -211,52 +235,57 @@ class TestBoundaryTrace:
     def test_lw15_flags_and_origin_curvature(self, lw15):
         spec = LevelCurveSpec(c=0.0, tau_min=-10.0, tau_max=10.0, n_samples=41)
         trace = boundary_trace(lw15, spec)
-        assert trace.y_tau_nonnegative and trace.kappa_nonnegative
-        center = trace.samples[20]
-        assert center.tau == 0.0
-        assert center.kappa == pytest.approx(1.5 / 3.25 * 0.5, rel=1e-12)
-        assert center.x == pytest.approx(-1.0 / 3.0, rel=1e-12)
-        assert center.y == pytest.approx(0.0, abs=1e-15)
+        assert np.all(trace.y_tau >= 0.0) and np.all(trace.kappa >= 0.0)
+        assert trace.tau[20] == 0.0
+        assert trace.kappa[20] == pytest.approx(1.5 / 3.25 * 0.5, rel=1e-12)
+        assert trace.x[20] == pytest.approx(-1.0 / 3.0, rel=1e-12)
+        assert trace.y[20] == pytest.approx(0.0, abs=1e-15)
 
     def test_planar_boundary_line(self, planar22):
         spec = LevelCurveSpec(c=0.0, tau_min=-4.0, tau_max=4.0, n_samples=17)
         trace = boundary_trace(planar22, spec)
-        assert all(s.y_tau == pytest.approx(2.5) for s in trace.samples)
-        assert all(s.kappa == 0.0 for s in trace.samples)
+        assert trace.y_tau == pytest.approx([2.5] * 17)
+        assert np.all(trace.kappa == 0.0)
 
     def test_requires_zero_level(self, lw15):
         with pytest.raises(ParameterError):
             boundary_trace(lw15, LevelCurveSpec(c=1.0))
 
 
-def _reference_csv(samples):
+def _reference_csv(curve):
     """The per-field CSV writer: fmt_float on every field of every sample."""
     lines = [",".join(SAMPLE_COLUMNS)]
-    for sample in samples:
-        lines.append(",".join(fmt_float(getattr(sample, name)) for name in SAMPLE_COLUMNS))
+    for i in range(len(curve)):
+        lines.append(",".join(fmt_float(getattr(curve, name)[i]) for name in SAMPLE_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
-def _reference_json(samples):
+def _reference_json(curve):
     """The per-value JSON writer: one dict per sample through to_json."""
-    records = [{name: float(getattr(sample, name)) for name in SAMPLE_COLUMNS}
-               for sample in samples]
+    records = [{name: float(getattr(curve, name)[i]) for name in SAMPLE_COLUMNS}
+               for i in range(len(curve))]
     return to_json(records) + "\n"
+
+
+def _with_rows(curve, *rows):
+    """curve with the given rows, one value per column each, appended."""
+    return LevelCurve(*(np.append(getattr(curve, name), [row[k] for row in rows])
+                        for k, name in enumerate(SAMPLE_COLUMNS)))
 
 
 class TestExport:
     def test_csv_schema_and_determinism(self, lw15):
         spec = LevelCurveSpec(c=2.0, tau_min=-1.0, tau_max=1.0, n_samples=5)
-        samples = sample_level_curve(lw15, spec)
-        text = rows_to_csv(sample_rows(samples))
+        curve = sample_level_curve(lw15, spec)
+        text = rows_to_csv(sample_rows(curve))
         header = text.split("\n", 1)[0]
         assert header == "tau,x,y,x_tau,y_tau,x_tautau,y_tautau,phi,s,kappa,kappa1"
         assert text == rows_to_csv(sample_rows(sample_level_curve(lw15, spec)))
 
     def test_json_records(self, lw15):
         spec = LevelCurveSpec(c=2.0, tau_min=-1.0, tau_max=1.0, n_samples=3)
-        samples = sample_level_curve(lw15, spec)
-        records = json.loads(rows_to_json(sample_rows(samples)))
+        curve = sample_level_curve(lw15, spec)
+        records = json.loads(rows_to_json(sample_rows(curve)))
         assert len(records) == 3
         assert list(records[0].keys()) == list(SAMPLE_COLUMNS)
         assert records[1]["tau"] == 0.0
@@ -265,13 +294,14 @@ class TestExport:
         spec = LevelCurveSpec(c=2.0, tau_min=-3.0, tau_max=3.0, n_samples=7)
         odd = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-310, 0.1, -2.5e300,
                float("-nan"), 5.0, 1.0 / 3.0, 0.0]
-        samples = [*sample_level_curve(lw15, spec), LevelCurveSample(*odd),
-                   LevelCurveSample(*odd[::-1])]
-        rows = sample_rows(samples)
-        assert rows_to_csv(rows) == _reference_csv(samples)
-        assert rows_to_json(rows) == _reference_json(samples)
-        assert rows_to_csv([]) == _reference_csv([])
-        assert rows_to_json([]) == _reference_json([])
+        curve = _with_rows(sample_level_curve(lw15, spec), odd, odd[::-1])
+        rows = sample_rows(curve)
+        assert rows_to_csv(rows) == _reference_csv(curve)
+        assert rows_to_json(rows) == _reference_json(curve)
+        empty = LevelCurve(*[np.empty(0)] * len(SAMPLE_COLUMNS))
+        assert sample_rows(empty) == []
+        assert rows_to_csv([]) == _reference_csv(empty)
+        assert rows_to_json([]) == _reference_json(empty)
 
     def test_one_format_call_per_float(self, tmp_path, monkeypatch):
         calls = []

@@ -2,17 +2,21 @@
 package namespace that lets it load only those."""
 
 import importlib
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mingraphs
 from mingraphs.cli import main
 
 SRC = str(Path(mingraphs.__file__).parents[1])
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PLANAR_CONFIG = "[pair]\nkind = planar\na = 2\nk0 = 2\n"
 
 #: Command -> the mingraphs and numpy.polynomial modules a fresh process loads for it.
@@ -125,3 +129,28 @@ def test_every_public_name_resolves():
     assert set(mingraphs.__all__) <= set(namespace)
     with pytest.raises(AttributeError, match="no attribute 'reconstruct'"):
         mingraphs.reconstruct
+
+
+def _traced(tmp_path, argv: list[str]) -> tuple[subprocess.CompletedProcess, dict]:
+    """Run one command under the benchmark's tracer; its exit and counters."""
+    spans = tmp_path / "spans.npz"
+    done = subprocess.run([sys.executable, str(TRACER), str(spans), "0", *argv, "--out", "out"],
+                          cwd=tmp_path, env=_env(False), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    with np.load(spans) as data:
+        return done, json.loads(str(data["counters"]))
+
+
+def test_tracer_wraps_what_the_commands_run(tmp_path):
+    """The tracer wraps package functions by name, so a renamed or deleted
+    one breaks every traced benchmark run."""
+    _, counters = _traced(tmp_path, ["levelcurves", "--gamma", "1.5", "--levels", "0,1,2",
+                                     "--tau=-2,2,5", "--format", "csv,json,svg"])
+    assert counters["levels.samples"] == 3 * 5
+
+    done, counters = _traced(tmp_path, ["reconstruct", "--gamma", "1.5",
+                                        "--grid=0.5,1.5,-0.5,0.5,0.25"])
+    solved, attempted = map(int, re.search(r"solved (\d+)/(\d+)", done.stdout).groups())
+    assert 0 < solved
+    assert (counters["graphfield.nodes_solved"], counters["graphfield.nodes_attempted"]) == (
+        solved, attempted)

@@ -252,6 +252,10 @@ class TestPoisson:
         report = verify_poisson(lw_family(1.9), BoundaryArgumentData.from_pair(lw_family(1.5)))
         assert not report.passed
         assert report.empirical_constant > 1e-4
+        # a deviation above the quadrature estimate keeps its location
+        targets = {(s, t) for s in (0.5, 1.0, 2.0, 5.0) for t in (-3.0, -1.0, 0.0, 1.0, 3.0)}
+        assert report.extremal_point in targets
+        assert json.loads(report.to_json())["extremal_point"] == list(report.extremal_point)
 
     @pytest.mark.parametrize("gamma", [1.1, 1.3, 1.5, 1.7, 1.9])
     def test_psi_bound_on_family(self, gamma):
@@ -269,6 +273,9 @@ class TestPoisson:
         assert report.passed
         assert report.empirical_constant <= 1e-12
         assert "n-vs-2n" in report.notes
+        # rounding noise below the n-vs-2n estimate has no location
+        assert report.extremal_point is None
+        assert json.loads(report.to_json())["extremal_point"] is None
 
 
 class TestScaling:

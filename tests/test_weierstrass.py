@@ -13,13 +13,12 @@ from mingraphs import (
     eval_surface,
     g_prime,
     g_value,
-    height_via_integral,
-    jacobian_det,
     lw_family,
     planar_pair,
     scale_solution,
 )
 from mingraphs.config import build_pair
+from oracles import height_via_integral, jacobian_det
 
 
 class TestCatalog:
@@ -70,14 +69,6 @@ class TestCatalog:
 
 
 class TestConstructor:
-    def test_k_mismatch_rejected(self):
-        with pytest.raises(ParameterError):
-            WeierstrassPair(h=AffineMap(2.0), k0=2.0, k=0.9, g=AffineMap(-0.5))
-
-    def test_k_exact_accepted(self):
-        pair = WeierstrassPair(h=AffineMap(2.0), k0=2.0, k=1.0, g=AffineMap(-0.5))
-        assert pair.k == 1.0
-
     def test_exactly_one_g_path(self):
         with pytest.raises(ParameterError):
             WeierstrassPair(h=AffineMap(2.0), k0=2.0)
@@ -119,6 +110,12 @@ class TestGPrime:
                            "h": "power-affine offset=1 exponent=2 coeff=0.5 + affine slope=-5"})
         with pytest.raises(SingularityError, match=r"\|h'\| <= 1e-300"):
             g_prime(pair, 4.0 + 0j)
+
+    def test_anchored_g_value_enforces_floor(self):
+        # the anchored integrand is g_prime itself, so |h'| = 1e-310 is refused
+        pair = WeierstrassPair(h=AffineMap(1e-310), k0=2.0, g_anchor=(0j, 0j))
+        with pytest.raises(SingularityError, match=r"\|h'\| <= 1e-300"):
+            g_value(pair, 1 + 0j)
 
 
 class TestEvalSurface:
