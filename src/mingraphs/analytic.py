@@ -261,9 +261,12 @@ class AffineMap(AnalyticMap):
     def name(self) -> str:
         return f"affine({self.slope}, {self.intercept})"
 
+    def __post_init__(self):
+        _check_constants("affine", slope=self.slope, intercept=self.intercept)
+
     def jet(self, zeta) -> Jet2:
         zeta = np.asarray(zeta, dtype=complex)[()]
-        _check_finite(self.slope, self.intercept, zeta)
+        _check_finite(zeta)
         return Jet2(
             self.slope * zeta + self.intercept, self.slope * np.ones_like(zeta),
             np.zeros_like(zeta),

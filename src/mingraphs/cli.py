@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import RunConfig, build_pair, check_tolerances, load_config
+from .config import RunConfig, build_pair, load_config
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -49,17 +49,6 @@ VERIFY_CHECKS = (
 )
 
 
-def _parse_tols(items: list[str]) -> dict:
-    out = {}
-    for item in items or []:
-        if "=" not in item:
-            raise ParameterError(f"--tol expects NAME=VALUE, got {item!r}")
-        name, value = item.split("=", 1)
-        out[name.strip()] = float(value)
-    check_tolerances(out)
-    return out
-
-
 def _config_from_args(args) -> RunConfig:
     config = load_config(args.config)
     updates: dict = {}
@@ -78,11 +67,6 @@ def _config_from_args(args) -> RunConfig:
         updates["out_dir"] = args.out
     if getattr(args, "format", None):
         updates["formats"] = tuple(p.strip() for p in args.format.split(",") if p.strip())
-    tols = _parse_tols(getattr(args, "tol", None))
-    if tols:
-        merged = dict(config.tolerances)
-        merged.update(tols)
-        updates["tolerances"] = merged
     if getattr(args, "gammas", None):
         updates["sweep_gammas"] = tuple(float(v) for v in args.gammas.split(","))
     if updates:
@@ -98,6 +82,11 @@ def _verify_grid(config: RunConfig) -> SampleGrid:
         config.sigma_min, config.sigma_max, config.n_sigma,
         config.vtau_abs, config.vn_tau,
     )
+
+
+def _curvature_levels(config: RunConfig) -> list[float]:
+    """The positive levels of the config, or a default set when it has none."""
+    return [c for c in config.levels if c > 0.0] or [0.5, 1.0, 2.0, 4.0, 8.0]
 
 
 def _level_name(c: float) -> str:
@@ -155,24 +144,6 @@ def cmd_levelcurves(config: RunConfig, args) -> int:
     return 0
 
 
-def _scaling_report(pair, config: RunConfig) -> VerificationReport:
-    from .verify import VerificationReport, verify_scaling
-
-    points = [complex(s, t) for s in (0.3, 0.7, 1.0, 2.0, 5.0) for t in (-4.0, -1.0, 0.5, 3.0)]
-    tol = config.tolerance("scaling")
-    reports = [verify_scaling(pair, c, points, tol=tol) for c in config.scale_factors]
-    worst = max(reports, key=lambda rep: rep.empirical_constant)
-    return VerificationReport(
-        check_name="scaling_law",
-        passed=all(rep.passed for rep in reports),
-        empirical_constant=worst.empirical_constant,
-        extremal_point=worst.extremal_point,
-        tolerance=tol,
-        grid_descriptor=f"factors {list(config.scale_factors)}, {len(points)} points",
-        notes="; ".join(f"c={c:g}: {rep.notes}" for c, rep in zip(config.scale_factors, reports)),
-    )
-
-
 def _graph_reports(pair, config: RunConfig, which: list[str]) -> list[VerificationReport]:
     from . import graphfield
 
@@ -187,8 +158,7 @@ def _graph_reports(pair, config: RunConfig, which: list[str]) -> list[Verificati
     if "msr" in which:
         fine = graphfield.reconstruct_u(pair, window, h / 2.0)
         reports.append(graphfield.msr_report(
-            field, fine, exact_tol=config.tolerance("msr_exact"),
-            descriptor=f"window {config.grid_window}, h={h:g} and {h / 2:g}"))
+            field, fine, descriptor=f"window {config.grid_window}, h={h:g} and {h / 2:g}"))
     return reports
 
 
@@ -198,6 +168,7 @@ def cmd_verify(config: RunConfig, args) -> int:
         disk_transfer_check,
         verify_lemma2,
         verify_poisson,
+        verify_scaling,
         verify_thm1,
         verify_thm2,
     )
@@ -206,25 +177,19 @@ def cmd_verify(config: RunConfig, args) -> int:
     pair = build_pair(config.pair_spec)
     grid = _verify_grid(config)
     out_dir = Path(config.out_dir)
-    positive_levels = [c for c in config.levels if c > 0.0] or [0.5, 1.0, 2.0, 4.0, 8.0]
 
     reports: list[VerificationReport] = []
     try:
         if "lemma2" in which:
-            reports.append(verify_lemma2(pair, grid, family_tol=config.tolerance("lemma2_family")))
+            reports.append(verify_lemma2(pair, grid))
         if "thm1" in which:
-            reports.append(verify_thm1(pair, positive_levels, grid, tol=config.tolerance("thm1")))
+            reports.append(verify_thm1(pair, _curvature_levels(config), grid))
         if "thm2" in which:
             reports.append(verify_thm2(pair, grid))
         if "poisson" in which:
-            data = BoundaryArgumentData.from_pair(pair)
-            reports.append(verify_poisson(
-                pair, data,
-                value_tol=config.tolerance("poisson_value"),
-                agreement_tol=config.tolerance("poisson_agreement"),
-            ))
+            reports.append(verify_poisson(pair, BoundaryArgumentData.from_pair(pair)))
         if "scaling" in which:
-            reports.append(_scaling_report(pair, config))
+            reports.append(verify_scaling(pair))
         if "disk" in which:
             reports.append(disk_transfer_check(pair, grid))
         graph_checks = [name for name in ("superharmonic", "msr") if name in which]
@@ -257,7 +222,7 @@ def cmd_sweep_gamma(config: RunConfig, args) -> int:
         raise ParameterError(f"sweep gammas must be finite, got {', '.join(bad)}")
     grid = _verify_grid(config)
     out_dir = Path(config.out_dir)
-    positive_levels = [c for c in config.levels if c > 0.0] or [0.5, 1.0, 2.0, 4.0, 8.0]
+    levels = _curvature_levels(config)
     header = ("gamma,A_emp,K_emp,min_kappa,angle_plus,angle_minus,"
               "lemma2_pass,thm1_pass,thm2_pass,error")
     rows = [header]
@@ -265,10 +230,10 @@ def cmd_sweep_gamma(config: RunConfig, args) -> int:
     for gamma in config.sweep_gammas:
         try:
             pair = lw_family(gamma)
-            lemma2 = verify_lemma2(pair, grid, family_tol=config.tolerance("lemma2_family"))
-            thm1 = verify_thm1(pair, positive_levels, grid, tol=config.tolerance("thm1"))
+            lemma2 = verify_lemma2(pair, grid)
+            thm1 = verify_thm1(pair, levels, grid)
             thm2 = verify_thm2(pair, grid)
-            plus, minus = estimate_asymptotic_angles(pair, tol=config.tolerance("angles"))
+            plus, minus = estimate_asymptotic_angles(pair)
             rows.append(",".join([
                 fmt_float(gamma), fmt_float(lemma2.empirical_constant),
                 fmt_float(thm1.empirical_constant), fmt_float(thm2.empirical_constant),
@@ -304,15 +269,23 @@ def cmd_reconstruct(config: RunConfig, args) -> int:
     print(f"solved {stats.solved}/{stats.attempted} nodes ({stats.failed} failed)")
     for path in written:
         print(path)
-    if not stats.seed_placed:
+    if stats.solved == 0:
         print("no seed could be placed: window does not meet the image domain",
               file=sys.stderr)
         return 1
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a malformed command line with one stderr line and status 2;
+    subcommand parsers are built from the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {' '.join(message.split())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mingraphs",
         description="Level curves and curvature checks for half-plane minimal graphs",
     )
@@ -324,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--levels", default=None, help="comma list of level heights")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", default=None, help="csv|json|svg (comma list)")
-        p.add_argument("--tol", action="append", default=[], help="NAME=VALUE override")
         p.add_argument("--grid", default=None, help="x0,x1,y0,y1,h window for grid checks")
         p.add_argument("--tau", default=None, help="a,b,n sampling window")
 

@@ -12,9 +12,6 @@ family):
     [tau]           min = -20, max = 20, n = 401
     [grid]          x0, x1, y0, y1, spacing
     [verify]        sigma_min, sigma_max, n_sigma, tau_abs, n_tau
-    [scaling]       factors = 0.5, 2, 10
-    [tolerances]    <name> = <value>   (names from DEFAULT_TOLERANCES only;
-                                        values finite and >= 0)
     [output]        dir = out, formats = csv, json
     [sweep]         gammas = 1.1, 1.2, ..., 1.9
 
@@ -30,30 +27,19 @@ Values parse as Python complex literals (no spaces inside a value).
 
 Every integral (the Poisson kernels, anchored g, the height integral) uses
 the one Gauss-Legendre rule of ``analytic.gauss_legendre``, so there is no
-quadrature knob.
+quadrature knob.  Nor is there a tolerance knob: each check's acceptance
+rule is a constant beside it, in ``verify`` and ``graphfield``.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .analytic import AffineMap, AnalyticMap, PowerAffineMap, SumMap
 from .errors import ParameterError
 from .weierstrass import WeierstrassPair, lw_family, planar_pair
-
-DEFAULT_TOLERANCES = {
-    "thm1": 1e-9,
-    "lemma2_family": 1e-12,
-    "scaling": 1e-10,
-    "poisson_value": 1e-4,
-    "poisson_agreement": 2e-4,
-    "angles": 1e-3,
-    "msr_exact": 1e-10,
-}
-
 
 PAIR_KEYS = {
     "lw": ("kind", "gamma"),
@@ -67,8 +53,6 @@ SECTION_KEYS = {
     "tau": ("min", "max", "n"),
     "grid": ("x0", "x1", "y0", "y1", "spacing"),
     "verify": ("sigma_min", "sigma_max", "n_sigma", "tau_abs", "n_tau"),
-    "scaling": ("factors",),
-    "tolerances": tuple(DEFAULT_TOLERANCES),
     "output": ("dir", "formats"),
     "sweep": ("gammas",),
 }
@@ -88,27 +72,9 @@ class RunConfig:
     n_sigma: int = 24
     vtau_abs: float = 10.0
     vn_tau: int = 21
-    scale_factors: tuple[float, ...] = (0.5, 2.0, 10.0)
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     out_dir: str = "out"
     formats: tuple[str, ...] = ("csv",)
     sweep_gammas: tuple[float, ...] = tuple(round(1.1 + 0.1 * i, 10) for i in range(9))
-
-    def tolerance(self, name: str) -> float:
-        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
-
-
-def check_tolerances(tolerances: dict) -> None:
-    """Each name must be a known tolerance and each value finite and >= 0."""
-    unknown = sorted(set(tolerances) - set(DEFAULT_TOLERANCES))
-    if unknown:
-        raise ParameterError(
-            f"unknown tolerance {', '.join(unknown)} (known: {', '.join(DEFAULT_TOLERANCES)})"
-        )
-    bad = [f"{name}={value}" for name, value in tolerances.items()
-           if not (math.isfinite(value) and value >= 0.0)]
-    if bad:
-        raise ParameterError(f"tolerance must be finite and non-negative: {', '.join(bad)}")
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -236,12 +202,6 @@ def _read_config(config: RunConfig, path: str | Path) -> RunConfig:
         updates["n_sigma"] = section.getint("n_sigma", config.n_sigma)
         updates["vtau_abs"] = section.getfloat("tau_abs", config.vtau_abs)
         updates["vn_tau"] = section.getint("n_tau", config.vn_tau)
-    if parser.has_option("scaling", "factors"):
-        updates["scale_factors"] = _floats(parser.get("scaling", "factors"))
-    if parser.has_section("tolerances"):
-        given = {key: float(value) for key, value in parser.items("tolerances")}
-        check_tolerances(given)
-        updates["tolerances"] = {**config.tolerances, **given}
     if parser.has_section("output"):
         section = parser["output"]
         updates["out_dir"] = section.get("dir", config.out_dir)

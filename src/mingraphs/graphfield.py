@@ -64,8 +64,10 @@ NEAREST_BLOCK = 2**15
 GRAD_FLOOR = 1e-8
 
 #: msr_report passes a field whose max-norm residual falls by a factor in
-#: this range when the spacing halves (second-order convergence).
+#: this range when the spacing halves (second-order convergence), or is at
+#: most MSR_EXACT_TOL at both spacings (a discrete-exact field).
 MSR_RATIO_RANGE = (3.0, 5.0)
+MSR_EXACT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,6 @@ class ReconstructionStats:
     attempted: int
     solved: int
     failed: int
-    seed_placed: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,7 +374,6 @@ def reconstruct_u(pair: WeierstrassPair, window: Window, spacing: float) -> Scal
     values = np.where(ok, pair.k0 * zeta.real, np.nan)
     stats = ReconstructionStats(
         attempted=nx * ny, solved=int(ok.sum()), failed=int(nx * ny - ok.sum()),
-        seed_placed=seed_i is not None,
     )
     return ScalarField2D(
         origin=(float(xs[0]), float(ys[0])), spacing=float(spacing),
@@ -545,12 +545,11 @@ def superharmonic_report(field: ScalarField2D, descriptor: str = "") -> Verifica
 def msr_report(
     coarse: ScalarField2D,
     fine: ScalarField2D,
-    exact_tol: float = 1e-10,
     descriptor: str = "",
 ) -> VerificationReport:
     """PDE residual check across one grid refinement.
 
-    Fields that are discrete-exact (both residuals below ``exact_tol``) pass
+    Fields that are discrete-exact (both residuals at most ``MSR_EXACT_TOL``) pass
     outright; otherwise the max-norm residual ratio must fall in
     ``MSR_RATIO_RANGE`` (second-order convergence).
     """
@@ -559,7 +558,7 @@ def msr_report(
     rep_c = msr_residual(coarse)
     rep_f = msr_residual(fine)
     gap = nondivergence_gap(fine)
-    if rep_c.max_abs_residual <= exact_tol and rep_f.max_abs_residual <= exact_tol:
+    if rep_c.max_abs_residual <= MSR_EXACT_TOL and rep_f.max_abs_residual <= MSR_EXACT_TOL:
         passed, ratio = True, float("nan")
         note = "discrete-exact field (residual at rounding level at both spacings)"
     else:
@@ -575,7 +574,7 @@ def msr_report(
         passed=bool(passed),
         empirical_constant=float(rep_f.max_abs_residual),
         extremal_point=None,
-        tolerance=exact_tol,
+        tolerance=MSR_EXACT_TOL,
         grid_descriptor=descriptor or f"h={rep_c.spacing:g} vs h={rep_f.spacing:g}",
         notes=note,
     )

@@ -148,7 +148,19 @@ def sample_level_curve(pair: WeierstrassPair, spec: LevelCurveSpec) -> LevelCurv
 
     Arc length s accumulates by the trapezoid rule on the analytic speed
     sqrt(x_tau^2 + y_tau^2) (O(dtau^2), diagnostic rather than load-bearing).
+    A tau window so wide that any step overflows float64 is a ParameterError.
     """
+    try:
+        with np.errstate(over="raise"):
+            return _sample(pair, spec)
+    except FloatingPointError:
+        raise ParameterError(
+            f"level u = {spec.c:g} overflows float64 on the tau window "
+            f"[{spec.tau_min:g}, {spec.tau_max:g}]"
+        ) from None
+
+
+def _sample(pair: WeierstrassPair, spec: LevelCurveSpec) -> LevelCurve:
     sigma0 = sigma_for_level(pair, spec.c)
     taus = spec.taus()
     zetas = sigma0 + 1j * taus

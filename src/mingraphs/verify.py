@@ -126,9 +126,12 @@ def _argmax_point(values: np.ndarray, zetas: np.ndarray) -> tuple[float, float]:
     return (float(z.real), float(z.imag))
 
 
-def verify_lemma2(
-    pair: WeierstrassPair, grid: SampleGrid, family_tol: float = 1e-12
-) -> VerificationReport:
+#: verify_lemma2 fails a catalog pair whose A_emp exceeds gamma - 1 by more
+#: than this.
+LEMMA2_FAMILY_TOL = 1e-12
+
+
+def verify_lemma2(pair: WeierstrassPair, grid: SampleGrid) -> VerificationReport:
     """Empirical constant A_emp = sup sigma*|h''/h'| over the grid.
 
     Always passes when finite; for the catalog family the closed form gives
@@ -143,24 +146,25 @@ def verify_lemma2(
     notes = f"A_emp = sup sigma|h''/h'| over {vals.size} points"
     if pair.gamma is not None and 1.0 < pair.gamma < 2.0:
         bound = pair.gamma - 1.0
-        passed = passed and a_emp <= bound + family_tol
+        passed = passed and a_emp <= bound + LEMMA2_FAMILY_TOL
         notes += f"; family bound gamma-1 = {bound:.12g}"
     return VerificationReport(
         check_name="log_derivative_bound",
         passed=passed,
         empirical_constant=a_emp,
         extremal_point=extremal,
-        tolerance=family_tol,
+        tolerance=LEMMA2_FAMILY_TOL,
         grid_descriptor=grid.descriptor,
         notes=notes,
     )
 
 
+#: verify_thm1 fails when K_emp exceeds the chain bound by more than this.
+THM1_TOL = 1e-9
+
+
 def verify_thm1(
-    pair: WeierstrassPair,
-    levels: list[float],
-    grid: SampleGrid,
-    tol: float = 1e-9,
+    pair: WeierstrassPair, levels: list[float], grid: SampleGrid
 ) -> VerificationReport:
     """Curvature bound on level sets: K_emp = sup C*|kappa| against the
     proof-chain bound (k0/sqrt(k)) * A_emp.
@@ -186,13 +190,13 @@ def verify_thm1(
     sweep_pts = np.concatenate([grid.points().ravel(), level_pts.ravel()])
     a_emp = float(np.max(sweep_pts.real * np.abs(log_derivative(pair.h.jet(sweep_pts)))))
     chain_bound = pair.k0 / np.sqrt(pair.k) * a_emp
-    passed = bool(k_emp <= chain_bound + tol)
+    passed = bool(k_emp <= chain_bound + THM1_TOL)
     return VerificationReport(
         check_name="curvature_bound",
         passed=passed,
         empirical_constant=k_emp,
         extremal_point=extremal,
-        tolerance=tol,
+        tolerance=THM1_TOL,
         grid_descriptor=f"{grid.descriptor}; levels {levels}",
         notes=(
             f"A_emp = {a_emp:.12g}; chain bound (k0/sqrt(k))*A_emp = {chain_bound:.12g}; "
@@ -376,12 +380,17 @@ def poisson_re_ratio(data: BoundaryArgumentData, zeta) -> KernelRatioEstimate:
     )
 
 
+#: verify_poisson fails when a reconstruction deviates from its closed form
+#: by more than POISSON_VALUE_TOL, or the two forms of Re h''/h' disagree by
+#: more than POISSON_AGREEMENT_TOL.
+POISSON_VALUE_TOL = 1e-4
+POISSON_AGREEMENT_TOL = 2e-4
+
+
 def verify_poisson(
     pair: WeierstrassPair,
     data: BoundaryArgumentData | None = None,
     points: list[complex] | None = None,
-    value_tol: float = 1e-4,
-    agreement_tol: float = 2e-4,
 ) -> VerificationReport:
     """Compare both kernel reconstructions against the closed forms arg h'
     and Re h''/h' at interior test points.
@@ -406,70 +415,79 @@ def verify_poisson(
     worst, worst_at = float(dev[worst_idx]), zetas[worst_idx]
     worst_agree = 0.0 if ratio.agreement_delta is None else float(np.max(ratio.agreement_delta))
     worst_err = float(np.max(np.maximum(im_log.error_bound, ratio.error_bound)))
-    passed = worst <= value_tol and worst_agree <= agreement_tol
+    passed = worst <= POISSON_VALUE_TOL and worst_agree <= POISSON_AGREEMENT_TOL
     extremal = None if worst <= worst_err else (float(worst_at.real), float(worst_at.imag))
     return VerificationReport(
         check_name="poisson_boundary_reconstruction",
         passed=bool(passed),
         empirical_constant=worst,
         extremal_point=extremal,
-        tolerance=value_tol,
+        tolerance=POISSON_VALUE_TOL,
         grid_descriptor=f"{len(points)} interior points, Gauss-Legendre in theta",
         notes=(
             f"max closed-form deviation {worst:.3e}; "
-            f"kernel-vs-by-parts agreement {worst_agree:.3e} (tol {agreement_tol:g}); "
+            f"kernel-vs-by-parts agreement {worst_agree:.3e} (tol {POISSON_AGREEMENT_TOL:g}); "
             f"worst quadrature n-vs-2n estimate {worst_err:.3e}"
         ),
     )
 
 
+#: verify_scaling checks the law at each factor c of SCALE_FACTORS and each
+#: point zeta of SCALING_POINTS, and fails when |c*kappa_scaled - kappa|
+#: exceeds SCALING_TOL.
+SCALE_FACTORS = (0.5, 2.0, 10.0)
+SCALING_POINTS = tuple(
+    complex(s, t) for s in (0.3, 0.7, 1.0, 2.0, 5.0) for t in (-4.0, -1.0, 0.5, 3.0)
+)
+SCALING_TOL = 1e-10
+
 #: verify_scaling compares where kappa peaks along this level line.
 _EXTREMA_LEVEL = 2.0
 
 
-def verify_scaling(
-    pair: WeierstrassPair,
-    c: float,
-    points: list[complex],
-    tol: float = 1e-10,
-) -> VerificationReport:
+def verify_scaling(pair: WeierstrassPair) -> VerificationReport:
     """Check c*kappa_scaled = kappa at fixed zeta, plus invariance of the tau
-    locations of curvature extrema along a level set."""
-    if not points:
-        raise ParameterError("need at least one test point")
-    scaled = scale_solution(pair, c)
-    kappa = np.array([curvature_closed_form(pair, z) for z in points])
-    kappa_scaled = np.array([curvature_closed_form(scaled, z) for z in points])
-    delta = np.abs(c * kappa_scaled - kappa)
-    worst = int(np.argmax(delta))
-
-    sigma0 = sigma_for_level(pair, _EXTREMA_LEVEL)
-    line = sigma0 + 1j * np.linspace(-10.0, 10.0, 401)
+    locations of curvature extrema along a level set, for every c in
+    SCALE_FACTORS.  The report's constant and point are those of the first
+    factor with the largest deviation."""
+    kappa = np.array([curvature_closed_form(pair, z) for z in SCALING_POINTS])
+    line = sigma_for_level(pair, _EXTREMA_LEVEL) + 1j * np.linspace(-10.0, 10.0, 401)
     base_line = np.asarray(curvature_closed_form(pair, line))
-    scaled_line = np.asarray(curvature_closed_form(scaled, line))
-    extrema_match = (
-        int(np.argmax(base_line)) == int(np.argmax(scaled_line))
-        and int(np.argmin(base_line)) == int(np.argmin(scaled_line))
-    )
 
-    passed = bool(np.max(delta) <= tol and extrema_match)
+    passed, worst, worst_at, notes = True, None, None, []
+    for c in SCALE_FACTORS:
+        scaled = scale_solution(pair, c)
+        kappa_scaled = np.array([curvature_closed_form(scaled, z) for z in SCALING_POINTS])
+        delta = np.abs(c * kappa_scaled - kappa)
+        scaled_line = np.asarray(curvature_closed_form(scaled, line))
+        extrema_match = (
+            int(np.argmax(base_line)) == int(np.argmax(scaled_line))
+            and int(np.argmin(base_line)) == int(np.argmin(scaled_line))
+        )
+        peak = float(np.max(delta))
+        passed = passed and peak <= SCALING_TOL and extrema_match
+        if worst is None or peak > worst:
+            worst, worst_at = peak, SCALING_POINTS[int(np.argmax(delta))]
+        notes.append(
+            f"c={c:g}: max |c*kappa_scaled - kappa| = {peak:.3e}; "
+            f"extrema tau-locations {'match' if extrema_match else 'MOVED'}"
+        )
     return VerificationReport(
         check_name="scaling_law",
         passed=passed,
-        empirical_constant=float(np.max(delta)),
-        extremal_point=(float(points[worst].real), float(points[worst].imag)),
-        tolerance=tol,
-        grid_descriptor=f"c={c:g}, {len(points)} points; extrema line u={_EXTREMA_LEVEL:g}",
-        notes=(
-            f"max |c*kappa_scaled - kappa| = {np.max(delta):.3e}; "
-            f"extrema tau-locations {'match' if extrema_match else 'MOVED'}"
-        ),
+        empirical_constant=worst,
+        extremal_point=(float(worst_at.real), float(worst_at.imag)),
+        tolerance=SCALING_TOL,
+        grid_descriptor=f"factors {list(SCALE_FACTORS)}, {len(SCALING_POINTS)} points",
+        notes="; ".join(notes),
     )
 
 
-def disk_transfer_check(
-    pair: WeierstrassPair, grid: SampleGrid, tol: float = 1e-9
-) -> VerificationReport:
+#: disk_transfer_check lets the pointwise inequality chain miss by this much.
+DISK_TOL = 1e-9
+
+
+def disk_transfer_check(pair: WeierstrassPair, grid: SampleGrid) -> VerificationReport:
     """Transfer to the unit disk through zeta -> w = (zeta-1)/(zeta+1).
 
     With h(zeta) = H(w), the chain rule gives
@@ -489,14 +507,14 @@ def disk_transfer_check(
     lhs = zetas.real * np.abs(ratio)
     rhs = 2.0 * (a1_emp * (np.abs(zetas + 1.0) + np.abs(zetas - 1.0)) / 4.0 + zetas.real) \
         / np.abs(zetas + 1.0)
-    pointwise_ok = bool(np.all(lhs <= rhs * (1.0 + 1e-12) + tol))
+    pointwise_ok = bool(np.all(lhs <= rhs * (1.0 + 1e-12) + DISK_TOL))
     passed = bool(np.isfinite(a1_emp)) and pointwise_ok
     return VerificationReport(
         check_name="disk_transfer",
         passed=passed,
         empirical_constant=a1_emp,
         extremal_point=_argmax_point(a1_vals, zetas),
-        tolerance=tol,
+        tolerance=DISK_TOL,
         grid_descriptor=grid.descriptor,
         notes=(
             f"A1_emp = sup (1-|w|)|H''/H'| = {a1_emp:.12g}; "
@@ -505,16 +523,19 @@ def disk_transfer_check(
     )
 
 
+#: estimate_asymptotic_angles needs its last two raw estimates to agree
+#: within this.
+ANGLES_TOL = 1e-3
+
+
 def estimate_asymptotic_angles(
-    pair: WeierstrassPair,
-    tau_probes: tuple[float, ...] = (1e2, 1e3, 1e4),
-    tol: float = 1e-3,
+    pair: WeierstrassPair, tau_probes: tuple[float, ...] = (1e2, 1e3, 1e4)
 ) -> tuple[float, float]:
     """Extrapolated tangent angles of the boundary curve as tau -> +/-inf.
 
     Probes phi = atan2(y_tau, x_tau) at sigma = 0 over increasing |tau|
     (three decades by default), requires the last two raw estimates to agree
-    within ``tol``, and Richardson-extrapolates assuming a 1/tau tail.
+    within ``ANGLES_TOL``, and Richardson-extrapolates assuming a 1/tau tail.
     Rotating by the mean of the two limits puts them in the symmetric
     +/-alpha normalization.
     """
@@ -529,10 +550,10 @@ def estimate_asymptotic_angles(
     def limit(signed: list[float], side: str) -> float:
         values = [phi_at(t) for t in signed]
         gap = abs(values[-1] - values[-2])
-        if gap > tol:
+        if gap > ANGLES_TOL:
             raise ConvergenceError(
                 f"asymptotic angle not settled toward {side} infinity: "
-                f"last probes differ by {gap:.3e} (tol {tol:g})"
+                f"last probes differ by {gap:.3e} (tol {ANGLES_TOL:g})"
             )
         t1, t2 = abs(signed[-2]), abs(signed[-1])
         return values[-1] + (values[-1] - values[-2]) * t1 / (t2 - t1)

@@ -90,8 +90,8 @@ def test_criterion_4_curvature_bound():
     ok = True
     for gamma in GAMMAS_FULL:
         pair = lw_family(gamma)
-        thm1 = verify_thm1(pair, levels, THM_GRID, tol=1e-9)
-        lemma2 = verify_lemma2(pair, THM_GRID, family_tol=1e-12)
+        thm1 = verify_thm1(pair, levels, THM_GRID)
+        lemma2 = verify_lemma2(pair, THM_GRID)
         ok = ok and thm1.passed and lemma2.passed
         ok = ok and thm1.empirical_constant <= 2.0 * lemma2.empirical_constant + 1e-9
         ok = ok and lemma2.empirical_constant <= gamma - 1.0 + 1e-12
@@ -166,17 +166,15 @@ def test_criterion_9_scaling_law(lw15):
     points = [complex(s, t) for s in (0.3, 0.7, 1.0, 2.0, 5.0)
               for t in (-4.0, -1.0, 0.5, 3.0)]
     assert len(points) == 20
-    worst = 0.0
-    ok = True
+    rep = verify_scaling(lw15)
+    assert rep.grid_descriptor == "factors [0.5, 2.0, 10.0], 20 points"
     for c in (0.5, 2.0, 10.0):
-        rep = verify_scaling(lw15, c, points, tol=1e-10)
-        ok = ok and rep.passed
-        worst = max(worst, rep.empirical_constant)
         scaled = scale_solution(lw15, c)
         for zeta in points[::5]:
             assert c * curvature_closed_form(scaled, zeta) == pytest.approx(
                 curvature_closed_form(lw15, zeta), abs=1e-10)
-    report(9, ok and worst <= 1e-10,
+    worst = rep.empirical_constant
+    report(9, rep.passed and worst <= 1e-10,
            f"c*kappa_scaled = kappa to {worst:.3e} (tol 1e-10) for c in {{0.5, 2, 10}}; "
            "extrema tau-locations invariant")
 

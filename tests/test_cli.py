@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,15 +60,12 @@ class TestConfig:
             "[pair]\nkind = planar\na = 2\nk0 = 2\n\n"
             "[levels]\nvalues = 0, 2\n\n"
             "[tau]\nmin = -5\nmax = 5\nn = 11\n\n"
-            "[tolerances]\nscaling = 1e-8\n\n"
             "[output]\ndir = artifacts\nformats = csv, json\n"
         )
         config = load_config(path)
         assert config.pair_spec["kind"] == "planar"
         assert config.levels == (0.0, 2.0)
         assert config.tau_n == 11
-        assert config.tolerance("scaling") == 1e-8
-        assert config.tolerance("thm1") == 1e-9  # default survives
         assert config.out_dir == "artifacts"
 
     def test_readme_config_examples_load(self, tmp_path):
@@ -167,6 +165,28 @@ class TestVerifyCommand:
         parsed = json.loads((out / "verify_scaling_law.json").read_text())
         assert parsed["passed"] is True
         assert parsed["empirical_constant"] <= 1e-10
+
+    def test_report_tolerances_are_the_module_constants(self, tmp_path):
+        from mingraphs import graphfield, verify
+
+        fixed = {  # report -> (its module constant, the value it must keep)
+            "curvature_bound": (verify.THM1_TOL, 1e-9),
+            "log_derivative_bound": (verify.LEMMA2_FAMILY_TOL, 1e-12),
+            "concavity_propagation": (0.0, 0.0),
+            "poisson_boundary_reconstruction": (verify.POISSON_VALUE_TOL, 1e-4),
+            "scaling_law": (verify.SCALING_TOL, 1e-10),
+            "disk_transfer": (verify.DISK_TOL, 1e-9),
+            "superharmonicity": (0.0, 0.0),
+            "msr_residual": (graphfield.MSR_EXACT_TOL, 1e-10),
+        }
+        assert (verify.POISSON_AGREEMENT_TOL, verify.ANGLES_TOL) == (2e-4, 1e-3)
+        out = tmp_path / "out"
+        assert run("verify", "all", "--gamma", "1.5", "--out", str(out),
+                   "--grid", "0.5,3,-2,2,0.0625") == 0
+        for name, (constant, value) in fixed.items():
+            report = json.loads((out / f"verify_{name}.json").read_text())
+            assert report["tolerance"] == constant == value, name
+        assert len(list(out.iterdir())) == len(fixed)
 
     def test_report_determinism(self, tmp_path):
         outs = []
@@ -271,36 +291,6 @@ class TestMalformedInput:
         assert status == 2
         assert "spacing" in one_line_error(capsys)
 
-    def test_unknown_tol_flag(self, tmp_path, capsys):
-        status = run("verify", "poisson", "--gamma", "1.5", "--out", str(tmp_path / "out"),
-                     "--tol", "poisson_valu=1e-30")
-        assert status == 2
-        assert "poisson_valu" in one_line_error(capsys)
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("check, tol", [
-        ("msr", "msr_exact=nan"), ("poisson", "poisson_value=nan"),
-        ("poisson", "poisson_agreement=inf"), ("lemma2", "lemma2_family=-1e-12"),
-    ])
-    def test_bad_tol_value_flag(self, tmp_path, capsys, check, tol):
-        status = run("verify", check, "--gamma", "1.5", "--out", str(tmp_path / "out"),
-                     "--tol", tol)
-        assert status == 2
-        assert tol in one_line_error(capsys)
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("check, tol", [
-        ("msr", "msr_exact = nan"), ("poisson", "poisson_agreement = inf"),
-        ("thm1", "thm1 = -1e-9"),
-    ])
-    def test_bad_tolerance_value_config(self, tmp_path, capsys, check, tol):
-        config = tmp_path / "run.ini"
-        config.write_text(f"[tolerances]\n{tol}\n")
-        status = run("verify", check, "--config", str(config), "--out", str(tmp_path / "out"))
-        assert status == 2
-        assert tol.split(" = ")[0] in one_line_error(capsys)
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("grid, named", [
         # 2.5e15 x 4e15 nodes: refused before any array is allocated
         ("0.5,3,-2,2,1e-15", f"{(round(2.5e15) + 1) * (round(4e15) + 1)} nodes"),
@@ -354,25 +344,42 @@ class TestMalformedInput:
         assert named in one_line_error(capsys)
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("config_text", [
-        "h = power-affine offset=1 exponent=inf\ng_anchor = 1:0\n",
-        "h = power-affine offset=nan exponent=1.5\ng_anchor = 1:0\n",
-    ], ids=["exponent-inf", "offset-nan"])
+    @pytest.mark.parametrize("config_text, named", [
+        ("h = power-affine offset=1 exponent=inf\ng_anchor = 1:0\n", "power-affine exponent"),
+        ("h = power-affine offset=nan exponent=1.5\ng_anchor = 1:0\n", "power-affine offset"),
+        ("h = affine slope=inf\ng_anchor = 1:0\n", "affine slope"),
+    ], ids=["exponent-inf", "offset-nan", "affine-slope-inf"])
     @pytest.mark.parametrize("command", ["levelcurves", "reconstruct"])
-    def test_nonfinite_map_constant(self, tmp_path, capsys, config_text, command):
+    def test_nonfinite_map_constant(self, tmp_path, capsys, config_text, named, command):
         config = tmp_path / "run.ini"
         config.write_text("[pair]\nkind = custom\nk0 = 2\n" + config_text)
         status = run(command, "--config", str(config), "--out", str(tmp_path / "out"))
         assert status == 2
-        one_line_error(capsys)
+        assert named in one_line_error(capsys)
         assert not (tmp_path / "out").exists()
 
-    def test_unknown_tolerance_key(self, tmp_path, capsys):
-        config = tmp_path / "run.ini"
-        config.write_text("[tolerances]\noracle = 1e-6\n")
-        status = run("verify", "lemma2", "--config", str(config), "--out", str(tmp_path / "out"))
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_overflowing_tau_window(self, tmp_path, capsys, fmt):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            status = run("levelcurves", "--gamma", "1.5", "--tau=-1e300,1e300,5",
+                         "--out", str(out), "--format", fmt)
         assert status == 2
-        assert "oracle" in one_line_error(capsys)
+        assert "tau window [-1e+300, 1e+300]" in one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "bogus"],
+        ["verify", "thm1", "--frob"],
+        ["verify", "msr", "--gamma", "1.995", "--tol", "msr_exact=1e-9"],
+    ], ids=["unknown-check", "unknown-flag", "removed-tol-flag"])
+    def test_bad_command_line(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run(*argv, "--out", str(tmp_path / "out"))
+        assert excinfo.value.code == 2
+        assert "error: " in one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, named", [
         ("kind = lw\ngamma = 1.5\n", ["no section headers"]),
@@ -383,8 +390,10 @@ class TestMalformedInput:
         ("[pair]\nkind = lw\nk0 = 2\n", ["[pair] k0"]),
         ("[pair]\nkind = planar\ngamma = 1.5\n", ["[pair] gamma"]),
         ("[pair]\nkind = custom\nh = affine\ng = affine\ngamma = 1.5\n", ["[pair] gamma"]),
+        ("[tolerances]\nmsr_exact = 1e-9\n", ["section [tolerances]"]),
+        ("[scaling]\nfactors = 0.5, 2\n", ["section [scaling]"]),
     ], ids=["no-section-header", "duplicate-section", "unknown-keys", "unknown-section",
-            "lw-key", "planar-key", "custom-key"])
+            "lw-key", "planar-key", "custom-key", "removed-tolerances", "removed-scaling"])
     def test_bad_config_file(self, tmp_path, capsys, text, named):
         config = tmp_path / "run.ini"
         config.write_text(text)

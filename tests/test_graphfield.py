@@ -134,7 +134,7 @@ class TestInvertF:
 class TestReconstruct:
     def test_planar_linear_pullback(self, planar_field):
         field = planar_field
-        assert field.stats.seed_placed and field.stats.failed == 0
+        assert field.stats.solved > 0 and field.stats.failed == 0
         expected = 4.0 / 3.0 * field.xs()[None, :]
         assert np.max(np.abs(field.values - expected)[field.mask]) <= 1e-12
 
@@ -165,7 +165,7 @@ class TestReconstruct:
 
     def test_window_outside_domain(self, planar22):
         field = reconstruct_u(planar22, ((-5.0, -3.0), (0.0, 1.0)), 0.5)
-        assert not field.stats.seed_placed
+        assert field.stats.solved == 0
         assert not field.mask.any()
 
     def test_round_trip(self, lw15, field32):
@@ -532,7 +532,7 @@ def _reference_reconstruct_u(pair, window, spacing, newton_tol=1e-12, max_iter=5
             zeta[:, i], ok[:, i] = solve_column(i, guesses)
     values = np.where(ok, pair.k0 * zeta.real, np.nan)
     stats = ReconstructionStats(attempted=nx * ny, solved=int(ok.sum()),
-                                failed=int(nx * ny - ok.sum()), seed_placed=True)
+                                failed=int(nx * ny - ok.sum()))
     return values, ok, stats
 
 

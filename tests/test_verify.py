@@ -29,6 +29,7 @@ from mingraphs import (
     verify_thm1,
     verify_thm2,
 )
+from mingraphs import verify
 from mingraphs.verify import MAX_SAMPLE_POINTS
 
 GRID = SampleGrid.rectangular(0.02, 10.0, 24, 10.0, 21)
@@ -279,9 +280,11 @@ class TestPoisson:
 
 
 class TestScaling:
-    def test_identity_factor(self, lw15):
-        report = verify_scaling(lw15, 1.0, [1.0 + 0j, 2.0 + 1.0j])
+    def test_identity_factor(self, lw15, monkeypatch):
+        monkeypatch.setattr(verify, "SCALE_FACTORS", (1.0,))
+        report = verify_scaling(lw15)
         assert report.passed and report.empirical_constant == 0.0
+        assert report.grid_descriptor == "factors [1.0], 20 points"
 
     def test_doubling_halves_curvature(self, lw15):
         from mingraphs import scale_solution
@@ -290,12 +293,19 @@ class TestScaling:
         assert kappa_scaled == pytest.approx(
             curvature_closed_form(lw15, 1.0 + 0j) / 2.0, rel=1e-12
         )
-        report = verify_scaling(lw15, 2.0, [1.0 + 0j, 0.5 + 2.0j, 3.0 - 1.0j])
-        assert report.passed
+        report = verify_scaling(lw15)
+        assert report.passed and "c=2: " in report.notes
 
     def test_planar_trivial(self, planar22):
-        report = verify_scaling(planar22, 10.0, [1.0 + 0j, 2.0 + 2.0j])
+        report = verify_scaling(planar22)
         assert report.passed and report.empirical_constant == pytest.approx(0.0, abs=1e-15)
+
+    def test_wrong_scaling_fails(self, lw15, monkeypatch):
+        # negative control: a solution scaled by 1.01*c breaks c*kappa_scaled = kappa
+        scale = verify.scale_solution
+        monkeypatch.setattr(verify, "scale_solution", lambda pair, c: scale(pair, 1.01 * c))
+        report = verify_scaling(lw15)
+        assert not report.passed and report.empirical_constant > 1e3 * verify.SCALING_TOL
 
 
 class TestDiskTransfer:
