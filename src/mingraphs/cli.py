@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import RunConfig, build_pair, load_config
+from .config import RunConfig, build_pair, load_config, parse_floats, parse_formats, parse_value
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -37,7 +37,7 @@ from .errors import (
 from .serialize import atomic_write, fmt_float
 
 if TYPE_CHECKING:
-    from .verify import SampleGrid, VerificationReport
+    from .verify import VerificationReport
 
 _ERRORS = (
     ParameterError, DomainError, SingularityError, QuadratureError,
@@ -49,39 +49,40 @@ VERIFY_CHECKS = (
 )
 
 
+def _tau(text: str) -> tuple[float, float, int]:
+    lo, hi, n = text.split(",")
+    return float(lo), float(hi), int(n)
+
+
+def _grid(text: str) -> tuple[float, float, float, float, float]:
+    x0, x1, y0, y1, h = (float(v) for v in text.split(","))
+    return x0, x1, y0, y1, h
+
+
 def _config_from_args(args) -> RunConfig:
     config = load_config(args.config)
     updates: dict = {}
     if getattr(args, "gamma", None) is not None:
         updates["pair_spec"] = {"kind": "lw", "gamma": str(args.gamma)}
     if getattr(args, "levels", None):
-        updates["levels"] = tuple(float(v) for v in args.levels.split(","))
+        updates["levels"] = parse_floats(args.levels, "--levels")
     if getattr(args, "tau", None):
-        lo, hi, n = args.tau.split(",")
-        updates["tau_min"], updates["tau_max"], updates["tau_n"] = float(lo), float(hi), int(n)
+        tau = parse_value(args.tau, _tau, "--tau", "min,max,n with n an integer")
+        updates["tau_min"], updates["tau_max"], updates["tau_n"] = tau
     if getattr(args, "grid", None):
-        x0, x1, y0, y1, h = (float(v) for v in args.grid.split(","))
+        x0, x1, y0, y1, h = parse_value(args.grid, _grid, "--grid", "x0,x1,y0,y1,h")
         updates["grid_window"] = (x0, x1, y0, y1)
         updates["grid_spacing"] = h
     if getattr(args, "out", None):
         updates["out_dir"] = args.out
     if getattr(args, "format", None):
-        updates["formats"] = tuple(p.strip() for p in args.format.split(",") if p.strip())
+        updates["formats"] = parse_formats(args.format, "--format")
     if getattr(args, "gammas", None):
-        updates["sweep_gammas"] = tuple(float(v) for v in args.gammas.split(","))
+        updates["sweep_gammas"] = parse_floats(args.gammas, "--gammas")
     if updates:
         from dataclasses import replace
         config = replace(config, **updates)
     return config
-
-
-def _verify_grid(config: RunConfig) -> SampleGrid:
-    from .verify import SampleGrid
-
-    return SampleGrid.rectangular(
-        config.sigma_min, config.sigma_max, config.n_sigma,
-        config.vtau_abs, config.vn_tau,
-    )
 
 
 def _curvature_levels(config: RunConfig) -> list[float]:
@@ -175,23 +176,22 @@ def cmd_verify(config: RunConfig, args) -> int:
 
     which = list(VERIFY_CHECKS) if args.check == "all" else [args.check]
     pair = build_pair(config.pair_spec)
-    grid = _verify_grid(config)
     out_dir = Path(config.out_dir)
 
     reports: list[VerificationReport] = []
     try:
         if "lemma2" in which:
-            reports.append(verify_lemma2(pair, grid))
+            reports.append(verify_lemma2(pair))
         if "thm1" in which:
-            reports.append(verify_thm1(pair, _curvature_levels(config), grid))
+            reports.append(verify_thm1(pair, _curvature_levels(config)))
         if "thm2" in which:
-            reports.append(verify_thm2(pair, grid))
+            reports.append(verify_thm2(pair))
         if "poisson" in which:
             reports.append(verify_poisson(pair, BoundaryArgumentData.from_pair(pair)))
         if "scaling" in which:
             reports.append(verify_scaling(pair))
         if "disk" in which:
-            reports.append(disk_transfer_check(pair, grid))
+            reports.append(disk_transfer_check(pair))
         graph_checks = [name for name in ("superharmonic", "msr") if name in which]
         if graph_checks:
             reports.extend(_graph_reports(pair, config, graph_checks))
@@ -220,7 +220,6 @@ def cmd_sweep_gamma(config: RunConfig, args) -> int:
     bad = [fmt_float(gamma) for gamma in config.sweep_gammas if not np.isfinite(gamma)]
     if bad:
         raise ParameterError(f"sweep gammas must be finite, got {', '.join(bad)}")
-    grid = _verify_grid(config)
     out_dir = Path(config.out_dir)
     levels = _curvature_levels(config)
     header = ("gamma,A_emp,K_emp,min_kappa,angle_plus,angle_minus,"
@@ -230,9 +229,9 @@ def cmd_sweep_gamma(config: RunConfig, args) -> int:
     for gamma in config.sweep_gammas:
         try:
             pair = lw_family(gamma)
-            lemma2 = verify_lemma2(pair, grid)
-            thm1 = verify_thm1(pair, levels, grid)
-            thm2 = verify_thm2(pair, grid)
+            lemma2 = verify_lemma2(pair)
+            thm1 = verify_thm1(pair, levels)
+            thm2 = verify_thm2(pair)
             plus, minus = estimate_asymptotic_angles(pair)
             rows.append(",".join([
                 fmt_float(gamma), fmt_float(lemma2.empirical_constant),

@@ -11,12 +11,12 @@ family):
     [levels]        values = 0, 1, 2
     [tau]           min = -20, max = 20, n = 401
     [grid]          x0, x1, y0, y1, spacing
-    [verify]        sigma_min, sigma_max, n_sigma, tau_abs, n_tau
-    [output]        dir = out, formats = csv, json
+    [output]        dir = out, formats = csv, json   (any of csv | json | svg)
     [sweep]         gammas = 1.1, 1.2, ..., 1.9
 
-Any other section or key, and a file that configparser cannot parse, is a
-ParameterError.  [pair] keys are checked against the given kind.
+Any other section or key, a value that does not parse, and a file that
+configparser cannot parse, is a ParameterError that names the section and
+key.  [pair] keys are checked against the given kind.
 
 Map expressions are sums of primitive terms joined by " + ":
 
@@ -27,8 +27,9 @@ Values parse as Python complex literals (no spaces inside a value).
 
 Every integral (the Poisson kernels, anchored g, the height integral) uses
 the one Gauss-Legendre rule of ``analytic.gauss_legendre``, so there is no
-quadrature knob.  Nor is there a tolerance knob: each check's acceptance
-rule is a constant beside it, in ``verify`` and ``graphfield``.
+quadrature knob.  Nor is there a tolerance or sampling knob: each check's
+acceptance rule and sample set (``verify.SAMPLE_GRID``, ``ANGLE_PROBES``,
+``POISSON_POINTS``) are constants beside it, in ``verify`` and ``graphfield``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ SECTION_KEYS = {
     "levels": ("values",),
     "tau": ("min", "max", "n"),
     "grid": ("x0", "x1", "y0", "y1", "spacing"),
-    "verify": ("sigma_min", "sigma_max", "n_sigma", "tau_abs", "n_tau"),
     "output": ("dir", "formats"),
     "sweep": ("gammas",),
 }
@@ -67,19 +67,42 @@ class RunConfig:
     tau_n: int = 401
     grid_window: tuple[float, float, float, float] = (0.5, 3.0, -2.0, 2.0)
     grid_spacing: float = 1.0 / 32.0
-    sigma_min: float = 0.02
-    sigma_max: float = 10.0
-    n_sigma: int = 24
-    vtau_abs: float = 10.0
-    vn_tau: int = 21
     out_dir: str = "out"
     formats: tuple[str, ...] = ("csv",)
     sweep_gammas: tuple[float, ...] = tuple(round(1.1 + 0.1 * i, 10) for i in range(9))
 
 
+FORMATS = ("csv", "json", "svg")
+NUMBER_LIST = "a comma list of numbers"
+
+
 def _floats(text: str) -> tuple[float, ...]:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     return tuple(float(piece) for piece in items)
+
+
+def parse_value(text: str, kind, where: str, takes: str):
+    """``kind(text)``, or a ParameterError that names the flag or
+    ``[section] key`` the text came from and what it takes."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParameterError(f"{where} takes {takes}, got {text!r}") from None
+
+
+def parse_floats(text: str, where: str) -> tuple[float, ...]:
+    """A comma list of numbers; empty entries are skipped."""
+    return parse_value(text, _floats, where, NUMBER_LIST)
+
+
+def parse_formats(text: str, where: str) -> tuple[str, ...]:
+    """A comma list of output formats, each one of FORMATS."""
+    names = tuple(p.strip() for p in text.split(",") if p.strip())
+    for name in names:
+        if name not in FORMATS:
+            raise ParameterError(
+                f"{where} takes a comma list of {' | '.join(FORMATS)}, got {name!r}")
+    return names
 
 
 def parse_map_expr(text: str) -> AnalyticMap:
@@ -94,7 +117,7 @@ def parse_map_expr(text: str) -> AnalyticMap:
             if "=" not in token:
                 raise ParameterError(f"malformed parameter {token!r} in map term")
             key, value = token.split("=", 1)
-            params[key] = complex(value)
+            params[key] = parse_value(value, complex, f"map parameter {key}", "a complex number")
         if kind == "affine":
             terms.append(AffineMap(slope=params.get("slope", 1.0 + 0j),
                                    intercept=params.get("intercept", 0.0 + 0j)))
@@ -111,23 +134,38 @@ def parse_map_expr(text: str) -> AnalyticMap:
     return terms[0] if len(terms) == 1 else SumMap(parts=tuple(terms))
 
 
+def _anchor(text: str) -> tuple[complex, complex]:
+    zeta_text, value_text = text.split(":")
+    return complex(zeta_text), complex(value_text)
+
+
 def build_pair(spec: dict) -> WeierstrassPair:
     """Construct the WeierstrassPair described by a [pair] section."""
+
+    def number(key: str, default: float) -> float:
+        return parse_value(spec.get(key, default), float, f"[pair] {key}", "a number")
+
+    def expression(key: str) -> AnalyticMap:
+        try:
+            return parse_map_expr(spec[key])
+        except ParameterError as exc:
+            raise ParameterError(f"[pair] {key}: {exc}") from None
+
     kind = spec.get("kind", "lw")
     if kind == "lw":
-        return lw_family(float(spec.get("gamma", 1.5)))
+        return lw_family(number("gamma", 1.5))
     if kind == "planar":
-        return planar_pair(float(spec.get("a", 2.0)), float(spec.get("k0", 2.0)))
+        return planar_pair(number("a", 2.0), number("k0", 2.0))
     if kind == "custom":
         if "h" not in spec:
             raise ParameterError("custom pair needs an h = <expr> entry")
-        h = parse_map_expr(spec["h"])
-        k0 = float(spec.get("k0", 2.0))
+        h = expression("h")
+        k0 = number("k0", 2.0)
         if "g" in spec:
-            return WeierstrassPair(h=h, k0=k0, g=parse_map_expr(spec["g"]), label="custom")
+            return WeierstrassPair(h=h, k0=k0, g=expression("g"), label="custom")
         if "g_anchor" in spec:
-            zeta_text, value_text = spec["g_anchor"].split(":")
-            anchor = (complex(zeta_text), complex(value_text))
+            anchor = parse_value(spec["g_anchor"], _anchor, "[pair] g_anchor",
+                                 "zeta:value, two complex numbers")
             return WeierstrassPair(h=h, k0=k0, g_anchor=anchor, label="custom")
         raise ParameterError("custom pair needs g = <expr> or g_anchor = zeta:value")
     raise ParameterError(f"unknown pair kind {kind!r}")
@@ -176,39 +214,23 @@ def _read_config(config: RunConfig, path: str | Path) -> RunConfig:
         raise ParameterError(f"config file {path} not found or unreadable")
     _check_known(parser)
 
-    updates: dict = {}
-    if parser.has_section("pair"):
-        updates["pair_spec"] = dict(parser.items("pair"))
-    if parser.has_option("levels", "values"):
-        updates["levels"] = _floats(parser.get("levels", "values"))
-    if parser.has_section("tau"):
-        section = parser["tau"]
-        updates["tau_min"] = section.getfloat("min", config.tau_min)
-        updates["tau_max"] = section.getfloat("max", config.tau_max)
-        updates["tau_n"] = section.getint("n", config.tau_n)
-    if parser.has_section("grid"):
-        section = parser["grid"]
-        updates["grid_window"] = (
-            section.getfloat("x0", config.grid_window[0]),
-            section.getfloat("x1", config.grid_window[1]),
-            section.getfloat("y0", config.grid_window[2]),
-            section.getfloat("y1", config.grid_window[3]),
-        )
-        updates["grid_spacing"] = section.getfloat("spacing", config.grid_spacing)
-    if parser.has_section("verify"):
-        section = parser["verify"]
-        updates["sigma_min"] = section.getfloat("sigma_min", config.sigma_min)
-        updates["sigma_max"] = section.getfloat("sigma_max", config.sigma_max)
-        updates["n_sigma"] = section.getint("n_sigma", config.n_sigma)
-        updates["vtau_abs"] = section.getfloat("tau_abs", config.vtau_abs)
-        updates["vn_tau"] = section.getint("n_tau", config.vn_tau)
-    if parser.has_section("output"):
-        section = parser["output"]
-        updates["out_dir"] = section.get("dir", config.out_dir)
-        if section.get("formats", None):
-            updates["formats"] = tuple(
-                piece.strip() for piece in section.get("formats").split(",") if piece.strip()
-            )
-    if parser.has_option("sweep", "gammas"):
-        updates["sweep_gammas"] = _floats(parser.get("sweep", "gammas"))
-    return replace(config, **updates)
+    def get(section: str, key: str, default, kind=float, takes: str = "a number"):
+        if not parser.has_option(section, key):
+            return default
+        return parse_value(parser.get(section, key), kind, f"[{section}] {key}", takes)
+
+    window = zip(("x0", "x1", "y0", "y1"), config.grid_window)
+    formats = parser.get("output", "formats", fallback="")
+    return replace(
+        config,
+        pair_spec=dict(parser.items("pair")) if parser.has_section("pair") else config.pair_spec,
+        levels=get("levels", "values", config.levels, _floats, NUMBER_LIST),
+        tau_min=get("tau", "min", config.tau_min),
+        tau_max=get("tau", "max", config.tau_max),
+        tau_n=get("tau", "n", config.tau_n, int, "an integer"),
+        grid_window=tuple(get("grid", key, default) for key, default in window),
+        grid_spacing=get("grid", "spacing", config.grid_spacing),
+        out_dir=parser.get("output", "dir", fallback=config.out_dir),
+        formats=parse_formats(formats, "[output] formats") if formats else config.formats,
+        sweep_gammas=get("sweep", "gammas", config.sweep_gammas, _floats, NUMBER_LIST),
+    )

@@ -58,8 +58,10 @@ class LevelCurveSpec:
     def __post_init__(self):
         if self.c < 0.0 or not np.isfinite(self.c):
             raise ParameterError(f"level must be >= 0, got {self.c}")
-        if not self.tau_min < self.tau_max:
-            raise ParameterError("tau_min must be below tau_max")
+        if not (np.isfinite(self.tau_min) and np.isfinite(self.tau_max)
+                and self.tau_min < self.tau_max):
+            raise ParameterError(
+                f"tau window [{self.tau_min:g}, {self.tau_max:g}] must be finite, min below max")
         if self.n_samples < 2:
             raise ParameterError("need at least 2 samples")
         if self.n_samples > MAX_LEVEL_SAMPLES:

@@ -28,12 +28,6 @@ from .serialize import to_json
 from .weierstrass import WeierstrassPair, scale_solution
 
 
-#: SampleGrid.rectangular refuses more points than this.  `verify all` and
-#: `sweep-gamma` peak at about 136 bytes per point (84 MiB at 400,000
-#: points, 239 MiB at 1,600,000), so the cap is about 2.2 GiB.
-MAX_SAMPLE_POINTS = 2**24
-
-
 @dataclass(frozen=True, eq=False)
 class SampleGrid:
     """A rectangular sigma x tau sampling of the half-plane with a text label."""
@@ -52,41 +46,21 @@ class SampleGrid:
 
     @staticmethod
     def rectangular(
-        sigma_lo: float,
-        sigma_hi: float,
-        n_sigma: int,
-        tau_abs: float,
-        n_tau: int,
-        geometric: bool = True,
+        sigma_lo: float, sigma_hi: float, n_sigma: int, tau_abs: float, n_tau: int
     ) -> "SampleGrid":
-        # messages name the [verify] config keys these arguments come from
-        if not (np.isfinite(sigma_lo) and sigma_lo > 0.0):
-            raise ParameterError(f"sigma_min must be finite and above 0, got {sigma_lo}")
-        if not (np.isfinite(sigma_hi) and sigma_hi >= sigma_lo):
-            raise ParameterError(
-                f"sigma_max must be finite and at least sigma_min = {sigma_lo}, got {sigma_hi}"
-            )
-        if not (np.isfinite(tau_abs) and tau_abs > 0.0):
-            raise ParameterError(f"tau_abs must be finite and above 0, got {tau_abs}")
-        for name, count in (("n_sigma", n_sigma), ("n_tau", n_tau)):
-            if count < 1:
-                raise ParameterError(f"{name} must be at least 1, got {count}")
-        if n_sigma * n_tau > MAX_SAMPLE_POINTS:
-            raise ParameterError(
-                f"n_sigma x n_tau = {n_sigma} x {n_tau} = {n_sigma * n_tau} points "
-                f"exceeds the limit of {MAX_SAMPLE_POINTS}"
-            )
-        if geometric:
-            sigmas = np.geomspace(sigma_lo, sigma_hi, n_sigma)
-        else:
-            sigmas = np.linspace(sigma_lo, sigma_hi, n_sigma)
+        """sigma geometric in [sigma_lo, sigma_hi], tau uniform in [-tau_abs, tau_abs]."""
+        sigmas = np.geomspace(sigma_lo, sigma_hi, n_sigma)
         taus = np.linspace(-tau_abs, tau_abs, n_tau)
-        kind = "geom" if geometric else "lin"
         descriptor = (
-            f"sigma {kind}[{sigma_lo:g},{sigma_hi:g}]x{n_sigma}, "
+            f"sigma geom[{sigma_lo:g},{sigma_hi:g}]x{n_sigma}, "
             f"tau [{-tau_abs:g},{tau_abs:g}]x{n_tau}"
         )
         return SampleGrid(sigmas=sigmas, taus=taus, descriptor=descriptor)
+
+
+#: The grid that `verify` and `sweep-gamma` sample every sampled check on.
+#: It is fixed, so no input can shrink it until a failing point drops out.
+SAMPLE_GRID = SampleGrid.rectangular(0.02, 10.0, 24, 10.0, 21)
 
 
 @dataclass(frozen=True)
@@ -131,7 +105,7 @@ def _argmax_point(values: np.ndarray, zetas: np.ndarray) -> tuple[float, float]:
 LEMMA2_FAMILY_TOL = 1e-12
 
 
-def verify_lemma2(pair: WeierstrassPair, grid: SampleGrid) -> VerificationReport:
+def verify_lemma2(pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID) -> VerificationReport:
     """Empirical constant A_emp = sup sigma*|h''/h'| over the grid.
 
     Always passes when finite; for the catalog family the closed form gives
@@ -164,7 +138,7 @@ THM1_TOL = 1e-9
 
 
 def verify_thm1(
-    pair: WeierstrassPair, levels: list[float], grid: SampleGrid
+    pair: WeierstrassPair, levels: list[float], grid: SampleGrid = SAMPLE_GRID
 ) -> VerificationReport:
     """Curvature bound on level sets: K_emp = sup C*|kappa| against the
     proof-chain bound (k0/sqrt(k)) * A_emp.
@@ -205,7 +179,7 @@ def verify_thm1(
     )
 
 
-def verify_thm2(pair: WeierstrassPair, grid: SampleGrid) -> VerificationReport:
+def verify_thm2(pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID) -> VerificationReport:
     """Concavity propagation: all four sub-checks must hold.
 
     (a) y_tau >= 0 on the boundary trace, (b) Re h' > 0 on the interior
@@ -385,15 +359,15 @@ def poisson_re_ratio(data: BoundaryArgumentData, zeta) -> KernelRatioEstimate:
 #: more than POISSON_AGREEMENT_TOL.
 POISSON_VALUE_TOL = 1e-4
 POISSON_AGREEMENT_TOL = 2e-4
+#: verify_poisson compares the reconstructions at these interior points.
+POISSON_POINTS = tuple(complex(s, t) for s in (0.5, 1.0, 2.0, 5.0) for t in (-3, -1, 0, 1, 3))
 
 
 def verify_poisson(
-    pair: WeierstrassPair,
-    data: BoundaryArgumentData | None = None,
-    points: list[complex] | None = None,
+    pair: WeierstrassPair, data: BoundaryArgumentData | None = None
 ) -> VerificationReport:
     """Compare both kernel reconstructions against the closed forms arg h'
-    and Re h''/h' at interior test points.
+    and Re h''/h' at the POISSON_POINTS.
 
     The extremal point is the target with the largest deviation, or None
     when that deviation is at or below the worst n-vs-2n quadrature
@@ -401,9 +375,7 @@ def verify_poisson(
     """
     if data is None:
         data = BoundaryArgumentData.from_pair(pair)
-    if points is None:
-        points = [complex(s, t) for s in (0.5, 1.0, 2.0, 5.0) for t in (-3, -1, 0, 1, 3)]
-    zetas = np.array(points, dtype=complex)
+    zetas = np.array(POISSON_POINTS, dtype=complex)
     im_log = poisson_im_log_hprime(data, zetas)
     ratio = poisson_re_ratio(data, zetas)
     jet = pair.h.jet(zetas)
@@ -423,7 +395,7 @@ def verify_poisson(
         empirical_constant=worst,
         extremal_point=extremal,
         tolerance=POISSON_VALUE_TOL,
-        grid_descriptor=f"{len(points)} interior points, Gauss-Legendre in theta",
+        grid_descriptor=f"{zetas.size} interior points, Gauss-Legendre in theta",
         notes=(
             f"max closed-form deviation {worst:.3e}; "
             f"kernel-vs-by-parts agreement {worst_agree:.3e} (tol {POISSON_AGREEMENT_TOL:g}); "
@@ -487,7 +459,9 @@ def verify_scaling(pair: WeierstrassPair) -> VerificationReport:
 DISK_TOL = 1e-9
 
 
-def disk_transfer_check(pair: WeierstrassPair, grid: SampleGrid) -> VerificationReport:
+def disk_transfer_check(
+    pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID
+) -> VerificationReport:
     """Transfer to the unit disk through zeta -> w = (zeta-1)/(zeta+1).
 
     With h(zeta) = H(w), the chain rule gives
@@ -523,31 +497,26 @@ def disk_transfer_check(pair: WeierstrassPair, grid: SampleGrid) -> Verification
     )
 
 
-#: estimate_asymptotic_angles needs its last two raw estimates to agree
-#: within this.
+#: estimate_asymptotic_angles probes at these increasing |tau| and needs its
+#: last two raw estimates to agree within ANGLES_TOL.
+ANGLE_PROBES = (1e2, 1e3, 1e4)
 ANGLES_TOL = 1e-3
 
 
-def estimate_asymptotic_angles(
-    pair: WeierstrassPair, tau_probes: tuple[float, ...] = (1e2, 1e3, 1e4)
-) -> tuple[float, float]:
+def estimate_asymptotic_angles(pair: WeierstrassPair) -> tuple[float, float]:
     """Extrapolated tangent angles of the boundary curve as tau -> +/-inf.
 
-    Probes phi = atan2(y_tau, x_tau) at sigma = 0 over increasing |tau|
-    (three decades by default), requires the last two raw estimates to agree
-    within ``ANGLES_TOL``, and Richardson-extrapolates assuming a 1/tau tail.
-    Rotating by the mean of the two limits puts them in the symmetric
-    +/-alpha normalization.
+    Probes phi = atan2(y_tau, x_tau) at sigma = 0 at the ANGLE_PROBES,
+    requires the last two raw estimates to agree within ``ANGLES_TOL``, and
+    Richardson-extrapolates assuming a 1/tau tail.  Rotating by the mean of
+    the two limits puts them in the symmetric +/-alpha normalization.
     """
-    probes = [float(t) for t in tau_probes]
-    if len(probes) < 2 or any(b <= a for a, b in zip(probes, probes[1:])):
-        raise ParameterError("tau probes must be increasing and at least two")
 
     def phi_at(tau: float) -> float:
         x_tau, y_tau, _, _ = tau_partials(pair, 1j * tau)
         return float(np.arctan2(y_tau, x_tau))
 
-    def limit(signed: list[float], side: str) -> float:
+    def limit(signed: tuple[float, ...], side: str) -> float:
         values = [phi_at(t) for t in signed]
         gap = abs(values[-1] - values[-2])
         if gap > ANGLES_TOL:
@@ -558,6 +527,6 @@ def estimate_asymptotic_angles(
         t1, t2 = abs(signed[-2]), abs(signed[-1])
         return values[-1] + (values[-1] - values[-2]) * t1 / (t2 - t1)
 
-    angle_plus = limit(probes, "+")
-    angle_minus = limit([-t for t in probes], "-")
+    angle_plus = limit(ANGLE_PROBES, "+")
+    angle_minus = limit(tuple(-t for t in ANGLE_PROBES), "-")
     return angle_plus, angle_minus

@@ -38,10 +38,10 @@ def test_one_command_tree_is_reproducible(tmp_path):
 
 def test_failing_command_keeps_status_and_stderr(tmp_path):
     args = ["verify", "thm1", "--config", artifact_set.CONFIG_NAME]
-    status = artifact_set.run_command(tmp_path, "bad", args, "[verify]\nn_tau = 0\n")
+    status = artifact_set.run_command(tmp_path, "bad", args, "[tau]\nn = x\n")
     assert status == 2
     assert (tmp_path / "bad" / "status.txt").read_text() == "2\n"
-    assert "n_tau" in (tmp_path / "bad" / "stderr.txt").read_text()
+    assert "[tau] n takes an integer" in (tmp_path / "bad" / "stderr.txt").read_text()
 
 
 def test_refuses_non_empty_out_dir(tmp_path):

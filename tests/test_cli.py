@@ -1,6 +1,5 @@
 """CLI commands: artifacts, exit codes, determinism, config handling."""
 
-import importlib
 import json
 import warnings
 from pathlib import Path
@@ -188,6 +187,25 @@ class TestVerifyCommand:
             assert report["tolerance"] == constant == value, name
         assert len(list(out.iterdir())) == len(fixed)
 
+    def test_sample_grid_cannot_be_shrunk(self, tmp_path, capsys):
+        # the fixed grid finds the non-concave boundary; a [verify] section that
+        # sampled six points away from it once turned all eight checks into PASS
+        config = tmp_path / "non_concave.ini"
+        config.write_text(NON_CONCAVE_CONFIG)
+        # a coarse window: anchored g makes the grid checks costly, and they
+        # sample the (x, y) plane, not the sample grid
+        assert run("verify", "all", "--config", str(config), "--out", str(tmp_path / "a"),
+                   "--grid=0.5,1.5,-0.5,0.5,0.25") == 1
+        captured = capsys.readouterr()
+        assert "FAIL concavity_propagation: (c) boundary Re h''/h' < 0 at tau=-4" in captured.out
+        assert captured.err == "first failing check: concavity_propagation\n"
+
+        config.write_text(NON_CONCAVE_CONFIG + SHRUNK_VERIFY_SECTION)
+        out = tmp_path / "b"
+        assert run("verify", "all", "--config", str(config), "--out", str(out)) == 2
+        assert "unknown config section [verify]" in one_line_error(capsys)
+        assert not out.exists()
+
     def test_report_determinism(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -264,8 +282,19 @@ class TestReconstructCommand:
 
 SIGN_FLIP_CONFIG = (
     "[pair]\nkind = custom\nk0 = 2\n"
-    "h = power-affine offset=1 exponent=2 coeff=0.5 + affine slope=-5\ng_anchor = 1:0\n"
-    "[verify]\nsigma_min = 4\nsigma_max = 4\nn_sigma = 1\n"
+    "h = power-affine offset=1 exponent=2 coeff=0.5 + affine slope=-11\ng_anchor = 1:0\n"
+)
+
+#: Re h''/h' < 0 on part of the boundary, so D is not concave.
+NON_CONCAVE_CONFIG = (
+    "[pair]\nkind = custom\nk0 = 2\n"
+    "h = affine slope=2 + power-affine offset=1 exponent=0.6 coeff=-0.3\ng_anchor = 1:0\n"
+)
+
+#: The sample grid that a [verify] section could once set: six points away
+#: from where NON_CONCAVE_CONFIG fails.
+SHRUNK_VERIFY_SECTION = (
+    "[verify]\nsigma_min = 1\nsigma_max = 2\nn_sigma = 2\ntau_abs = 0.5\nn_tau = 3\n"
 )
 
 
@@ -318,28 +347,47 @@ class TestMalformedInput:
         assert "100000000000 samples" in one_line_error(capsys)
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("entry, named", [
-        # 24 x 1e11 points would need 18 TiB for the sample points alone
-        ("n_tau = 100000000000", "n_sigma x n_tau = 24 x 100000000000"),
-        ("n_tau = 0", "n_tau must be at least 1, got 0"),
-        ("n_sigma = -3", "n_sigma must be at least 1, got -3"),
-        ("sigma_min = 0", "sigma_min must be finite and above 0, got 0.0"),
-        ("tau_abs = nan", "tau_abs must be finite and above 0, got nan"),
-        ("sigma_min = 5\nsigma_max = 1", "sigma_max must be finite and at least sigma_min = 5.0"),
-        ("tau_abs = -3", "tau_abs must be finite and above 0, got -3.0"),
-    ], ids=["too-many-points", "zero-tau", "negative-sigma", "zero-sigma-min", "nan-tau-abs",
-            "reversed-sigma-range", "negative-tau-abs"])
-    def test_verify_grid_cannot_be_built(self, tmp_path, capsys, monkeypatch, entry, named):
-        def no_axis(*args, **kwargs):
-            raise AssertionError("a sample axis was allocated")
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_unknown_format(self, tmp_path, capsys, how):
+        if how == "flag":
+            argv, named = ["--gamma", "1.5", "--format=csv,pdf"], "--format"
+        else:
+            config = tmp_path / "run.ini"
+            config.write_text("[output]\nformats = csv, pdf\n")
+            argv, named = ["--config", str(config)], "[output] formats"
+        out = tmp_path / "out"
+        status = run("levelcurves", *argv, "--levels", "1", "--tau=-1,1,5", "--out", str(out))
+        assert status == 2
+        err = one_line_error(capsys)
+        assert named in err and "'pdf'" in err and "csv | json | svg" in err
+        assert not out.exists()
 
-        # the CLI imports verify on first use, and its module constants call linspace
-        importlib.import_module("mingraphs.verify")
-        monkeypatch.setattr(np, "geomspace", no_axis)
-        monkeypatch.setattr(np, "linspace", no_axis)
-        config = tmp_path / "run.ini"
-        config.write_text(f"[verify]\n{entry}\n")
-        status = run("verify", "thm1", "--config", str(config), "--out", str(tmp_path / "out"))
+    @pytest.mark.parametrize("argv, config_text, named", [
+        (["levelcurves", "--tau=1,2"], None, "--tau takes min,max,n with n an integer, got '1,2'"),
+        (["levelcurves", "--tau=1,2,2.5"], None, "--tau takes min,max,n with n an integer"),
+        (["reconstruct", "--grid=0.5,3,-2"], None, "--grid takes x0,x1,y0,y1,h, got '0.5,3,-2'"),
+        (["levelcurves", "--levels=1,x"], None, "--levels takes a comma list of numbers, got '1,x'"),
+        (["sweep-gamma", "--gammas=1.2,x"], None, "--gammas takes a comma list of numbers"),
+        (["levelcurves"], "[tau]\nn = x\n", "[tau] n takes an integer, got 'x'"),
+        (["levelcurves"], "[tau]\nmax = 1,2\n", "[tau] max takes a number, got '1,2'"),
+        (["reconstruct"], "[grid]\nspacing = x\n", "[grid] spacing takes a number"),
+        (["levelcurves"], "[levels]\nvalues = 1, x\n", "[levels] values takes a comma list"),
+        (["sweep-gamma"], "[sweep]\ngammas = 1.5 1.6\n", "[sweep] gammas takes a comma list"),
+        (["levelcurves"], "[pair]\nkind = lw\ngamma = x\n", "[pair] gamma takes a number"),
+        (["levelcurves"], "[pair]\nkind = planar\nk0 = 2j\n", "[pair] k0 takes a number"),
+        (["levelcurves"], "[pair]\nkind = custom\nh = affine slope=x\ng_anchor = 1:0\n",
+         "[pair] h: map parameter slope takes a complex number, got 'x'"),
+        (["levelcurves"], "[pair]\nkind = custom\nh = affine\ng_anchor = 1\n",
+         "[pair] g_anchor takes zeta:value"),
+    ], ids=["tau-count", "tau-n-float", "grid-count", "levels-entry", "gammas-entry", "tau-n",
+            "tau-max", "grid-spacing", "levels-values", "sweep-gammas", "pair-gamma",
+            "planar-k0", "custom-h", "g-anchor"])
+    def test_malformed_value_names_its_source(self, tmp_path, capsys, argv, config_text, named):
+        if config_text is not None:
+            config = tmp_path / "run.ini"
+            config.write_text(config_text)
+            argv = [*argv, "--config", str(config)]
+        status = run(*argv, "--out", str(tmp_path / "out"))
         assert status == 2
         assert named in one_line_error(capsys)
         assert not (tmp_path / "out").exists()
@@ -369,6 +417,16 @@ class TestMalformedInput:
         assert "tau window [-1e+300, 1e+300]" in one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("tau", ["-2,inf,5", "-inf,inf,5", "nan,1,5"])
+    def test_infinite_tau_window(self, tmp_path, capsys, tau):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            status = run("levelcurves", "--gamma", "1.5", f"--tau={tau}", "--out", str(out))
+        assert status == 2
+        assert "must be finite, min below max" in one_line_error(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["verify", "bogus"],
         ["verify", "thm1", "--frob"],
@@ -384,16 +442,17 @@ class TestMalformedInput:
     @pytest.mark.parametrize("text, named", [
         ("kind = lw\ngamma = 1.5\n", ["no section headers"]),
         ("[pair]\nkind = lw\n\n[pair]\ngamma = 1.5\n", ["section 'pair' already exists"]),
-        ("[tau]\nmn = -5\nfd_step = 1e-4\n\n[verify]\ntruncation = 1e4\n",
-         ["[tau] mn", "[tau] fd_step", "[verify] truncation"]),
+        ("[tau]\nmn = -5\nfd_step = 1e-4\n", ["[tau] mn", "[tau] fd_step"]),
         ("[levels]\nvalues = 1\n\n[plot]\nwidth = 3\n", ["section [plot]"]),
         ("[pair]\nkind = lw\nk0 = 2\n", ["[pair] k0"]),
         ("[pair]\nkind = planar\ngamma = 1.5\n", ["[pair] gamma"]),
         ("[pair]\nkind = custom\nh = affine\ng = affine\ngamma = 1.5\n", ["[pair] gamma"]),
         ("[tolerances]\nmsr_exact = 1e-9\n", ["section [tolerances]"]),
         ("[scaling]\nfactors = 0.5, 2\n", ["section [scaling]"]),
+        (SHRUNK_VERIFY_SECTION, ["section [verify]"]),
     ], ids=["no-section-header", "duplicate-section", "unknown-keys", "unknown-section",
-            "lw-key", "planar-key", "custom-key", "removed-tolerances", "removed-scaling"])
+            "lw-key", "planar-key", "custom-key", "removed-tolerances", "removed-scaling",
+            "removed-verify"])
     def test_bad_config_file(self, tmp_path, capsys, text, named):
         config = tmp_path / "run.ini"
         config.write_text(text)
@@ -405,7 +464,7 @@ class TestMalformedInput:
         assert not (tmp_path / "out").exists()
 
     def test_critical_point_on_grid(self, tmp_path, capsys):
-        # h' = zeta - 4 vanishes at the grid point zeta = 4
+        # h' = zeta - 10 vanishes at zeta = 10, the sample grid's sigma = 10, tau = 0
         config = tmp_path / "flip.ini"
         config.write_text(SIGN_FLIP_CONFIG)
         status = run("verify", "lemma2", "--config", str(config), "--out", str(tmp_path / "out"))

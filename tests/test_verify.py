@@ -30,9 +30,8 @@ from mingraphs import (
     verify_thm2,
 )
 from mingraphs import verify
-from mingraphs.verify import MAX_SAMPLE_POINTS
 
-GRID = SampleGrid.rectangular(0.02, 10.0, 24, 10.0, 21)
+GRID = verify.SAMPLE_GRID
 
 
 def sign_flip_pair() -> WeierstrassPair:
@@ -69,12 +68,12 @@ class TestSampleGrid:
         with pytest.raises(ParameterError):
             SampleGrid(sigmas=np.array([0.0, 1.0]), taus=np.array([0.0]), descriptor="bad")
 
-    def test_point_cap(self):
-        # only the two axes are built, so the grid at the cap stays small
-        grid = SampleGrid.rectangular(0.1, 1.0, 2**12, 2.0, 2**12)
-        assert grid.sigmas.size * grid.taus.size == MAX_SAMPLE_POINTS
-        with pytest.raises(ParameterError, match=f"{2**12 * (2**12 + 1)} points"):
-            SampleGrid.rectangular(0.1, 1.0, 2**12, 2.0, 2**12 + 1)
+    def test_fixed_sample_sets(self):
+        assert GRID.descriptor == "sigma geom[0.02,10]x24, tau [-10,10]x21"
+        # both ends are exact: the critical-point test in test_cli relies on zeta = 10
+        assert (GRID.sigmas[0], GRID.sigmas[-1], GRID.taus[10]) == (0.02, 10.0, 0.0)
+        assert len(verify.POISSON_POINTS) == 20
+        assert verify.ANGLE_PROBES == (1e2, 1e3, 1e4)
 
 
 class TestLemma2:
@@ -87,7 +86,8 @@ class TestLemma2:
         assert report.passed and report.empirical_constant == 0.0
 
     def test_lw19_supremum_on_real_axis(self):
-        grid = SampleGrid.rectangular(0.5, 50.0, 25, 50.0, 21, geometric=False)
+        grid = SampleGrid(sigmas=np.linspace(0.5, 50.0, 25), taus=np.linspace(-50.0, 50.0, 21),
+                          descriptor="sigma lin[0.5,50]x25, tau [-50,50]x21")
         report = verify_lemma2(lw_family(1.9), grid)
         assert report.passed
         assert report.empirical_constant == pytest.approx(50.0 * 0.9 / 51.0, rel=1e-12)
@@ -152,9 +152,8 @@ class TestThm2:
         assert "planar" in report.notes
 
     def test_sign_flip_fails_re_hprime(self):
-        grid = SampleGrid.rectangular(1.0, 10.0, 10, 10.0, 9, geometric=False)
         # keep |tau| >= 2 so h' = zeta - 4 never vanishes on the grid
-        grid = SampleGrid(sigmas=grid.sigmas, taus=np.linspace(2.0, 10.0, 9),
+        grid = SampleGrid(sigmas=np.linspace(1.0, 10.0, 10), taus=np.linspace(2.0, 10.0, 9),
                           descriptor="sigma [1,10], tau [2,10]")
         report = verify_thm2(sign_flip_pair(), grid)
         assert not report.passed
@@ -263,9 +262,11 @@ class TestPoisson:
         data = BoundaryArgumentData.from_pair(lw_family(gamma))
         assert np.max(np.abs(data.psi)) <= np.pi / 2
 
-    def test_report(self, lw15):
-        report = verify_poisson(lw15, points=[0.5 + 0j, 1.0 + 2.0j, 2.0 - 1.0j])
+    def test_report(self, lw15, monkeypatch):
+        monkeypatch.setattr(verify, "POISSON_POINTS", (0.5 + 0j, 1.0 + 2.0j, 2.0 - 1.0j))
+        report = verify_poisson(lw15)
         assert report.passed
+        assert report.grid_descriptor.startswith("3 interior points")
         assert report.empirical_constant <= 1e-4
 
     @pytest.mark.parametrize("gamma", [1.001, 1.5, 1.999])
@@ -337,13 +338,10 @@ class TestAsymptoticAngles:
         assert plus == pytest.approx(3 * np.pi / 4, abs=1e-6)
         assert minus == pytest.approx(np.pi / 4, abs=1e-6)
 
-    def test_nonconvergence_flagged(self):
+    def test_nonconvergence_flagged(self, monkeypatch):
+        monkeypatch.setattr(verify, "ANGLE_PROBES", (1.0, 2.0))
         with pytest.raises(ConvergenceError):
-            estimate_asymptotic_angles(lw_family(1.9), tau_probes=(1.0, 2.0))
-
-    def test_probe_validation(self, lw15):
-        with pytest.raises(ParameterError):
-            estimate_asymptotic_angles(lw15, tau_probes=(100.0, 10.0))
+            estimate_asymptotic_angles(lw_family(1.9))
 
 
 class TestReportSerialization:
