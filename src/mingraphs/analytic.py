@@ -243,9 +243,6 @@ class AnalyticMap:
     def jet(self, zeta) -> Jet2:
         raise NotImplementedError
 
-    def __call__(self, zeta) -> complex:
-        return self.jet(zeta).v
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
 

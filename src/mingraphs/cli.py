@@ -10,6 +10,10 @@ Exit status is 0 iff every requested check passed; evaluation errors remove
 partial outputs and exit nonzero.  Identical configs produce byte-identical
 artifacts (17-significant-digit floats, fixed field order, no timestamps).
 
+Each command takes ``--config``, ``--out`` and only the flags it reads
+(``build_parser``); any other flag, or an abbreviation, exits 2 with one
+stderr line.
+
 Each command imports the modules it runs inside its own function, so a
 process loads neither ``verify`` for ``levelcurves`` nor ``graphfield`` for
 a check that reconstructs no field.
@@ -83,11 +87,6 @@ def _config_from_args(args) -> RunConfig:
         from dataclasses import replace
         config = replace(config, **updates)
     return config
-
-
-def _curvature_levels(config: RunConfig) -> list[float]:
-    """The positive levels of the config, or a default set when it has none."""
-    return [c for c in config.levels if c > 0.0] or [0.5, 1.0, 2.0, 4.0, 8.0]
 
 
 def _level_name(c: float) -> str:
@@ -183,7 +182,7 @@ def cmd_verify(config: RunConfig, args) -> int:
         if "lemma2" in which:
             reports.append(verify_lemma2(pair))
         if "thm1" in which:
-            reports.append(verify_thm1(pair, _curvature_levels(config)))
+            reports.append(verify_thm1(pair))
         if "thm2" in which:
             reports.append(verify_thm2(pair))
         if "poisson" in which:
@@ -221,7 +220,6 @@ def cmd_sweep_gamma(config: RunConfig, args) -> int:
     if bad:
         raise ParameterError(f"sweep gammas must be finite, got {', '.join(bad)}")
     out_dir = Path(config.out_dir)
-    levels = _curvature_levels(config)
     header = ("gamma,A_emp,K_emp,min_kappa,angle_plus,angle_minus,"
               "lemma2_pass,thm1_pass,thm2_pass,error")
     rows = [header]
@@ -230,7 +228,7 @@ def cmd_sweep_gamma(config: RunConfig, args) -> int:
         try:
             pair = lw_family(gamma)
             lemma2 = verify_lemma2(pair)
-            thm1 = verify_thm1(pair, levels)
+            thm1 = verify_thm1(pair)
             thm2 = verify_thm2(pair)
             plus, minus = estimate_asymptotic_angles(pair)
             rows.append(",".join([
@@ -290,32 +288,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    flag_kwargs = {
+        "--gamma": {"type": float, "help": "catalog family exponent"},
+        "--levels": {"help": "comma list of level heights"},
+        "--tau": {"help": "a,b,n sampling window"},
+        "--format": {"help": "csv|json|svg (comma list)"},
+        "--grid": {"help": "x0,x1,y0,y1,h window for grid checks"},
+        "--gammas": {"help": "comma list of exponents"},
+    }
+
+    def command(name: str, summary: str, func, *flags: str) -> argparse.ArgumentParser:
+        # allow_abbrev=False: a flag this command does not take is refused,
+        # never read as the prefix of one it does (--gamma of --gammas).
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", default=None, help="declarative config file")
-        p.add_argument("--gamma", type=float, default=None, help="catalog family exponent")
-        p.add_argument("--levels", default=None, help="comma list of level heights")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", default=None, help="csv|json|svg (comma list)")
-        p.add_argument("--grid", default=None, help="x0,x1,y0,y1,h window for grid checks")
-        p.add_argument("--tau", default=None, help="a,b,n sampling window")
+        for flag in flags:
+            p.add_argument(flag, default=None, **flag_kwargs[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p_levels = sub.add_parser("levelcurves", help="sample and export level curves")
-    common(p_levels)
-    p_levels.set_defaults(func=cmd_levelcurves)
-
-    p_verify = sub.add_parser("verify", help="run verification checks")
+    command("levelcurves", "sample and export level curves", cmd_levelcurves,
+            "--gamma", "--levels", "--tau", "--format")
+    p_verify = command("verify", "run verification checks", cmd_verify, "--gamma", "--grid")
     p_verify.add_argument("check", choices=VERIFY_CHECKS + ("all",))
-    common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_sweep = sub.add_parser("sweep-gamma", help="summary table over the catalog family")
-    common(p_sweep)
-    p_sweep.add_argument("--gammas", default=None, help="comma list of exponents")
-    p_sweep.set_defaults(func=cmd_sweep_gamma)
-
-    p_rec = sub.add_parser("reconstruct", help="invert the map over a grid window")
-    common(p_rec)
-    p_rec.set_defaults(func=cmd_reconstruct)
+    command("sweep-gamma", "summary table over the catalog family", cmd_sweep_gamma, "--gammas")
+    command("reconstruct", "invert the map over a grid window", cmd_reconstruct,
+            "--gamma", "--grid", "--format")
 
     return parser
 

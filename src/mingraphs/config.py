@@ -1,18 +1,23 @@
 """Declarative run configuration: one INI-style file, flag overrides on top.
 
 Sections and keys (all optional; defaults are sensible for the catalog
-family):
+family), with the commands that read them:
 
-    [pair]          kind = lw | planar | custom
-                    gamma = 1.5            (lw)
+    [pair]          kind = lw | planar | custom     levelcurves, verify,
+                    gamma = 1.5            (lw)      reconstruct
                     a = 2, k0 = 2          (planar)
                     k0 = 2, h = <expr>, g = <expr> | g_anchor = zeta:value
                                            (custom)
-    [levels]        values = 0, 1, 2
-    [tau]           min = -20, max = 20, n = 401
-    [grid]          x0, x1, y0, y1, spacing
-    [output]        dir = out, formats = csv, json   (any of csv | json | svg)
-    [sweep]         gammas = 1.1, 1.2, ..., 1.9
+    [levels]        values = 0, 1, 2                levelcurves
+    [tau]           min = -20, max = 20, n = 401    levelcurves
+    [grid]          x0, x1, y0, y1, spacing         verify, reconstruct
+    [output]        dir = out                       every command
+                    formats = csv, json             levelcurves, reconstruct
+                                           (any of csv | json | svg)
+    [sweep]         gammas = 1.1, 1.2, ..., 1.9     sweep-gamma
+
+The file is shared: every command checks all of it, and reads only its own
+sections.
 
 Any other section or key, a value that does not parse, and a file that
 configparser cannot parse, is a ParameterError that names the section and
@@ -28,8 +33,9 @@ Values parse as Python complex literals (no spaces inside a value).
 Every integral (the Poisson kernels, anchored g, the height integral) uses
 the one Gauss-Legendre rule of ``analytic.gauss_legendre``, so there is no
 quadrature knob.  Nor is there a tolerance or sampling knob: each check's
-acceptance rule and sample set (``verify.SAMPLE_GRID``, ``ANGLE_PROBES``,
-``POISSON_POINTS``) are constants beside it, in ``verify`` and ``graphfield``.
+acceptance rule and sample set (``verify.SAMPLE_GRID``, ``THM1_LEVELS``,
+``ANGLE_PROBES``, ``POISSON_POINTS``) are constants beside it, in ``verify``
+and ``graphfield``; [levels] feeds ``levelcurves`` alone.
 """
 
 from __future__ import annotations

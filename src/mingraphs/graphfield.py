@@ -186,15 +186,6 @@ class ResidualReport:
     node_count: int
     convergence_order: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "spacing": self.spacing,
-            "max_abs_residual": self.max_abs_residual,
-            "l2_residual": self.l2_residual,
-            "node_count": self.node_count,
-            "convergence_order": self.convergence_order,
-        }
-
 
 def _axis_size(rng: tuple[float, float], spacing: float) -> int:
     lo, hi = rng
@@ -248,7 +239,7 @@ def _newton_batch(pair, targets, guesses, tol: float, max_iter: int):
             idx, za, ta, bound, r = idx[keep], za[keep], ta[keep], bound[keep], r[keep]
             if not idx.size:
                 break
-            a = jet.d1[keep] if np.ndim(jet.d1) else jet.d1
+            a = jet.d1[keep]
         else:
             a = jet.d1
         b = -k / np.conj(a)  # conj(g') with g' = -k/h'

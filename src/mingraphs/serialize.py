@@ -32,9 +32,9 @@ def json_number(text: str) -> str:
     return f'"{text}"' if text in NON_FINITE_TEXT else text
 
 
-def to_json(obj, indent: int = 0) -> str:
-    """Small JSON emitter with fmt_float for every float and stable field order."""
-    pad = " " * indent
+def to_json(obj) -> str:
+    """Small one-line JSON emitter with fmt_float for every float and stable
+    field order."""
     if obj is None:
         return "null"
     if obj is True:
@@ -52,10 +52,8 @@ def to_json(obj, indent: int = 0) -> str:
         inner = ", ".join(to_json(v) for v in obj)
         return f"[{inner}]"
     if isinstance(obj, dict):
-        items = [f'{pad}  "{key}": {to_json(value)}' for key, value in obj.items()]
-        if indent:
-            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-        return "{" + ", ".join(item.strip() for item in items) + "}"
+        inner = ", ".join(f'"{key}": {to_json(value)}' for key, value in obj.items())
+        return f"{{{inner}}}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -91,7 +91,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return to_json(self.to_dict(), indent=0) + "\n"
+        return to_json(self.to_dict()) + "\n"
 
 
 def _argmax_point(values: np.ndarray, zetas: np.ndarray) -> tuple[float, float]:
@@ -135,22 +135,20 @@ def verify_lemma2(pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID) -> Veri
 
 #: verify_thm1 fails when K_emp exceeds the chain bound by more than this.
 THM1_TOL = 1e-9
+#: verify_thm1 samples the level curves {u = C} at these heights.
+THM1_LEVELS = (1.0, 2.0)
 
 
-def verify_thm1(
-    pair: WeierstrassPair, levels: list[float], grid: SampleGrid = SAMPLE_GRID
-) -> VerificationReport:
-    """Curvature bound on level sets: K_emp = sup C*|kappa| against the
-    proof-chain bound (k0/sqrt(k)) * A_emp.
+def verify_thm1(pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID) -> VerificationReport:
+    """Curvature bound on level sets: K_emp = sup C*|kappa| over the levels
+    C of THM1_LEVELS, against the proof-chain bound (k0/sqrt(k)) * A_emp.
 
     A_emp is taken over the supplied grid united with the level-set sample
     points themselves, so the pointwise chain
     C*|kappa| = k0*sigma0*|kappa| <= (k0/sqrt(k)) * sigma0*|h''/h'|
     is checked on exactly the points that generate K_emp.
     """
-    levels = [float(c) for c in levels]
-    if any(c <= 0.0 for c in levels):
-        raise ParameterError("curvature-bound levels must be strictly positive")
+    levels = list(THM1_LEVELS)
     level_sigmas = np.array([sigma_for_level(pair, c) for c in levels])
     level_pts = level_sigmas[:, None] + 1j * grid.taus[None, :]
 
@@ -508,8 +506,9 @@ def estimate_asymptotic_angles(pair: WeierstrassPair) -> tuple[float, float]:
 
     Probes phi = atan2(y_tau, x_tau) at sigma = 0 at the ANGLE_PROBES,
     requires the last two raw estimates to agree within ``ANGLES_TOL``, and
-    Richardson-extrapolates assuming a 1/tau tail.  Rotating by the mean of
-    the two limits puts them in the symmetric +/-alpha normalization.
+    Richardson-extrapolates assuming a 1/tau tail.  Returns the two limits
+    (plus, minus) as measured, unrotated; for lw(gamma) they are gamma*pi/2
+    and (2-gamma)*pi/2.
     """
 
     def phi_at(tau: float) -> float:

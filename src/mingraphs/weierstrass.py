@@ -62,7 +62,6 @@ class WeierstrassPair:
     g: AnalyticMap | None = None
     g_anchor: tuple[complex, complex] | None = None
     gamma: float | None = None
-    degenerate: bool = False
     label: str = "pair"
 
     def __post_init__(self):
@@ -72,7 +71,7 @@ class WeierstrassPair:
             raise ParameterError("exactly one of g (closed form) or g_anchor is required")
         if self.g_anchor is not None and complex(self.g_anchor[0]).real < 0.0:
             raise ParameterError("g anchor must lie in the closed half-plane")
-        if self.g is not None and not self.degenerate:
+        if self.g is not None:
             self._probe_dilatation()
 
     @property
@@ -82,16 +81,20 @@ class WeierstrassPair:
 
     def _probe_dilatation(self) -> None:
         # g' * h' must equal -k identically; a handful of probes catches
-        # mis-specified closed forms at construction time.
+        # mis-specified closed forms at construction time.  A product that
+        # overflows to inf or nan fails too ("not <=" refuses nan), and
+        # without a numpy warning.
         for zeta in _DILATATION_PROBES:
             try:
-                hp = self.h.jet(zeta).d1
-                gp = self.g.jet(zeta).d1
+                with np.errstate(all="ignore"):
+                    hp = self.h.jet(zeta).d1
+                    gp = self.g.jet(zeta).d1
+                    product = gp * hp
             except DomainError:
                 continue
-            if abs(gp * hp + self.k) > 1e-8 * max(self.k, 1.0):
+            if not abs(product + self.k) <= 1e-8 * max(self.k, 1.0):
                 raise ParameterError(
-                    f"closed-form g violates g'h' = -k at zeta={zeta}: got {gp * hp}"
+                    f"closed-form g violates g'h' = -k at zeta={zeta}: got {product}"
                 )
 
 
@@ -141,34 +144,23 @@ def eval_surface(pair: WeierstrassPair, zeta) -> SurfacePoint:
     return SurfacePoint(x=f.real, y=f.imag, u=pair.k0 * zeta.real)
 
 
-def lw_family(gamma: float, allow_endpoint: bool = False) -> WeierstrassPair:
+def lw_family(gamma: float) -> WeierstrassPair:
     """The one-parameter catalog family with concave domains.
 
     h(zeta) = (zeta+1)**gamma and g(zeta) = -(zeta+1)**(2-gamma)/(gamma*(2-gamma))
-    with k0 = 2 (so k = 1), defined for 1 < gamma < 2.  The closure endpoints
-    are admitted only with ``allow_endpoint`` and come back flagged
-    degenerate: at gamma = 1 the dilatation loses strict inequality, and at
-    gamma = 2 the closed form for g gives way to an anchored quadrature.
+    with k0 = 2 (so k = 1), defined for 1 < gamma < 2.  The endpoints are
+    refused: at gamma = 1 the dilatation loses strict inequality, and at
+    gamma = 2 the coefficient of g blows up.
     """
     if not np.isfinite(gamma):
         raise ParameterError("gamma must be finite")
-    inside = 1.0 < gamma < 2.0
-    if not inside and not (allow_endpoint and 1.0 <= gamma <= 2.0):
+    if not 1.0 < gamma < 2.0:
         raise ParameterError(f"gamma = {gamma} outside (1, 2)")
     h = PowerAffineMap(offset=1.0, exponent=float(gamma))
-    if gamma == 2.0:
-        # coefficient 1/(gamma*(2-gamma)) blows up; continue g from g(0) = 0
-        return WeierstrassPair(
-            h=h, k0=2.0, g_anchor=(0.0 + 0.0j, 0.0 + 0.0j),
-            gamma=float(gamma), degenerate=True, label=f"lw(gamma={gamma:g})",
-        )
     g = PowerAffineMap(
         offset=1.0, exponent=float(2.0 - gamma), coeff=-1.0 / (gamma * (2.0 - gamma))
     )
-    return WeierstrassPair(
-        h=h, k0=2.0, g=g, gamma=float(gamma), degenerate=not inside,
-        label=f"lw(gamma={gamma:g})",
-    )
+    return WeierstrassPair(h=h, k0=2.0, g=g, gamma=float(gamma), label=f"lw(gamma={gamma:g})")
 
 
 def planar_pair(a: float, k0: float = 2.0) -> WeierstrassPair:

@@ -29,6 +29,7 @@ from mingraphs import (
     verify_thm1,
     verify_thm2,
 )
+from mingraphs import verify
 from mingraphs.graphfield import ScalarField2D
 from oracles import curvature_fd_oracle
 
@@ -84,13 +85,13 @@ def test_criterion_3_concavity_propagation():
            f"planar negative control fails as designed: {not negative.passed}")
 
 
-def test_criterion_4_curvature_bound():
-    levels = [0.5, 1.0, 2.0, 4.0, 8.0]
+def test_criterion_4_curvature_bound(monkeypatch):
+    monkeypatch.setattr(verify, "THM1_LEVELS", (0.5, 1.0, 2.0, 4.0, 8.0))
     details = []
     ok = True
     for gamma in GAMMAS_FULL:
         pair = lw_family(gamma)
-        thm1 = verify_thm1(pair, levels, THM_GRID)
+        thm1 = verify_thm1(pair, THM_GRID)
         lemma2 = verify_lemma2(pair, THM_GRID)
         ok = ok and thm1.passed and lemma2.passed
         ok = ok and thm1.empirical_constant <= 2.0 * lemma2.empirical_constant + 1e-9

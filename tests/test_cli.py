@@ -439,6 +439,45 @@ class TestMalformedInput:
         assert "error: " in one_line_error(capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["levelcurves", "--levels", "1", "--tau=-1,1,5", "--grid=0.5,1.5,-0.5,0.5,0.25"],
+         "--grid"),
+        (["verify", "thm1", "--levels", "1"], "--levels"),
+        (["verify", "thm1", "--format", "svg"], "--format"),
+        (["verify", "thm1", "--tau=5,1,0"], "--tau"),
+        (["sweep-gamma", "--gamma", "1.7", "--gammas", "1.3"], "--gamma"),
+        (["sweep-gamma", "--gammas", "1.3", "--levels", "1"], "--levels"),
+        (["sweep-gamma", "--gammas", "1.3", "--format", "csv"], "--format"),
+        (["sweep-gamma", "--gammas", "1.3", "--grid=9,1,1,0,-1"], "--grid"),
+        (["sweep-gamma", "--gammas", "1.3", "--tau=5,1,0"], "--tau"),
+        (["reconstruct", "--grid=0.5,1.5,-0.5,0.5,0.25", "--levels", "nan,-3"], "--levels"),
+        (["reconstruct", "--grid=0.5,1.5,-0.5,0.5,0.25", "--tau=9,1,0"], "--tau"),
+        (["verify", "all", "--gam", "1.5"], "--gam"),
+    ], ids=["levelcurves-grid", "verify-levels", "verify-format", "verify-tau",
+            "sweep-gamma", "sweep-levels", "sweep-format", "sweep-grid", "sweep-tau",
+            "reconstruct-levels", "reconstruct-tau", "verify-abbreviation"])
+    def test_flag_the_command_does_not_read(self, tmp_path, capsys, argv, flag):
+        # Refused, not ignored, and not read as an abbreviation (--gamma of --gammas).
+        with pytest.raises(SystemExit) as excinfo:
+            run(*argv, "--out", str(tmp_path / "out"))
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_dilatation_probe_overflow(self, tmp_path, capsys):
+        # g'h' overflows to nan at every probe: the pair is refused at once,
+        # without a numpy warning, instead of failing later on the tau window.
+        config = tmp_path / "run.ini"
+        config.write_text("[pair]\nkind = custom\nk0 = 2\n"
+                          "h = power-affine offset=1 exponent=1e300\ng = affine slope=1e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            status = run("levelcurves", "--config", str(config), "--levels", "1",
+                         "--tau=-2,2,5", "--out", str(tmp_path / "out"))
+        assert status == 2
+        assert "closed-form g violates g'h' = -k" in one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, named", [
         ("kind = lw\ngamma = 1.5\n", ["no section headers"]),
         ("[pair]\nkind = lw\n\n[pair]\ngamma = 1.5\n", ["section 'pair' already exists"]),

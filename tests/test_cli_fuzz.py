@@ -31,7 +31,8 @@ FLAGS = (
     "--grid=1.5,0.5,-0.5,0.5,0.25", "--grid=-5,-3,0,1,0.5", "--grid=0.5,3,-2,2,1e-15",
     "--grid=0.5,1.5,-0.5,0.5,nan",
     "--format=csv", "--format=csv,json,svg", "--format=pdf", "--format=csv,pdf", "--format=,",
-    "--frob", "--tol=msr_exact=1e-9", "--gammas=1.5",
+    "--frob", "--tol=msr_exact=1e-9", "--gammas=1.5", "--gammas=nan", "--gammas=x",
+    "--gammas=2", "--gammas=,", "--gam=1.5",
 )
 
 #: Small valid values that every config starts from; drawn entries replace them.
@@ -39,6 +40,7 @@ BASE = {
     "tau": {"min": "-2", "max": "2", "n": "5"},
     "grid": {"x0": "0.5", "x1": "1.5", "y0": "-0.5", "y1": "0.5", "spacing": "0.25"},
     "levels": {"values": "1"},
+    "sweep": {"gammas": "1.5"},
 }
 
 ENTRIES = (
@@ -63,6 +65,7 @@ ENTRIES = (
     ("pair", "g_anchor", "1:0"), ("pair", "g_anchor", "1"), ("pair", "g_anchor", "-1:0"),
     ("pair", "g_anchor", "nan:0"), ("pair", "g_anchor", "1:inf"),
     ("pair", "g", "affine slope=-0.5"), ("pair", "g", "affine slope=x"),
+    ("pair", "h", "power-affine offset=1 exponent=1e300"), ("pair", "g", "affine slope=1e300"),
     ("sweep", "gammas", "1.5, x"),
     ("verify", "n_tau", "3"), ("tolerances", "msr_exact", "1e-9"), ("plot", "width", "3"),
     ("tau", "mn", "-5"), ("pair", "mystery", "1"),
@@ -86,8 +89,8 @@ def config_text(entries, raw) -> str:
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
-    command=st.sampled_from(["levelcurves", "reconstruct", *[f"verify {c}" for c in
-                                                              (*VERIFY_CHECKS, "all")]]),
+    command=st.sampled_from(["levelcurves", "reconstruct", "sweep-gamma",
+                             *[f"verify {c}" for c in (*VERIFY_CHECKS, "all")]]),
     flags=st.lists(st.sampled_from(FLAGS), max_size=3),
     entries=st.lists(st.sampled_from(ENTRIES), max_size=4),
     raw=st.one_of(st.none(), st.sampled_from(RAW)),

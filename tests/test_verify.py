@@ -117,25 +117,26 @@ class TestDerivativeFloor:
 
 
 class TestThm1:
-    def test_planar(self, planar22):
-        report = verify_thm1(planar22, [0.5, 1.0, 2.0], GRID)
+    @pytest.fixture
+    def five_levels(self, monkeypatch):
+        monkeypatch.setattr(verify, "THM1_LEVELS", (0.5, 1.0, 2.0, 4.0, 8.0))
+
+    def test_planar(self, planar22, monkeypatch):
+        monkeypatch.setattr(verify, "THM1_LEVELS", (0.5, 1.0, 2.0))
+        report = verify_thm1(planar22, GRID)
         assert report.passed and report.empirical_constant == 0.0
 
-    def test_lw15_chain(self, lw15):
-        report = verify_thm1(lw15, [0.5, 1.0, 2.0, 4.0, 8.0], GRID)
+    def test_lw15_chain(self, lw15, five_levels):
+        report = verify_thm1(lw15, GRID)
         assert report.passed
         # C=2, tau=0 sits on the sampled set: C*kappa there is a lower bound
         assert report.empirical_constant >= 2.0 * curvature_closed_form(lw15, 1.0 + 0j) - 1e-12
         assert "chain bound" in report.notes
 
-    def test_no_growth_across_levels(self, lw15):
-        report = verify_thm1(lw15, [0.5, 1.0, 2.0, 4.0, 8.0], GRID)
+    def test_no_growth_across_levels(self, lw15, five_levels):
+        report = verify_thm1(lw15, GRID)
         a_emp = verify_lemma2(lw15, GRID).empirical_constant
         assert report.empirical_constant <= 2.0 * a_emp + 1e-9
-
-    def test_rejects_zero_level(self, lw15):
-        with pytest.raises(ParameterError):
-            verify_thm1(lw15, [0.0, 1.0], GRID)
 
 
 class TestThm2:
@@ -337,6 +338,14 @@ class TestAsymptoticAngles:
         plus, minus = estimate_asymptotic_angles(lw15)
         assert plus == pytest.approx(3 * np.pi / 4, abs=1e-6)
         assert minus == pytest.approx(np.pi / 4, abs=1e-6)
+
+    @pytest.mark.parametrize("gamma", [1.01, 1.1, 1.5, 1.9, 1.99])
+    def test_lw_closed_form(self, gamma):
+        # The boundary arc of lw(gamma) leaves at gamma*pi/2 toward +infinity
+        # and at (2-gamma)*pi/2 toward -infinity, unrotated.
+        plus, minus = estimate_asymptotic_angles(lw_family(gamma))
+        assert abs(plus - gamma * np.pi / 2) <= 1e-9
+        assert abs(minus - (2.0 - gamma) * np.pi / 2) <= 1e-9
 
     def test_nonconvergence_flagged(self, monkeypatch):
         monkeypatch.setattr(verify, "ANGLE_PROBES", (1.0, 2.0))
