@@ -10,9 +10,10 @@ Exit status is 0 iff every requested check passed; evaluation errors remove
 partial outputs and exit nonzero.  Identical configs produce byte-identical
 artifacts (17-significant-digit floats, fixed field order, no timestamps).
 
-Each command takes ``--config``, ``--out`` and only the flags it reads
+Each command takes ``--out`` and only the flags it reads
 (``build_parser``); any other flag, or an abbreviation, exits 2 with one
-stderr line.
+stderr line.  ``--config`` names a file that holds the [pair] alone
+(``config.load_config``); every run setting is a flag.
 
 Each command imports the modules it runs inside its own function, so a
 process loads neither ``verify`` for ``levelcurves`` nor ``graphfield`` for
@@ -64,29 +65,31 @@ def _grid(text: str) -> tuple[float, float, float, float, float]:
 
 
 def _config_from_args(args) -> RunConfig:
-    config = load_config(args.config)
-    updates: dict = {}
+    """The run: each flag given (an empty value is refused), else the
+    ``RunConfig`` default; a --gamma replaces the [pair] of --config."""
+    given: dict = {}
+    if getattr(args, "config", None) is not None:
+        given["pair_spec"] = load_config(args.config)
     if getattr(args, "gamma", None) is not None:
-        updates["pair_spec"] = {"kind": "lw", "gamma": str(args.gamma)}
-    if getattr(args, "levels", None):
-        updates["levels"] = parse_floats(args.levels, "--levels")
-    if getattr(args, "tau", None):
+        given["pair_spec"] = {"kind": "lw", "gamma": str(args.gamma)}
+    if getattr(args, "levels", None) is not None:
+        given["levels"] = parse_floats(args.levels, "--levels")
+    if getattr(args, "tau", None) is not None:
         tau = parse_value(args.tau, _tau, "--tau", "min,max,n with n an integer")
-        updates["tau_min"], updates["tau_max"], updates["tau_n"] = tau
-    if getattr(args, "grid", None):
+        given["tau_min"], given["tau_max"], given["tau_n"] = tau
+    if getattr(args, "grid", None) is not None:
         x0, x1, y0, y1, h = parse_value(args.grid, _grid, "--grid", "x0,x1,y0,y1,h")
-        updates["grid_window"] = (x0, x1, y0, y1)
-        updates["grid_spacing"] = h
-    if getattr(args, "out", None):
-        updates["out_dir"] = args.out
-    if getattr(args, "format", None):
-        updates["formats"] = parse_formats(args.format, "--format")
-    if getattr(args, "gammas", None):
-        updates["sweep_gammas"] = parse_floats(args.gammas, "--gammas")
-    if updates:
-        from dataclasses import replace
-        config = replace(config, **updates)
-    return config
+        given["grid_window"] = (x0, x1, y0, y1)
+        given["grid_spacing"] = h
+    if args.out is not None:
+        if not args.out:
+            raise ParameterError("--out takes a directory, got ''")
+        given["out_dir"] = args.out
+    if getattr(args, "format", None) is not None:
+        given["formats"] = parse_formats(args.format, "--format")
+    if getattr(args, "gammas", None) is not None:
+        given["sweep_gammas"] = parse_floats(args.gammas, "--gammas")
+    return RunConfig(**given)
 
 
 def _level_name(c: float) -> str:
@@ -259,9 +262,8 @@ def cmd_reconstruct(config: RunConfig, args) -> int:
     except _ERRORS as exc:
         print(f"reconstruct failed: {exc}", file=sys.stderr)
         return 2
-    written = [atomic_write(out_dir / "field.grid", field.to_grid_text())]
-    if "csv" in config.formats:
-        written.append(atomic_write(out_dir / "field.csv", field.to_csv()))
+    written = [atomic_write(out_dir / "field.grid", field.to_grid_text()),
+               atomic_write(out_dir / "field.csv", field.to_csv())]
     stats = field.stats
     print(f"solved {stats.solved}/{stats.attempted} nodes ({stats.failed} failed)")
     for path in written:
@@ -289,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     flag_kwargs = {
+        "--config": {"help": "config file with the [pair] section"},
         "--gamma": {"type": float, "help": "catalog family exponent"},
         "--levels": {"help": "comma list of level heights"},
         "--tau": {"help": "a,b,n sampling window"},
@@ -301,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         # allow_abbrev=False: a flag this command does not take is refused,
         # never read as the prefix of one it does (--gamma of --gammas).
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        p.add_argument("--config", default=None, help="declarative config file")
         p.add_argument("--out", default=None, help="output directory")
         for flag in flags:
             p.add_argument(flag, default=None, **flag_kwargs[flag])
@@ -309,12 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("levelcurves", "sample and export level curves", cmd_levelcurves,
-            "--gamma", "--levels", "--tau", "--format")
-    p_verify = command("verify", "run verification checks", cmd_verify, "--gamma", "--grid")
+            "--config", "--gamma", "--levels", "--tau", "--format")
+    p_verify = command("verify", "run verification checks", cmd_verify,
+                       "--config", "--gamma", "--grid")
     p_verify.add_argument("check", choices=VERIFY_CHECKS + ("all",))
     command("sweep-gamma", "summary table over the catalog family", cmd_sweep_gamma, "--gammas")
-    command("reconstruct", "invert the map over a grid window", cmd_reconstruct,
-            "--gamma", "--grid", "--format")
+    p_reconstruct = command("reconstruct", "invert the map over a grid window", cmd_reconstruct,
+                            "--config", "--gamma", "--grid")
+    # field.grid and field.csv are always written; csv is the one name taken.
+    p_reconstruct.add_argument("--format", default=None, choices=("csv",),
+                               help="csv (the default and only format)")
 
     return parser
 

@@ -1,23 +1,17 @@
-"""Declarative run configuration: one INI-style file, flag overrides on top.
+"""The config file describes the Weierstrass pair; flags describe the run.
 
-Sections and keys (all optional; defaults are sensible for the catalog
-family), with the commands that read them:
+The file holds one section, with the keys of its kind:
 
-    [pair]          kind = lw | planar | custom     levelcurves, verify,
-                    gamma = 1.5            (lw)      reconstruct
-                    a = 2, k0 = 2          (planar)
-                    k0 = 2, h = <expr>, g = <expr> | g_anchor = zeta:value
-                                           (custom)
-    [levels]        values = 0, 1, 2                levelcurves
-    [tau]           min = -20, max = 20, n = 401    levelcurves
-    [grid]          x0, x1, y0, y1, spacing         verify, reconstruct
-    [output]        dir = out                       every command
-                    formats = csv, json             levelcurves, reconstruct
-                                           (any of csv | json | svg)
-    [sweep]         gammas = 1.1, 1.2, ..., 1.9     sweep-gamma
+    [pair]      kind = lw | planar | custom
+                gamma = 1.5                    (lw)
+                a = 2, k0 = 2                  (planar)
+                k0 = 2, h = <expr>, g = <expr> | g_anchor = zeta:value
+                                               (custom)
 
-The file is shared: every command checks all of it, and reads only its own
-sections.
+``levelcurves``, ``verify`` and ``reconstruct`` read it through
+``--config``.  Every run setting (levels, the tau window, the grid, the
+output directory and formats, the sweep gammas) is a flag; ``RunConfig``
+holds them with their defaults.
 
 Any other section or key, a value that does not parse, and a file that
 configparser cannot parse, is a ParameterError that names the section and
@@ -35,13 +29,13 @@ the one Gauss-Legendre rule of ``analytic.gauss_legendre``, so there is no
 quadrature knob.  Nor is there a tolerance or sampling knob: each check's
 acceptance rule and sample set (``verify.SAMPLE_GRID``, ``THM1_LEVELS``,
 ``ANGLE_PROBES``, ``POISSON_POINTS``) are constants beside it, in ``verify``
-and ``graphfield``; [levels] feeds ``levelcurves`` alone.
+and ``graphfield``; ``--levels`` feeds ``levelcurves`` alone.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analytic import AffineMap, AnalyticMap, PowerAffineMap, SumMap
@@ -54,18 +48,12 @@ PAIR_KEYS = {
     "custom": ("kind", "k0", "h", "g", "g_anchor"),
 }
 
-SECTION_KEYS = {
-    "pair": None,  # checked per kind, PAIR_KEYS
-    "levels": ("values",),
-    "tau": ("min", "max", "n"),
-    "grid": ("x0", "x1", "y0", "y1", "spacing"),
-    "output": ("dir", "formats"),
-    "sweep": ("gammas",),
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
+    """What one run computes: the [pair] spec and each run setting, from
+    its flag or this default."""
+
     pair_spec: dict = field(default_factory=lambda: {"kind": "lw", "gamma": "1.5"})
     levels: tuple[float, ...] = (0.0, 1.0, 2.0)
     tau_min: float = -20.0
@@ -84,6 +72,8 @@ NUMBER_LIST = "a comma list of numbers"
 
 def _floats(text: str) -> tuple[float, ...]:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
+    if not items:
+        raise ValueError("no numbers")
     return tuple(float(piece) for piece in items)
 
 
@@ -97,14 +87,15 @@ def parse_value(text: str, kind, where: str, takes: str):
 
 
 def parse_floats(text: str, where: str) -> tuple[float, ...]:
-    """A comma list of numbers; empty entries are skipped."""
+    """A comma list of at least one number; empty entries are skipped."""
     return parse_value(text, _floats, where, NUMBER_LIST)
 
 
 def parse_formats(text: str, where: str) -> tuple[str, ...]:
-    """A comma list of output formats, each one of FORMATS."""
+    """A comma list of at least one output format, each one of FORMATS;
+    empty entries are skipped."""
     names = tuple(p.strip() for p in text.split(",") if p.strip())
-    for name in names:
+    for name in names or (text,):
         if name not in FORMATS:
             raise ParameterError(
                 f"{where} takes a comma list of {' | '.join(FORMATS)}, got {name!r}")
@@ -182,16 +173,14 @@ def _check_known(parser: configparser.ConfigParser) -> None:
     unknown, known = [], {}
     defaults = [parser.default_section] if parser.defaults() else []
     for name in defaults + parser.sections():
-        if name not in SECTION_KEYS:
+        if name != "pair":
             unknown.append(f"section [{name}]")
-            known["sections"] = ", ".join(SECTION_KEYS)
+            known["sections"] = "pair"
             continue
-        keys = SECTION_KEYS[name]
-        if name == "pair":
-            kind = parser.get("pair", "kind", fallback="lw")
-            if kind not in PAIR_KEYS:
-                raise ParameterError(f"unknown pair kind {kind!r}")
-            keys = PAIR_KEYS[kind]
+        kind = parser.get("pair", "kind", fallback="lw")
+        if kind not in PAIR_KEYS:
+            raise ParameterError(f"unknown pair kind {kind!r}")
+        keys = PAIR_KEYS[kind]
         bad = [key for key in parser.options(name) if key not in keys]
         if bad:
             unknown.extend(f"[{name}] {key}" for key in bad)
@@ -201,42 +190,15 @@ def _check_known(parser: configparser.ConfigParser) -> None:
         raise ParameterError(f"unknown config {', '.join(unknown)} (known: {hint})")
 
 
-def load_config(path: str | Path | None) -> RunConfig:
-    """Read the config file (when given) over the built-in defaults."""
-    config = RunConfig()
-    if path is None:
-        return config
+def load_config(path: str | Path) -> dict:
+    """The [pair] section of the config file, as a ``build_pair`` spec
+    (empty, so lw at its default gamma, when the file has no [pair])."""
+    parser = configparser.ConfigParser()
     try:
-        return _read_config(config, path)
+        if not parser.read(str(path)):
+            raise ParameterError(f"config file {path} not found or unreadable")
+        _check_known(parser)
+        return dict(parser.items("pair")) if parser.has_section("pair") else {}
     except configparser.Error as exc:
         message = " ".join(str(exc).split())
         raise ParameterError(f"config file {path}: {message}") from None
-
-
-def _read_config(config: RunConfig, path: str | Path) -> RunConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(str(path))
-    if not read:
-        raise ParameterError(f"config file {path} not found or unreadable")
-    _check_known(parser)
-
-    def get(section: str, key: str, default, kind=float, takes: str = "a number"):
-        if not parser.has_option(section, key):
-            return default
-        return parse_value(parser.get(section, key), kind, f"[{section}] {key}", takes)
-
-    window = zip(("x0", "x1", "y0", "y1"), config.grid_window)
-    formats = parser.get("output", "formats", fallback="")
-    return replace(
-        config,
-        pair_spec=dict(parser.items("pair")) if parser.has_section("pair") else config.pair_spec,
-        levels=get("levels", "values", config.levels, _floats, NUMBER_LIST),
-        tau_min=get("tau", "min", config.tau_min),
-        tau_max=get("tau", "max", config.tau_max),
-        tau_n=get("tau", "n", config.tau_n, int, "an integer"),
-        grid_window=tuple(get("grid", key, default) for key, default in window),
-        grid_spacing=get("grid", "spacing", config.grid_spacing),
-        out_dir=parser.get("output", "dir", fallback=config.out_dir),
-        formats=parse_formats(formats, "[output] formats") if formats else config.formats,
-        sweep_gammas=get("sweep", "gammas", config.sweep_gammas, _floats, NUMBER_LIST),
-    )

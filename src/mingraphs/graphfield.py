@@ -123,18 +123,6 @@ class ScalarField2D:
         )
         return out
 
-    @classmethod
-    def from_function(cls, fn, window: Window, spacing: float) -> "ScalarField2D":
-        """Synthetic field: evaluate fn(x, y) on the full grid (all masked-in)."""
-        xs, ys = _axis(window[0], spacing), _axis(window[1], spacing)
-        values = np.asarray(fn(xs[None, :], ys[:, None]), dtype=float)
-        values = np.broadcast_to(values, (len(ys), len(xs))).copy()
-        return cls(
-            origin=(float(xs[0]), float(ys[0])), spacing=float(spacing),
-            nx=len(xs), ny=len(ys), values=values,
-            mask=np.ones((len(ys), len(xs)), dtype=bool),
-        )
-
     @cached_property
     def _value_text(self) -> list[list[str]]:
         """Each nodal value formatted once ("nan" where masked), row by row;
@@ -149,18 +137,6 @@ class ScalarField2D:
         )
         rows = [" ".join(row) for row in self._value_text]
         return header + "\n" + "\n".join(rows) + "\n"
-
-    @classmethod
-    def from_grid_text(cls, text: str) -> "ScalarField2D":
-        lines = [line for line in text.strip().split("\n") if line.strip()]
-        x0, y0, h, nx, ny = lines[0].split()
-        nx, ny = int(nx), int(ny)
-        values = np.array([[float(v) for v in line.split()] for line in lines[1:ny + 1]])
-        if values.shape != (ny, nx):
-            raise ParameterError("grid body does not match header dimensions")
-        mask = np.isfinite(values)
-        return cls(origin=(float(x0), float(y0)), spacing=float(h),
-                   nx=nx, ny=ny, values=values, mask=mask)
 
     def to_csv(self) -> str:
         nx = self.nx

@@ -3,7 +3,8 @@
 Each recomputes a quantity the package evaluates in closed form by another
 route (finite differences of the surface map, the conjugate form of the
 tau-partials, the height as an integral of sqrt(h'g'), the Jacobian of f),
-so a test can compare the two.
+so a test can compare the two.  Two builders make grid fields for tests: a
+synthetic field from a formula, and a field read back from ``field.grid``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 
 from mingraphs.analytic import DERIVATIVE_FLOOR
 from mingraphs.errors import ConvergenceError, DomainError, ParameterError, SingularityError
+from mingraphs.graphfield import ScalarField2D, Window, _axis
 from mingraphs.levels import curvature_generic
 from mingraphs.weierstrass import WeierstrassPair, _segment_integral, eval_surface, g_prime
 
@@ -96,3 +98,28 @@ def jacobian_det(pair: WeierstrassPair, zeta):
     if not np.all(mag2 > DERIVATIVE_FLOOR):
         raise SingularityError("|h'| at derivative floor")
     return mag2 - pair.k**2 / mag2
+
+
+def field_from_function(fn, window: Window, spacing: float) -> ScalarField2D:
+    """Synthetic field: evaluate fn(x, y) on the full grid (all masked-in)."""
+    xs, ys = _axis(window[0], spacing), _axis(window[1], spacing)
+    values = np.asarray(fn(xs[None, :], ys[:, None]), dtype=float)
+    values = np.broadcast_to(values, (len(ys), len(xs))).copy()
+    return ScalarField2D(
+        origin=(float(xs[0]), float(ys[0])), spacing=float(spacing),
+        nx=len(xs), ny=len(ys), values=values,
+        mask=np.ones((len(ys), len(xs)), dtype=bool),
+    )
+
+
+def field_from_grid_text(text: str) -> ScalarField2D:
+    """Read a ``field.grid`` text back; nan nodes are masked out."""
+    lines = [line for line in text.strip().split("\n") if line.strip()]
+    x0, y0, h, nx, ny = lines[0].split()
+    nx, ny = int(nx), int(ny)
+    values = np.array([[float(v) for v in line.split()] for line in lines[1:ny + 1]])
+    if values.shape != (ny, nx):
+        raise ParameterError("grid body does not match header dimensions")
+    mask = np.isfinite(values)
+    return ScalarField2D(origin=(float(x0), float(y0)), spacing=float(h),
+                         nx=nx, ny=ny, values=values, mask=mask)

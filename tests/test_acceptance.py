@@ -30,8 +30,7 @@ from mingraphs import (
     verify_thm2,
 )
 from mingraphs import verify
-from mingraphs.graphfield import ScalarField2D
-from oracles import curvature_fd_oracle
+from oracles import curvature_fd_oracle, field_from_function
 
 GAMMAS_COARSE = (1.1, 1.5, 1.9)
 GAMMAS_FULL = tuple(round(1.1 + 0.1 * i, 10) for i in range(9))
@@ -140,7 +139,7 @@ def test_criterion_7_superharmonicity(field32, planar_field):
     frac_negative = float(np.mean(vals < 0.0))
     planar_lap = laplacian(planar_field)
     planar_max = float(np.max(np.abs(planar_lap.values[planar_lap.mask])))
-    cal = ScalarField2D.from_function(lambda x, y: x**2 + y**2,
+    cal = field_from_function(lambda x, y: x**2 + y**2,
                                       ((-1.0, 1.0), (-1.0, 1.0)), 0.05)
     cal_lap = laplacian(cal)
     cal_err = float(np.max(np.abs(cal_lap.values[cal_lap.mask] - 4.0)))

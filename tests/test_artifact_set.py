@@ -16,10 +16,17 @@ SMALL = ["levelcurves", "--gamma", "1.5", "--levels", "1", "--tau=-1,1,5", "--fo
 
 def test_command_set():
     names = [name for name, _, _ in artifact_set.COMMANDS]
-    assert len(names) == 22 and len(set(names)) == 22
+    assert len(names) == 24 and len(set(names)) == 24
     assert "reconstruct_masked_g1.5_h64" in names
-    anchored = [args for name, args, config in artifact_set.COMMANDS if config is not None]
-    assert [args[0] for args in anchored] == ["verify", "levelcurves", "reconstruct"]
+    assert {args[0] for _, args, _ in artifact_set.COMMANDS} == {
+        "reconstruct", "verify", "levelcurves", "sweep-gamma"}
+    with_config = [(args[:2], config) for _, args, config in artifact_set.COMMANDS
+                   if config is not None]
+    anchored = artifact_set.ANCHOR_ZERO_CONFIG
+    assert with_config == [
+        (["verify", "all"], anchored), (["levelcurves", "--config"], anchored),
+        (["reconstruct", "--config"], anchored), (["verify", "thm2"], artifact_set.PLANAR_CONFIG),
+    ]
 
 
 def test_one_command_tree_is_reproducible(tmp_path):
@@ -38,10 +45,10 @@ def test_one_command_tree_is_reproducible(tmp_path):
 
 def test_failing_command_keeps_status_and_stderr(tmp_path):
     args = ["verify", "thm1", "--config", artifact_set.CONFIG_NAME]
-    status = artifact_set.run_command(tmp_path, "bad", args, "[tau]\nn = x\n")
+    status = artifact_set.run_command(tmp_path, "bad", args, "[pair]\nkind = lw\ngamma = x\n")
     assert status == 2
     assert (tmp_path / "bad" / "status.txt").read_text() == "2\n"
-    assert "[tau] n takes an integer" in (tmp_path / "bad" / "stderr.txt").read_text()
+    assert "[pair] gamma takes a number" in (tmp_path / "bad" / "stderr.txt").read_text()
 
 
 def test_refuses_non_empty_out_dir(tmp_path):

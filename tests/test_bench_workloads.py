@@ -23,7 +23,7 @@ def test_workload_inputs_parse(tmp_path, monkeypatch, name, seed):
     for path, text in workload.configs:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_text(text)
-        build_pair(load_config(path).pair_spec)
+        build_pair(load_config(path))
     parser = build_parser()
     for command in workload.commands:
         config = _config_from_args(parser.parse_args(list(command.argv)))

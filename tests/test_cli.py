@@ -1,5 +1,6 @@
 """CLI commands: artifacts, exit codes, determinism, config handling."""
 
+import argparse
 import json
 import warnings
 from pathlib import Path
@@ -7,14 +8,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mingraphs import ScalarField2D
-from mingraphs.cli import main
-from mingraphs.config import build_pair, load_config, parse_map_expr
+from mingraphs.cli import build_parser, main
+from mingraphs.config import PAIR_KEYS, RunConfig, build_pair, load_config, parse_map_expr
 from mingraphs.errors import ParameterError
+from oracles import field_from_grid_text
+
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
 
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def readme_table(header: str) -> dict[str, list[str]]:
+    """The README table whose header row starts with ``header``: the first
+    word of each row's first cell -> the words of its second, backticks
+    dropped."""
+    lines = README.splitlines()
+    start = next(n for n, line in enumerate(lines) if line.startswith(header))
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.replace("`", "").split() for cell in line.strip("|").split("|")]
+        rows[cells[0][0]] = cells[1]
+    return rows
 
 
 class TestConfig:
@@ -55,26 +74,34 @@ class TestConfig:
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "run.ini"
-        path.write_text(
-            "[pair]\nkind = planar\na = 2\nk0 = 2\n\n"
-            "[levels]\nvalues = 0, 2\n\n"
-            "[tau]\nmin = -5\nmax = 5\nn = 11\n\n"
-            "[output]\ndir = artifacts\nformats = csv, json\n"
-        )
-        config = load_config(path)
-        assert config.pair_spec["kind"] == "planar"
-        assert config.levels == (0.0, 2.0)
-        assert config.tau_n == 11
-        assert config.out_dir == "artifacts"
+        path.write_text("[pair]\nkind = planar\na = 2\nk0 = 2\n")
+        assert load_config(path) == {"kind": "planar", "a": "2", "k0": "2"}
+        path.write_text("; no [pair]: lw at its default gamma\n")
+        assert load_config(path) == {}
+        assert build_pair({}).label == build_pair(RunConfig().pair_spec).label
 
     def test_readme_config_examples_load(self, tmp_path):
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        blocks = [block.split("```", 1)[0] for block in readme.split("```ini\n")[1:]]
-        assert len(blocks) == 2
+        blocks = [block.split("```", 1)[0] for block in README.split("```ini\n")[1:]]
+        assert len(blocks) == 3
         for n, block in enumerate(blocks):
             path = tmp_path / f"example{n}.ini"
             path.write_text(block)
-            build_pair(load_config(path).pair_spec)
+            build_pair(load_config(path))
+
+    def test_readme_matches_parser(self):
+        # The README's per-command flag table lists what each subparser takes,
+        # and its [pair] table lists PAIR_KEYS, so the docs cannot drift.
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        taken = {
+            name: sorted(flag for action in sub._actions for flag in action.option_strings
+                         if flag not in ("-h", "--help"))
+            for name, sub in commands.items()
+        }
+        documented = readme_table("| command | flags |")
+        assert {name: sorted(flags) for name, flags in documented.items()} == taken
+        pair_keys = readme_table("| kind | keys |")
+        assert pair_keys == {kind: list(keys) for kind, keys in PAIR_KEYS.items()}
 
     def test_missing_config_file(self):
         with pytest.raises(ParameterError):
@@ -228,13 +255,14 @@ class TestSweepCommand:
         assert float(row15[4]) == pytest.approx(3 * np.pi / 4, abs=1e-6)
         assert row15[6:9] == ["1", "1", "1"]
 
-    def test_empty_gamma_list(self, tmp_path):
-        config = tmp_path / "sweep.ini"
-        config.write_text("[sweep]\ngammas =\n")
+    def test_empty_gamma_list(self, tmp_path, capsys):
+        # refused: neither spelling may sweep the default gammas or none at all
         out = tmp_path / "out"
-        assert run("sweep-gamma", "--config", str(config), "--out", str(out)) == 0
-        lines = (out / "sweep_gamma.csv").read_text().strip().split("\n")
-        assert len(lines) == 1  # header only
+        for gammas in ("", ","):
+            assert run("sweep-gamma", f"--gammas={gammas}", "--out", str(out)) == 2
+            err = one_line_error(capsys)
+            assert f"--gammas takes a comma list of numbers, got {gammas!r}" in err
+            assert not out.exists()
 
     def test_nonfinite_gamma_flag(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -243,11 +271,15 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_nonfinite_gamma_config(self, tmp_path, capsys):
+        # sweep-gamma builds its pairs from --gammas alone: --config is refused
+        # before anything runs, so no config can carry a sweep
         config = tmp_path / "sweep.ini"
         config.write_text("[sweep]\ngammas = 1.5, inf\n")
         out = tmp_path / "out"
-        assert run("sweep-gamma", "--config", str(config), "--out", str(out)) == 2
-        assert "finite" in one_line_error(capsys)
+        with pytest.raises(SystemExit) as excinfo:
+            run("sweep-gamma", "--config", str(config), "--out", str(out))
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --config" in one_line_error(capsys)
         assert not out.exists()
 
     def test_bad_gamma_recorded_and_nonzero(self, tmp_path):
@@ -265,7 +297,7 @@ class TestReconstructCommand:
         status = run("reconstruct", "--gamma", "1.5", "--out", str(out),
                      "--grid", "0.5,1.5,-0.5,0.5,0.125", "--format", "csv")
         assert status == 0
-        field = ScalarField2D.from_grid_text((out / "field.grid").read_text())
+        field = field_from_grid_text((out / "field.grid").read_text())
         assert field.mask.all()
         assert np.all(field.values[field.mask] > 0.0)
         assert (out / "field.csv").read_text().startswith("x,y,u,mask")
@@ -333,34 +365,50 @@ class TestMalformedInput:
         assert named in one_line_error(capsys)
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("how", ["flag", "config"])
-    def test_too_many_level_samples(self, tmp_path, capsys, how):
+    def test_too_many_level_samples(self, tmp_path, capsys):
         # 1e11 samples would need 745 GiB for tau alone: refused before any array exists
-        if how == "flag":
-            argv = ["--gamma", "1.5", "--tau=-1,1,100000000000"]
-        else:
-            config = tmp_path / "run.ini"
-            config.write_text("[tau]\nmin = -1\nmax = 1\nn = 100000000000\n")
-            argv = ["--config", str(config)]
-        status = run("levelcurves", *argv, "--out", str(tmp_path / "out"))
+        status = run("levelcurves", "--gamma", "1.5", "--tau=-1,1,100000000000",
+                     "--out", str(tmp_path / "out"))
         assert status == 2
         assert "100000000000 samples" in one_line_error(capsys)
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("how", ["flag", "config"])
-    def test_unknown_format(self, tmp_path, capsys, how):
-        if how == "flag":
-            argv, named = ["--gamma", "1.5", "--format=csv,pdf"], "--format"
-        else:
-            config = tmp_path / "run.ini"
-            config.write_text("[output]\nformats = csv, pdf\n")
-            argv, named = ["--config", str(config)], "[output] formats"
+    def test_unknown_format(self, tmp_path, capsys):
         out = tmp_path / "out"
-        status = run("levelcurves", *argv, "--levels", "1", "--tau=-1,1,5", "--out", str(out))
+        status = run("levelcurves", "--gamma", "1.5", "--format=csv,pdf",
+                     "--levels", "1", "--tau=-1,1,5", "--out", str(out))
         assert status == 2
         err = one_line_error(capsys)
-        assert named in err and "'pdf'" in err and "csv | json | svg" in err
+        assert "--format" in err and "'pdf'" in err and "csv | json | svg" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json,svg", "json", "csv,json", ""])
+    def test_reconstruct_takes_csv_only(self, tmp_path, capsys, fmt):
+        # field.grid and field.csv are always written: any other name was ignored
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            run("reconstruct", "--grid=0.5,1.5,-0.5,0.5,0.25", f"--format={fmt}",
+                "--out", str(out))
+        assert excinfo.value.code == 2
+        assert f"argument --format: invalid choice: {fmt!r}" in one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["levelcurves", "--levels="], "--levels takes a comma list of numbers, got ''"),
+        (["levelcurves", "--levels=,"], "--levels takes a comma list of numbers, got ','"),
+        (["levelcurves", "--format="], "--format takes a comma list of csv | json | svg, got ''"),
+        (["levelcurves", "--format=,"], "--format takes a comma list of csv | json | svg, got ','"),
+        (["levelcurves", "--tau="], "--tau takes min,max,n with n an integer, got ''"),
+        (["reconstruct", "--grid="], "--grid takes x0,x1,y0,y1,h, got ''"),
+        (["verify", "thm1", "--out="], "--out takes a directory, got ''"),
+    ], ids=["levels", "levels-commas", "format", "format-commas",
+            "tau", "grid", "out"])
+    def test_empty_flag_value(self, tmp_path, monkeypatch, capsys, argv, named):
+        # Refused, not read as the default (for --out, the working directory's out/).
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 2
+        assert named in one_line_error(capsys)
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, config_text, named", [
         (["levelcurves", "--tau=1,2"], None, "--tau takes min,max,n with n an integer, got '1,2'"),
@@ -368,20 +416,14 @@ class TestMalformedInput:
         (["reconstruct", "--grid=0.5,3,-2"], None, "--grid takes x0,x1,y0,y1,h, got '0.5,3,-2'"),
         (["levelcurves", "--levels=1,x"], None, "--levels takes a comma list of numbers, got '1,x'"),
         (["sweep-gamma", "--gammas=1.2,x"], None, "--gammas takes a comma list of numbers"),
-        (["levelcurves"], "[tau]\nn = x\n", "[tau] n takes an integer, got 'x'"),
-        (["levelcurves"], "[tau]\nmax = 1,2\n", "[tau] max takes a number, got '1,2'"),
-        (["reconstruct"], "[grid]\nspacing = x\n", "[grid] spacing takes a number"),
-        (["levelcurves"], "[levels]\nvalues = 1, x\n", "[levels] values takes a comma list"),
-        (["sweep-gamma"], "[sweep]\ngammas = 1.5 1.6\n", "[sweep] gammas takes a comma list"),
         (["levelcurves"], "[pair]\nkind = lw\ngamma = x\n", "[pair] gamma takes a number"),
         (["levelcurves"], "[pair]\nkind = planar\nk0 = 2j\n", "[pair] k0 takes a number"),
         (["levelcurves"], "[pair]\nkind = custom\nh = affine slope=x\ng_anchor = 1:0\n",
          "[pair] h: map parameter slope takes a complex number, got 'x'"),
         (["levelcurves"], "[pair]\nkind = custom\nh = affine\ng_anchor = 1\n",
          "[pair] g_anchor takes zeta:value"),
-    ], ids=["tau-count", "tau-n-float", "grid-count", "levels-entry", "gammas-entry", "tau-n",
-            "tau-max", "grid-spacing", "levels-values", "sweep-gammas", "pair-gamma",
-            "planar-k0", "custom-h", "g-anchor"])
+    ], ids=["tau-count", "tau-n-float", "grid-count", "levels-entry", "gammas-entry",
+            "pair-gamma", "planar-k0", "custom-h", "g-anchor"])
     def test_malformed_value_names_its_source(self, tmp_path, capsys, argv, config_text, named):
         if config_text is not None:
             config = tmp_path / "run.ini"
@@ -481,17 +523,24 @@ class TestMalformedInput:
     @pytest.mark.parametrize("text, named", [
         ("kind = lw\ngamma = 1.5\n", ["no section headers"]),
         ("[pair]\nkind = lw\n\n[pair]\ngamma = 1.5\n", ["section 'pair' already exists"]),
-        ("[tau]\nmn = -5\nfd_step = 1e-4\n", ["[tau] mn", "[tau] fd_step"]),
-        ("[levels]\nvalues = 1\n\n[plot]\nwidth = 3\n", ["section [plot]"]),
+        ("[pair]\nkind = lw\nmn = -5\nfd_step = 1e-4\n", ["[pair] mn", "[pair] fd_step"]),
+        ("[pair]\nkind = lw\n\n[plot]\nwidth = 3\n", ["section [plot] (known: sections pair)"]),
         ("[pair]\nkind = lw\nk0 = 2\n", ["[pair] k0"]),
         ("[pair]\nkind = planar\ngamma = 1.5\n", ["[pair] gamma"]),
         ("[pair]\nkind = custom\nh = affine\ng = affine\ngamma = 1.5\n", ["[pair] gamma"]),
         ("[tolerances]\nmsr_exact = 1e-9\n", ["section [tolerances]"]),
         ("[scaling]\nfactors = 0.5, 2\n", ["section [scaling]"]),
         (SHRUNK_VERIFY_SECTION, ["section [verify]"]),
+        # Run settings are flags: the file describes the pair alone.
+        ("[levels]\nvalues = 1, x\n", ["section [levels]"]),
+        ("[tau]\nn = x\n", ["section [tau]"]),
+        ("[grid]\nspacing = x\n", ["section [grid]"]),
+        ("[output]\nformats = csv, pdf\n", ["section [output]"]),
+        ("[pair]\nkind = lw\n\n[sweep]\ngammas = 1.5 1.6\n", ["section [sweep]"]),
     ], ids=["no-section-header", "duplicate-section", "unknown-keys", "unknown-section",
             "lw-key", "planar-key", "custom-key", "removed-tolerances", "removed-scaling",
-            "removed-verify"])
+            "removed-verify", "removed-levels", "removed-tau", "removed-grid", "removed-output",
+            "removed-sweep"])
     def test_bad_config_file(self, tmp_path, capsys, text, named):
         config = tmp_path / "run.ini"
         config.write_text(text)
@@ -540,7 +589,7 @@ def test_anchored_reconstruct(tmp_path):
     out = tmp_path / "out"
     assert run("reconstruct", "--config", str(config), "--out", str(out),
                "--grid=0.5,3,-2,2,0.125") == 0
-    field = ScalarField2D.from_grid_text((out / "field.grid").read_text())
+    field = field_from_grid_text((out / "field.grid").read_text())
     assert field.mask.all()
 
 

@@ -42,6 +42,7 @@ from mingraphs.graphfield import (
 )
 from mingraphs.serialize import fmt_float
 from mingraphs.weierstrass import g_value
+from oracles import field_from_function, field_from_grid_text
 
 WINDOW = ((0.5, 3.0), (-2.0, 2.0))
 
@@ -199,7 +200,7 @@ class TestResidual:
         # u = x^2 is no minimal graph: residual stays O(1) under refinement
         maxima = []
         for h in (1.0 / 16.0, 1.0 / 32.0):
-            field = ScalarField2D.from_function(lambda x, y: x**2 + 0.0 * y,
+            field = field_from_function(lambda x, y: x**2 + 0.0 * y,
                                                 ((0.0, 1.0), (0.0, 1.0)), h)
             maxima.append(msr_residual(field).max_abs_residual)
         assert min(maxima) > 0.5
@@ -209,7 +210,7 @@ class TestResidual:
         assert nondivergence_gap(field64) <= 1e-3
 
     def test_empty_interior(self):
-        field = ScalarField2D.from_function(lambda x, y: x + y, ((0.0, 1.0), (0.0, 1.0)), 0.5)
+        field = field_from_function(lambda x, y: x + y, ((0.0, 1.0), (0.0, 1.0)), 0.5)
         object.__setattr__(field, "mask", np.zeros_like(field.mask))
         with pytest.raises(EmptyInteriorError):
             msr_residual(field)
@@ -221,7 +222,7 @@ class TestStencilOperators:
         assert np.max(np.abs(out.values[out.mask])) <= 1e-10
 
     def test_f_operator_paraboloid(self):
-        field = ScalarField2D.from_function(lambda x, y: x**2 + y**2,
+        field = field_from_function(lambda x, y: x**2 + y**2,
                                             ((-1.5, 1.5), (-1.5, 1.5)), 0.25)
         out = F_operator(field)
         j = int(np.argmin(np.abs(out.ys())))
@@ -233,7 +234,7 @@ class TestStencilOperators:
     def test_laplacian_planar_and_calibration(self, planar_field):
         lap = laplacian(planar_field)
         assert np.max(np.abs(lap.values[lap.mask])) <= 1e-10
-        cal = ScalarField2D.from_function(lambda x, y: x**2 + y**2,
+        cal = field_from_function(lambda x, y: x**2 + y**2,
                                           ((-1.0, 1.0), (-1.0, 1.0)), 0.05)
         lap = laplacian(cal)
         assert np.max(np.abs(lap.values[lap.mask] - 4.0)) <= 1e-10
@@ -247,7 +248,7 @@ class TestStencilOperators:
         assert np.max(np.abs(out.values[out.mask])) <= 1e-10
 
     def test_levelset_cone(self):
-        cone = ScalarField2D.from_function(lambda x, y: np.sqrt(x**2 + y**2),
+        cone = field_from_function(lambda x, y: np.sqrt(x**2 + y**2),
                                            ((0.5, 2.5), (0.5, 2.5)), 1.0 / 64.0)
         out = levelset_curvature_field(cone, 1.5)
         for x_t, y_t in ((0.9, 1.2), (1.5, 1.5), (2.0, 0.9)):
@@ -258,7 +259,7 @@ class TestStencilOperators:
 
     def test_levelset_gradient_floor_masks(self):
         # paraboloid: gradient vanishes at the origin node
-        field = ScalarField2D.from_function(lambda x, y: x**2 + y**2,
+        field = field_from_function(lambda x, y: x**2 + y**2,
                                             ((-1.0, 1.0), (-1.0, 1.0)), 0.25)
         out = levelset_curvature_field(field, 0.5)
         j = int(np.argmin(np.abs(out.ys())))
@@ -294,7 +295,7 @@ class TestReports:
 class TestSerialization:
     def test_grid_text_round_trip(self, field32):
         text = field32.to_grid_text()
-        back = ScalarField2D.from_grid_text(text)
+        back = field_from_grid_text(text)
         assert back.nx == field32.nx and back.ny == field32.ny
         assert back.spacing == field32.spacing
         assert np.array_equal(back.mask, field32.mask)

@@ -25,9 +25,11 @@ h = 1/32, 1/64 and 1/128 on the default window, plus the masked window
 x in [-3, 3] x y in [-2, 2] at h = 1/64; ``verify all`` near both ends of
 the family and at 1.5; ``levelcurves`` (csv, json, svg) at three gammas;
 ``verify all``, ``levelcurves`` and ``reconstruct`` on a custom pair whose
-g is anchored at zeta = 0; and ``verify thm1 --gamma 2``, which the CLI
-refuses.  The set thus covers exit statuses 0, 1 (``verify all`` near the
-ends of the family fails ``msr``) and 2.
+g is anchored at zeta = 0; ``sweep-gamma`` at gamma 1.1, 1.5 and 1.9; the
+planar negative control ``verify thm2``, which fails by design; and
+``verify thm1 --gamma 2``, which the CLI refuses.  Every command runs, and
+the set covers exit statuses 0, 1 (``verify all`` near the ends of the
+family fails ``msr``, and planar ``thm2`` fails) and 2.
 
 Only the standard library is used.
 """
@@ -47,6 +49,7 @@ ANCHOR_ZERO_CONFIG = (
     "[pair]\nkind = custom\nk0 = 2\nh = power-affine offset=1 exponent=1.5\n"
     "g_anchor = 0j:-1.3333333333333333\n"
 )
+PLANAR_CONFIG = "[pair]\nkind = planar\na = 2\nk0 = 2\n"
 CONFIG_NAME = "pair.ini"
 
 
@@ -72,6 +75,9 @@ def _commands() -> list[tuple[str, list[str], str | None]]:
                 ["levelcurves", *anchored, "--format", "csv,json,svg"], ANCHOR_ZERO_CONFIG))
     out.append(("anchor_zero_reconstruct",
                 ["reconstruct", *anchored, "--format", "csv"], ANCHOR_ZERO_CONFIG))
+    out.append(("sweep_gamma", ["sweep-gamma", "--gammas", "1.1,1.5,1.9"], None))
+    out.append(("planar_verify_thm2", ["verify", "thm2", "--config", CONFIG_NAME],
+                PLANAR_CONFIG))
     out.append(("refused_verify_thm1_g2", ["verify", "thm1", "--gamma", "2"], None))
     return out
 
