@@ -13,7 +13,10 @@ artifacts (17-significant-digit floats, fixed field order, no timestamps).
 Each command takes ``--out`` and only the flags it reads
 (``build_parser``); any other flag, or an abbreviation, exits 2 with one
 stderr line.  ``--config`` names a file that holds the [pair] alone
-(``config.load_config``); every run setting is a flag.
+(``config.load_config``); every run setting is a flag, defined once in
+``FLAGS`` with its default, parser and help.  ``main`` parses those flags in
+place on the argparse namespace, which is all a command reads.  An ``--out``
+that the OS refuses to write into exits 2 with one line.
 
 Each command imports the modules it runs inside its own function, so a
 process loads neither ``verify`` for ``levelcurves`` nor ``graphfield`` for
@@ -30,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import RunConfig, build_pair, load_config, parse_floats, parse_formats, parse_value
+from .config import build_pair, load_config, parse_value
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -64,39 +67,88 @@ def _grid(text: str) -> tuple[float, float, float, float, float]:
     return x0, x1, y0, y1, h
 
 
-def _config_from_args(args) -> RunConfig:
-    """The run: each flag given (an empty value is refused), else the
-    ``RunConfig`` default; a --gamma replaces the [pair] of --config."""
-    given: dict = {}
-    if getattr(args, "config", None) is not None:
-        given["pair_spec"] = load_config(args.config)
-    if getattr(args, "gamma", None) is not None:
-        given["pair_spec"] = {"kind": "lw", "gamma": str(args.gamma)}
-    if getattr(args, "levels", None) is not None:
-        given["levels"] = parse_floats(args.levels, "--levels")
-    if getattr(args, "tau", None) is not None:
-        tau = parse_value(args.tau, _tau, "--tau", "min,max,n with n an integer")
-        given["tau_min"], given["tau_max"], given["tau_n"] = tau
-    if getattr(args, "grid", None) is not None:
-        x0, x1, y0, y1, h = parse_value(args.grid, _grid, "--grid", "x0,x1,y0,y1,h")
-        given["grid_window"] = (x0, x1, y0, y1)
-        given["grid_spacing"] = h
-    if args.out is not None:
-        if not args.out:
-            raise ParameterError("--out takes a directory, got ''")
-        given["out_dir"] = args.out
-    if getattr(args, "format", None) is not None:
-        given["formats"] = parse_formats(args.format, "--format")
-    if getattr(args, "gammas", None) is not None:
-        given["sweep_gammas"] = parse_floats(args.gammas, "--gammas")
-    return RunConfig(**given)
+def _directory(text: str) -> str:
+    if not text:
+        raise ValueError("empty")
+    return text
+
+
+FORMATS = ("csv", "json", "svg")
+NUMBER_LIST = "a comma list of numbers"
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    items = [piece.strip() for piece in text.split(",") if piece.strip()]
+    if not items:
+        raise ValueError("no numbers")
+    return tuple(float(piece) for piece in items)
+
+
+def parse_floats(text: str, where: str) -> tuple[float, ...]:
+    """A comma list of at least one number; empty entries are skipped."""
+    return parse_value(text, _floats, where, NUMBER_LIST)
+
+
+def parse_formats(text: str, where: str) -> tuple[str, ...]:
+    """A comma list of at least one output format, each one of FORMATS;
+    empty entries are skipped."""
+    names = tuple(p.strip() for p in text.split(",") if p.strip())
+    for name in names or (text,):
+        if name not in FORMATS:
+            raise ParameterError(
+                f"{where} takes a comma list of {' | '.join(FORMATS)}, got {name!r}")
+    return names
+
+
+#: Each run setting: flag -> (its default, as the text a user would type;
+#: the parser, ``parse(text, flag)``, that turns the text into the value the
+#: command reads; its help).  A default goes through the same parser as user
+#: text.  ``_parse_flags`` parses them in this order.
+FLAGS = {
+    "--levels": ("0,1,2", parse_floats, "comma list of level heights"),
+    "--tau": ("-20,20,401",
+              lambda text, flag: parse_value(text, _tau, flag, "min,max,n with n an integer"),
+              "a,b,n sampling window"),
+    "--grid": ("0.5,3,-2,2,0.03125",
+               lambda text, flag: parse_value(text, _grid, flag, "x0,x1,y0,y1,h"),
+               "x0,x1,y0,y1,h window for grid checks"),
+    "--out": ("out", lambda text, flag: parse_value(text, _directory, flag, "a directory"),
+              "output directory"),
+    "--format": ("csv", parse_formats, "csv|json|svg (comma list)"),
+    "--gammas": ("1.1,1.2,1.3,1.4,1.5,1.6,1.7,1.8,1.9", parse_floats, "comma list of exponents"),
+}
+
+
+def _parse_flags(args) -> None:
+    """Replace the text of each run-setting flag on ``args`` by its value,
+    and put the command's [pair] spec on ``args.pair``: the [pair] of
+    --config, or lw at --gamma, which wins."""
+    if hasattr(args, "config"):
+        if args.config == "":
+            raise ParameterError("--config takes a file, got ''")
+        args.pair = {} if args.config is None else load_config(args.config)
+        if args.gamma is not None:
+            args.pair = {"kind": "lw", "gamma": str(args.gamma)}
+    for flag, (_, parse, _) in FLAGS.items():
+        name = flag[2:]
+        if hasattr(args, name):
+            setattr(args, name, parse(getattr(args, name), flag))
+
+
+def _write(out: str, name: str, text: str) -> Path:
+    """``atomic_write`` of one file into --out; a directory the OS refuses
+    is a ParameterError that names --out."""
+    try:
+        return atomic_write(Path(out) / name, text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write into --out {out}: {exc.strerror}") from None
 
 
 def _level_name(c: float) -> str:
     return f"{c:g}".replace("-", "m").replace(".", "p")
 
 
-def cmd_levelcurves(config: RunConfig, args) -> int:
+def cmd_levelcurves(args) -> int:
     from .levels import (
         LevelCurveSpec,
         boundary_trace,
@@ -107,36 +159,30 @@ def cmd_levelcurves(config: RunConfig, args) -> int:
     )
     from .svgplot import level_curves_svg
 
-    pair = build_pair(config.pair_spec)
-    out_dir = Path(config.out_dir)
+    pair = build_pair(args.pair)
     written: list[Path] = []
     try:
         curves = []
         boundary = None
-        for c in config.levels:
-            spec = LevelCurveSpec(
-                c=c, tau_min=config.tau_min, tau_max=config.tau_max, n_samples=config.tau_n,
-            )
+        for c in args.levels:
+            spec = LevelCurveSpec(c, *args.tau)
             if c == 0.0:
                 curve = boundary = boundary_trace(pair, spec)
             else:
                 curve = sample_level_curve(pair, spec)
                 curves.append((c, curve))
-            stem = out_dir / f"level_{_level_name(c)}"
-            if "csv" in config.formats or "json" in config.formats:
+            stem = f"level_{_level_name(c)}"
+            if "csv" in args.format or "json" in args.format:
                 rows = sample_rows(curve)
-            if "csv" in config.formats:
-                written.append(atomic_write(stem.with_suffix(".csv"), rows_to_csv(rows)))
-            if "json" in config.formats:
-                written.append(atomic_write(stem.with_suffix(".json"), rows_to_json(rows)))
-        if "svg" in config.formats:
+            if "csv" in args.format:
+                written.append(_write(args.out, f"{stem}.csv", rows_to_csv(rows)))
+            if "json" in args.format:
+                written.append(_write(args.out, f"{stem}.json", rows_to_json(rows)))
+        if "svg" in args.format:
             if boundary is None:
-                spec0 = LevelCurveSpec(
-                    c=0.0, tau_min=config.tau_min, tau_max=config.tau_max, n_samples=config.tau_n,
-                )
-                boundary = boundary_trace(pair, spec0)
+                boundary = boundary_trace(pair, LevelCurveSpec(0.0, *args.tau))
             svg = level_curves_svg(curves, boundary, title=pair.label)
-            written.append(atomic_write(out_dir / "levelcurves.svg", svg))
+            written.append(_write(args.out, "levelcurves.svg", svg))
     except _ERRORS as exc:
         for path in written:
             path.unlink(missing_ok=True)
@@ -147,25 +193,24 @@ def cmd_levelcurves(config: RunConfig, args) -> int:
     return 0
 
 
-def _graph_reports(pair, config: RunConfig, which: list[str]) -> list[VerificationReport]:
+def _graph_reports(pair, grid, which: list[str]) -> list[VerificationReport]:
     from . import graphfield
 
-    x0, x1, y0, y1 = config.grid_window
+    x0, x1, y0, y1, h = grid
     window = ((x0, x1), (y0, y1))
-    h = config.grid_spacing
     reports = []
     field = graphfield.reconstruct_u(pair, window, h)
     if "superharmonic" in which:
         reports.append(graphfield.superharmonic_report(
-            field, descriptor=f"window {config.grid_window}, h={h:g}"))
+            field, descriptor=f"window {grid[:4]}, h={h:g}"))
     if "msr" in which:
         fine = graphfield.reconstruct_u(pair, window, h / 2.0)
         reports.append(graphfield.msr_report(
-            field, fine, descriptor=f"window {config.grid_window}, h={h:g} and {h / 2:g}"))
+            field, fine, descriptor=f"window {grid[:4]}, h={h:g} and {h / 2:g}"))
     return reports
 
 
-def cmd_verify(config: RunConfig, args) -> int:
+def cmd_verify(args) -> int:
     from .verify import (
         BoundaryArgumentData,
         disk_transfer_check,
@@ -177,8 +222,7 @@ def cmd_verify(config: RunConfig, args) -> int:
     )
 
     which = list(VERIFY_CHECKS) if args.check == "all" else [args.check]
-    pair = build_pair(config.pair_spec)
-    out_dir = Path(config.out_dir)
+    pair = build_pair(args.pair)
 
     reports: list[VerificationReport] = []
     try:
@@ -196,7 +240,7 @@ def cmd_verify(config: RunConfig, args) -> int:
             reports.append(disk_transfer_check(pair))
         graph_checks = [name for name in ("superharmonic", "msr") if name in which]
         if graph_checks:
-            reports.extend(_graph_reports(pair, config, graph_checks))
+            reports.extend(_graph_reports(pair, args.grid, graph_checks))
     except _ERRORS as exc:
         print(f"verify failed while evaluating: {exc}", file=sys.stderr)
         return 2
@@ -204,7 +248,7 @@ def cmd_verify(config: RunConfig, args) -> int:
     all_passed = True
     first_failure = None
     for report in reports:
-        atomic_write(out_dir / f"verify_{report.check_name}.json", report.to_json())
+        _write(args.out, f"verify_{report.check_name}.json", report.to_json())
         status = "PASS" if report.passed else "FAIL"
         print(f"{status} {report.check_name}: {report.notes}")
         if not report.passed:
@@ -215,19 +259,18 @@ def cmd_verify(config: RunConfig, args) -> int:
     return 0 if all_passed else 1
 
 
-def cmd_sweep_gamma(config: RunConfig, args) -> int:
+def cmd_sweep_gamma(args) -> int:
     from .verify import estimate_asymptotic_angles, verify_lemma2, verify_thm1, verify_thm2
     from .weierstrass import lw_family
 
-    bad = [fmt_float(gamma) for gamma in config.sweep_gammas if not np.isfinite(gamma)]
+    bad = [fmt_float(gamma) for gamma in args.gammas if not np.isfinite(gamma)]
     if bad:
         raise ParameterError(f"sweep gammas must be finite, got {', '.join(bad)}")
-    out_dir = Path(config.out_dir)
     header = ("gamma,A_emp,K_emp,min_kappa,angle_plus,angle_minus,"
               "lemma2_pass,thm1_pass,thm2_pass,error")
     rows = [header]
     any_bad = False
-    for gamma in config.sweep_gammas:
+    for gamma in args.gammas:
         try:
             pair = lw_family(gamma)
             lemma2 = verify_lemma2(pair)
@@ -246,24 +289,23 @@ def cmd_sweep_gamma(config: RunConfig, args) -> int:
             rows.append(",".join([fmt_float(gamma)] + ["nan"] * 5 + ["0", "0", "0",
                                                                      str(exc).replace(",", ";")]))
             any_bad = True
-    path = atomic_write(out_dir / "sweep_gamma.csv", "\n".join(rows) + "\n")
+    path = _write(args.out, "sweep_gamma.csv", "\n".join(rows) + "\n")
     print(path)
     return 1 if any_bad else 0
 
 
-def cmd_reconstruct(config: RunConfig, args) -> int:
+def cmd_reconstruct(args) -> int:
     from . import graphfield
 
-    pair = build_pair(config.pair_spec)
-    x0, x1, y0, y1 = config.grid_window
-    out_dir = Path(config.out_dir)
+    pair = build_pair(args.pair)
+    x0, x1, y0, y1, h = args.grid
     try:
-        field = graphfield.reconstruct_u(pair, ((x0, x1), (y0, y1)), config.grid_spacing)
+        field = graphfield.reconstruct_u(pair, ((x0, x1), (y0, y1)), h)
     except _ERRORS as exc:
         print(f"reconstruct failed: {exc}", file=sys.stderr)
         return 2
-    written = [atomic_write(out_dir / "field.grid", field.to_grid_text()),
-               atomic_write(out_dir / "field.csv", field.to_csv())]
+    written = [_write(args.out, "field.grid", field.to_grid_text()),
+               _write(args.out, "field.csv", field.to_csv())]
     stats = field.stats
     print(f"solved {stats.solved}/{stats.attempted} nodes ({stats.failed} failed)")
     for path in written:
@@ -290,23 +332,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    flag_kwargs = {
+    pair_flags = {
         "--config": {"help": "config file with the [pair] section"},
         "--gamma": {"type": float, "help": "catalog family exponent"},
-        "--levels": {"help": "comma list of level heights"},
-        "--tau": {"help": "a,b,n sampling window"},
-        "--format": {"help": "csv|json|svg (comma list)"},
-        "--grid": {"help": "x0,x1,y0,y1,h window for grid checks"},
-        "--gammas": {"help": "comma list of exponents"},
     }
 
     def command(name: str, summary: str, func, *flags: str) -> argparse.ArgumentParser:
         # allow_abbrev=False: a flag this command does not take is refused,
         # never read as the prefix of one it does (--gamma of --gammas).
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        p.add_argument("--out", default=None, help="output directory")
-        for flag in flags:
-            p.add_argument(flag, default=None, **flag_kwargs[flag])
+        for flag in ("--out", *flags):
+            if flag in pair_flags:
+                p.add_argument(flag, **pair_flags[flag])
+            else:
+                default, _, help_text = FLAGS[flag]
+                p.add_argument(flag, default=default, help=help_text)
         p.set_defaults(func=func)
         return p
 
@@ -319,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reconstruct = command("reconstruct", "invert the map over a grid window", cmd_reconstruct,
                             "--config", "--gamma", "--grid")
     # field.grid and field.csv are always written; csv is the one name taken.
-    p_reconstruct.add_argument("--format", default=None, choices=("csv",),
+    p_reconstruct.add_argument("--format", default="csv", choices=("csv",),
                                help="csv (the default and only format)")
 
     return parser
@@ -328,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return args.func(config, args)
+        _parse_flags(args)
+        return args.func(args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

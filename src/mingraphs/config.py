@@ -10,8 +10,8 @@ The file holds one section, with the keys of its kind:
 
 ``levelcurves``, ``verify`` and ``reconstruct`` read it through
 ``--config``.  Every run setting (levels, the tau window, the grid, the
-output directory and formats, the sweep gammas) is a flag; ``RunConfig``
-holds them with their defaults.
+output directory and formats, the sweep gammas) is a flag, defined with its
+default and parser in ``cli.FLAGS``.
 
 Any other section or key, a value that does not parse, and a file that
 configparser cannot parse, is a ParameterError that names the section and
@@ -35,7 +35,6 @@ and ``graphfield``; ``--levels`` feeds ``levelcurves`` alone.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analytic import AffineMap, AnalyticMap, PowerAffineMap, SumMap
@@ -49,34 +48,6 @@ PAIR_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """What one run computes: the [pair] spec and each run setting, from
-    its flag or this default."""
-
-    pair_spec: dict = field(default_factory=lambda: {"kind": "lw", "gamma": "1.5"})
-    levels: tuple[float, ...] = (0.0, 1.0, 2.0)
-    tau_min: float = -20.0
-    tau_max: float = 20.0
-    tau_n: int = 401
-    grid_window: tuple[float, float, float, float] = (0.5, 3.0, -2.0, 2.0)
-    grid_spacing: float = 1.0 / 32.0
-    out_dir: str = "out"
-    formats: tuple[str, ...] = ("csv",)
-    sweep_gammas: tuple[float, ...] = tuple(round(1.1 + 0.1 * i, 10) for i in range(9))
-
-
-FORMATS = ("csv", "json", "svg")
-NUMBER_LIST = "a comma list of numbers"
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise ValueError("no numbers")
-    return tuple(float(piece) for piece in items)
-
-
 def parse_value(text: str, kind, where: str, takes: str):
     """``kind(text)``, or a ParameterError that names the flag or
     ``[section] key`` the text came from and what it takes."""
@@ -84,22 +55,6 @@ def parse_value(text: str, kind, where: str, takes: str):
         return kind(text)
     except ValueError:
         raise ParameterError(f"{where} takes {takes}, got {text!r}") from None
-
-
-def parse_floats(text: str, where: str) -> tuple[float, ...]:
-    """A comma list of at least one number; empty entries are skipped."""
-    return parse_value(text, _floats, where, NUMBER_LIST)
-
-
-def parse_formats(text: str, where: str) -> tuple[str, ...]:
-    """A comma list of at least one output format, each one of FORMATS;
-    empty entries are skipped."""
-    names = tuple(p.strip() for p in text.split(",") if p.strip())
-    for name in names or (text,):
-        if name not in FORMATS:
-            raise ParameterError(
-                f"{where} takes a comma list of {' | '.join(FORMATS)}, got {name!r}")
-    return names
 
 
 def parse_map_expr(text: str) -> AnalyticMap:

@@ -51,9 +51,9 @@ class LevelCurveSpec:
     """Sampling request for one level u = c (c = 0 is the boundary curve)."""
 
     c: float
-    tau_min: float = -20.0
-    tau_max: float = 20.0
-    n_samples: int = 401
+    tau_min: float
+    tau_max: float
+    n_samples: int
 
     def __post_init__(self):
         if self.c < 0.0 or not np.isfinite(self.c):

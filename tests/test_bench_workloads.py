@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mingraphs.cli import _config_from_args, build_parser
+from mingraphs.cli import _parse_flags, build_parser
 from mingraphs.config import build_pair, load_config
 
 GENERATOR = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -26,6 +26,10 @@ def test_workload_inputs_parse(tmp_path, monkeypatch, name, seed):
         build_pair(load_config(path))
     parser = build_parser()
     for command in workload.commands:
-        config = _config_from_args(parser.parse_args(list(command.argv)))
-        build_pair(config.pair_spec)
-        assert config.out_dir == command.out
+        args = parser.parse_args(list(command.argv))
+        _parse_flags(args)
+        if command.kind == "sweep":  # no --config: one lw pair per --gammas entry
+            assert args.gammas == command.gammas
+        else:
+            build_pair(args.pair)
+        assert args.out == command.out

@@ -2,14 +2,15 @@
 
 import argparse
 import json
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mingraphs.cli import build_parser, main
-from mingraphs.config import PAIR_KEYS, RunConfig, build_pair, load_config, parse_map_expr
+from mingraphs.cli import FLAGS, build_parser, main
+from mingraphs.config import PAIR_KEYS, build_pair, load_config, parse_map_expr
 from mingraphs.errors import ParameterError
 from oracles import field_from_grid_text
 
@@ -78,7 +79,7 @@ class TestConfig:
         assert load_config(path) == {"kind": "planar", "a": "2", "k0": "2"}
         path.write_text("; no [pair]: lw at its default gamma\n")
         assert load_config(path) == {}
-        assert build_pair({}).label == build_pair(RunConfig().pair_spec).label
+        assert build_pair({}).label == build_pair({"kind": "lw", "gamma": "1.5"}).label
 
     def test_readme_config_examples_load(self, tmp_path):
         blocks = [block.split("```", 1)[0] for block in README.split("```ini\n")[1:]]
@@ -102,6 +103,23 @@ class TestConfig:
         assert {name: sorted(flags) for name, flags in documented.items()} == taken
         pair_keys = readme_table("| kind | keys |")
         assert pair_keys == {kind: list(keys) for kind, keys in PAIR_KEYS.items()}
+        # ... and its defaults sentence lists each run setting's default from FLAGS.
+        sentence = README.split("The defaults are ", 1)[1].split("`.", 1)[0] + "`"
+        defaults = dict(re.findall(r"`(--[a-z]+)[ =]([^`]+)`", sentence))
+        assert defaults == {flag: default for flag, (default, _, _) in FLAGS.items()}
+
+    def test_flag_defaults_parse_to_the_run_defaults(self):
+        # The values the run settings took before their defaults became flag text.
+        values = {flag: parse(default, flag) for flag, (default, parse, _) in FLAGS.items()}
+        assert values == {
+            "--levels": (0.0, 1.0, 2.0),
+            "--tau": (-20.0, 20.0, 401),
+            "--grid": (0.5, 3.0, -2.0, 2.0, 1.0 / 32.0),
+            "--out": "out",
+            "--format": ("csv",),
+            "--gammas": tuple(round(1.1 + 0.1 * i, 10) for i in range(9)),
+        }
+        assert type(values["--tau"][2]) is int
 
     def test_missing_config_file(self):
         with pytest.raises(ParameterError):
@@ -401,14 +419,37 @@ class TestMalformedInput:
         (["levelcurves", "--tau="], "--tau takes min,max,n with n an integer, got ''"),
         (["reconstruct", "--grid="], "--grid takes x0,x1,y0,y1,h, got ''"),
         (["verify", "thm1", "--out="], "--out takes a directory, got ''"),
+        (["levelcurves", "--config="], "--config takes a file, got ''"),
+        (["verify", "thm1", "--config="], "--config takes a file, got ''"),
     ], ids=["levels", "levels-commas", "format", "format-commas",
-            "tau", "grid", "out"])
+            "tau", "grid", "out", "config", "config-verify"])
     def test_empty_flag_value(self, tmp_path, monkeypatch, capsys, argv, named):
         # Refused, not read as the default (for --out, the working directory's out/).
         monkeypatch.chdir(tmp_path)
         assert run(*argv) == 2
         assert named in one_line_error(capsys)
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["levelcurves", "--levels", "1", "--tau=-1,1,5"],
+        ["verify", "thm1"],
+        ["reconstruct", "--grid=0.5,1.5,-0.5,0.5,0.25"],
+        ["sweep-gamma", "--gammas", "1.5"],
+    ], ids=["levelcurves", "verify", "reconstruct", "sweep-gamma"])
+    def test_unwritable_out(self, tmp_path, capsys, argv):
+        # A parent of --out is a regular file: one line naming --out, no traceback.
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+        assert run(*argv, "--out", str(out)) == 2
+        assert f"cannot write into --out {out}: Not a directory" in one_line_error(capsys)
+
+    def test_unwritable_file_removes_partial_outputs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "level_1.json").mkdir(parents=True)  # level_1.csv is written first
+        assert run("levelcurves", "--levels", "1", "--tau=-1,1,5", "--format", "csv,json",
+                   "--out", str(out)) == 2
+        assert f"cannot write into --out {out}: Is a directory" in one_line_error(capsys)
+        assert [path.name for path in out.iterdir()] == ["level_1.json"]
 
     @pytest.mark.parametrize("argv, config_text, named", [
         (["levelcurves", "--tau=1,2"], None, "--tau takes min,max,n with n an integer, got '1,2'"),

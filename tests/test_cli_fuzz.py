@@ -3,9 +3,9 @@
 Every run must end with status 0, 1 or 2 and never with a traceback; status
 2 comes with exactly one stderr line.  The tokens are drawn from fixed pools
 of malformed values (wrong field counts, empty values, nan and inf, zero or
-negative counts, unknown formats, sections and keys) after small valid
-flags, so that each run stays cheap: at most a few level samples and a
-coarse window.
+negative counts, unknown formats, sections and keys, an ``--out`` at or
+below a regular file) after small valid flags, so that each run stays
+cheap: at most a few level samples and a coarse window.
 """
 
 import contextlib
@@ -35,9 +35,11 @@ FLAGS = (
     "--format=json", "--frob", "--tol=msr_exact=1e-9", "--gammas=1.5", "--gammas=nan",
     "--gammas=x", "--gammas=2", "--gammas=,", "--gam=1.5",
     "--levels=", "--tau=", "--grid=", "--format=", "--gammas=", "--config=",
+    "--out={tmp}/run.ini", "--out={tmp}/run.ini/sub", "--out={tmp}/run.ini/sub/deeper",
 )
 
-#: Small valid values that every run starts from; drawn flags after them win.
+#: Small valid values that every run starts from, with ``--out {tmp}/out``;
+#: drawn flags after them win.
 BASE_FLAGS = {
     "levelcurves": ("--tau=-2,2,5", "--levels=1"),
     "reconstruct": ("--grid=0.5,1.5,-0.5,0.5,0.25",),
@@ -97,8 +99,8 @@ def test_any_input_exits_cleanly(command, flags, entries, raw):
         config.write_text(config_text(entries, raw))
         # sweep-gamma builds its pairs from --gammas and takes no --config
         where = [] if command == "sweep-gamma" else ["--config", str(config)]
-        argv = [*command.split(), *where, *BASE_FLAGS[command.split()[0]], *flags,
-                "--out", f"{tmp}/out"]
+        argv = [*command.split(), *where, *BASE_FLAGS[command.split()[0]], "--out", f"{tmp}/out",
+                *(flag.format(tmp=tmp) for flag in flags)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:

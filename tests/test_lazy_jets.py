@@ -80,7 +80,7 @@ class TestSameBitsAsEager:
 
     @pytest.mark.parametrize("c", [0.5, 2.0])
     def test_level_curve_columns(self, c):
-        spec = LevelCurveSpec(c=c, n_samples=101)
+        spec = LevelCurveSpec(c=c, tau_min=-20.0, tau_max=20.0, n_samples=101)
         want = sample_level_curve(eager_lw(1.5), spec)
         got = sample_level_curve(lw_family(1.5), spec)
         for column in SAMPLE_COLUMNS:

@@ -219,16 +219,17 @@ class TestSampling:
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
-            LevelCurveSpec(c=-1.0)
+            LevelCurveSpec(c=-1.0, tau_min=-20.0, tau_max=20.0, n_samples=401)
         with pytest.raises(ParameterError):
-            LevelCurveSpec(c=1.0, tau_min=2.0, tau_max=-2.0)
+            LevelCurveSpec(c=1.0, tau_min=2.0, tau_max=-2.0, n_samples=401)
         with pytest.raises(ParameterError):
-            LevelCurveSpec(c=1.0, n_samples=1)
+            LevelCurveSpec(c=1.0, tau_min=-20.0, tau_max=20.0, n_samples=1)
 
     def test_sample_cap(self):
-        assert LevelCurveSpec(c=1.0, n_samples=MAX_LEVEL_SAMPLES).n_samples == MAX_LEVEL_SAMPLES
+        spec = LevelCurveSpec(c=1.0, tau_min=-20.0, tau_max=20.0, n_samples=MAX_LEVEL_SAMPLES)
+        assert spec.n_samples == MAX_LEVEL_SAMPLES
         with pytest.raises(ParameterError, match=f"{MAX_LEVEL_SAMPLES + 1} samples"):
-            LevelCurveSpec(c=1.0, n_samples=MAX_LEVEL_SAMPLES + 1)
+            LevelCurveSpec(c=1.0, tau_min=-20.0, tau_max=20.0, n_samples=MAX_LEVEL_SAMPLES + 1)
 
 
 class TestBoundaryTrace:
@@ -249,7 +250,8 @@ class TestBoundaryTrace:
 
     def test_requires_zero_level(self, lw15):
         with pytest.raises(ParameterError):
-            boundary_trace(lw15, LevelCurveSpec(c=1.0))
+            boundary_trace(lw15, LevelCurveSpec(c=1.0, tau_min=-20.0, tau_max=20.0,
+                                                n_samples=401))
 
 
 def _reference_csv(curve):

@@ -4,6 +4,7 @@ Usage:
 
     python3 tools/artifact_set.py OUT_DIR
     python3 tools/artifact_set.py --compare A B
+    python3 tools/artifact_set.py --write-digests
 
 Each command of ``COMMANDS`` runs as ``python -m mingraphs.cli`` with this
 checkout's ``src`` first on PYTHONPATH, from its own directory
@@ -20,6 +21,14 @@ only in their numbers, it adds the largest absolute and relative difference
 between numbers at the same place; otherwise it says "text differs".  It
 exits 0 when the trees are identical and 1 otherwise.
 
+``--write-digests`` builds the set in a temporary directory and writes
+``tests/artifacts.sha256`` (``DIGESTS``), which a tier-1 test checks: one
+``file sha256 size path`` record per file; per command its ``status``, each
+``stderr`` line and each PASS/FAIL ``verdict`` line of its stdout; and a
+``machine`` record (numpy, Python, ``platform.machine()`` and numpy's
+enabled CPU features, since SIMD dispatch can move last bits).  A change
+that moves an artifact shows the moved records in its diff.
+
 The set covers ``reconstruct`` (csv) at gamma 1.23, 1.5 and 1.77 times
 h = 1/32, 1/64 and 1/128 on the default window, plus the masked window
 x in [-3, 3] x y in [-2, 2] at h = 1/64; ``verify all`` near both ends of
@@ -31,19 +40,24 @@ planar negative control ``verify thm2``, which fails by design; and
 the set covers exit statuses 0, 1 (``verify all`` near the ends of the
 family fails ``msr``, and planar ``thm2`` fails) and 2.
 
-Only the standard library is used.
+Only the standard library is used, and numpy's version and CPU features
+for the ``machine`` record.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
+import platform
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DIGESTS = Path(__file__).resolve().parents[1] / "tests" / "artifacts.sha256"
 
 ANCHOR_ZERO_CONFIG = (
     "[pair]\nkind = custom\nk0 = 2\nh = power-affine offset=1 exponent=1.5\n"
@@ -147,15 +161,84 @@ def compare(a: Path, b: Path) -> tuple[list[str], int]:
     return lines, len(files_a | files_b)
 
 
+def machine() -> str:
+    """What can move the last bits of an artifact: numpy, Python, the CPU
+    architecture and the CPU features numpy dispatches to."""
+    import numpy
+
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    features = " ".join(name for name, enabled in __cpu_features__.items() if enabled)
+    return (f"numpy {numpy.__version__}; python {platform.python_version()}; "
+            f"{platform.machine()}; {features}")
+
+
+def records(root: Path) -> list[str]:
+    """The digest records of a tree built by this tool, without ``machine``."""
+    lines = []
+    for name in sorted(_files(root)):
+        data = (root / name).read_bytes()
+        lines.append(f"file {hashlib.sha256(data).hexdigest()} {len(data)} {name}")
+    for command in sorted(path.name for path in root.iterdir()):
+        where = root / command
+        lines.append(f"status {command} {(where / 'status.txt').read_text().strip()}")
+        lines.extend(f"stderr {command} {line}"
+                     for line in (where / "stderr.txt").read_text().splitlines())
+        lines.extend(f"verdict {command} {line}"
+                     for line in (where / "stdout.txt").read_text().splitlines()
+                     if line.startswith(("PASS ", "FAIL ")))
+    return lines
+
+
+def compare_files(want: list[str], got: list[str]) -> list[str]:
+    """``--compare``'s listing for two lists of ``file`` records: one line per
+    path whose digest differs or that one side lacks, then the count."""
+    def files(lines: list[str]) -> dict[str, tuple[str, str]]:
+        fields = (line.split(" ", 3) for line in lines if line.startswith("file "))
+        return {path: (sha, size) for _, sha, size, path in fields}
+
+    recorded, built = files(want), files(got)
+    names = sorted(recorded.keys() | built.keys())
+    listing = []
+    for name in names:
+        if name not in built:
+            listing.append(f"{name}: only in the digests")
+        elif name not in recorded:
+            listing.append(f"{name}: only in the tree")
+        elif recorded[name] != built[name]:
+            listing.append(f"{name}: sha256 differs, size {recorded[name][1]} -> {built[name][1]}")
+    return listing + [f"{len(listing)} of {len(names)} files differ"]
+
+
+def build(out_dir: Path) -> None:
+    """Run every command of the set into OUT_DIR, one directory each."""
+    for name, cli_args, config in COMMANDS:
+        status = run_command(out_dir, name, cli_args, config)
+        print(f"{name}: exit {status}", file=sys.stderr, flush=True)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path, nargs="?",
                         help="new or empty directory for the tree")
     parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"),
                         help="compare two trees instead of building one")
+    parser.add_argument("--write-digests", action="store_true",
+                        help=f"build the set in a temporary directory and write {DIGESTS}")
     args = parser.parse_args(argv)
-    if (args.out_dir is None) == (args.compare is None):
-        parser.error("give either OUT_DIR or --compare A B")
+    if [args.out_dir is not None, args.compare is not None, args.write_digests].count(True) != 1:
+        parser.error("give one of OUT_DIR, --compare A B or --write-digests")
+    if args.write_digests:
+        with tempfile.TemporaryDirectory() as tmp:
+            build(Path(tmp))
+            lines = [f"# {len(COMMANDS)} commands; rebuild with "
+                     "python3 tools/artifact_set.py --write-digests",
+                     f"machine {machine()}", *records(Path(tmp))]
+        DIGESTS.write_text("\n".join(lines) + "\n")
+        print(f"{len(lines)} lines in {DIGESTS}")
+        return 0
     if args.compare is not None:
         for tree in args.compare:
             if not tree.is_dir():
@@ -169,9 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     if out_dir.exists() and any(out_dir.iterdir()):
         parser.error(f"{args.out_dir} is not empty")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, cli_args, config in COMMANDS:
-        status = run_command(out_dir, name, cli_args, config)
-        print(f"{name}: exit {status}", file=sys.stderr, flush=True)
+    build(out_dir)
     files = sum(len(names) for _, _, names in os.walk(out_dir))
     print(f"{len(COMMANDS)} commands, {files} files in {out_dir}")
     return 0
