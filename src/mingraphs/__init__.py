@@ -30,8 +30,8 @@ _EXPORTS = {
     ),
     "verify": (
         "BoundaryArgumentData", "SampleGrid", "VerificationReport", "disk_transfer_check",
-        "estimate_asymptotic_angles", "poisson_im_log_hprime", "poisson_re_ratio",
-        "verify_lemma2", "verify_poisson", "verify_scaling", "verify_thm1", "verify_thm2",
+        "estimate_asymptotic_angles", "poisson_kernels", "verify_lemma2", "verify_poisson",
+        "verify_scaling", "verify_thm1", "verify_thm2",
     ),
     "weierstrass": (
         "SurfacePoint", "WeierstrassPair", "eval_surface", "g_prime", "g_value",

@@ -89,13 +89,6 @@ class Jet2:
     d1 = _part("_d1", 1)
     d2 = _part("_d2", 2)
 
-    def is_finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.v))
-            and np.all(np.isfinite(self.d1))
-            and np.all(np.isfinite(self.d2))
-        )
-
     def __repr__(self) -> str:
         return f"Jet2(v={self.v!r}, d1={self.d1!r}, d2={self.d2!r})"
 
@@ -238,25 +231,16 @@ class AnalyticMap:
     are safe to share between threads.
     """
 
-    name: str = "analytic map"
-
     def jet(self, zeta) -> Jet2:
         raise NotImplementedError
 
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name}>"
 
-
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class AffineMap(AnalyticMap):
     """slope*zeta + intercept."""
 
     slope: complex
     intercept: complex = 0.0
-
-    @property
-    def name(self) -> str:
-        return f"affine({self.slope}, {self.intercept})"
 
     def __post_init__(self):
         _check_constants("affine", slope=self.slope, intercept=self.intercept)
@@ -270,17 +254,13 @@ class AffineMap(AnalyticMap):
         )
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class PowerAffineMap(AnalyticMap):
     """coeff * (zeta + offset)**exponent, principal branch."""
 
     offset: complex
     exponent: float
     coeff: complex = 1.0
-
-    @property
-    def name(self) -> str:
-        return f"power({self.coeff}*(zeta+{self.offset})^{self.exponent})"
 
     def __post_init__(self):
         _check_constants(
@@ -294,16 +274,12 @@ class PowerAffineMap(AnalyticMap):
         return _scaled(complex(self.coeff), base)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class ScaledMap(AnalyticMap):
     """factor * inner(zeta); used to rescale whole solutions."""
 
     factor: complex
     inner: AnalyticMap
-
-    @property
-    def name(self) -> str:
-        return f"{self.factor}*{self.inner.name}"
 
     def __post_init__(self):
         _check_constants("scaled map", factor=self.factor)
@@ -312,15 +288,11 @@ class ScaledMap(AnalyticMap):
         return _scaled(complex(self.factor), self.inner.jet(zeta))
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class SumMap(AnalyticMap):
     """Pointwise sum of analytic maps."""
 
     parts: tuple[AnalyticMap, ...]
-
-    @property
-    def name(self) -> str:
-        return " + ".join(part.name for part in self.parts)
 
     def jet(self, zeta) -> Jet2:
         jets = [part.jet(zeta) for part in self.parts]

@@ -16,7 +16,8 @@ stderr line.  ``--config`` names a file that holds the [pair] alone
 (``config.load_config``); every run setting is a flag, defined once in
 ``FLAGS`` with its default, parser and help.  ``main`` parses those flags in
 place on the argparse namespace, which is all a command reads.  An ``--out``
-that the OS refuses to write into exits 2 with one line.
+that the OS refuses to write into exits 2 with one line, before any work
+(``parse_out``).
 
 Each command imports the modules it runs inside its own function, so a
 process loads neither ``verify`` for ``levelcurves`` nor ``graphfield`` for
@@ -26,6 +27,7 @@ a check that reconstructs no field.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from pathlib import Path
@@ -73,6 +75,21 @@ def _directory(text: str) -> str:
     return text
 
 
+def parse_out(text: str, flag: str) -> str:
+    """A directory that exists or can be made.  One the OS would refuse to
+    write into (a regular file on its path, no write permission) is
+    refused now, with the reason a write would give, and nothing is made."""
+    path = Path(parse_value(text, _directory, flag, "a directory"))
+    nearest = next(p for p in (path, *path.parents) if os.path.exists(p))
+    if not nearest.is_dir():
+        reason = errno.EEXIST if nearest == path else errno.ENOTDIR
+    elif not os.access(nearest, os.W_OK | os.X_OK):
+        reason = errno.EACCES
+    else:
+        return text
+    raise ParameterError(f"cannot write into --out {text}: {os.strerror(reason)}")
+
+
 FORMATS = ("csv", "json", "svg")
 NUMBER_LIST = "a comma list of numbers"
 
@@ -112,8 +129,7 @@ FLAGS = {
     "--grid": ("0.5,3,-2,2,0.03125",
                lambda text, flag: parse_value(text, _grid, flag, "x0,x1,y0,y1,h"),
                "x0,x1,y0,y1,h window for grid checks"),
-    "--out": ("out", lambda text, flag: parse_value(text, _directory, flag, "a directory"),
-              "output directory"),
+    "--out": ("out", parse_out, "output directory"),
     "--format": ("csv", parse_formats, "csv|json|svg (comma list)"),
     "--gammas": ("1.1,1.2,1.3,1.4,1.5,1.6,1.7,1.8,1.9", parse_floats, "comma list of exponents"),
 }
@@ -136,8 +152,8 @@ def _parse_flags(args) -> None:
 
 
 def _write(out: str, name: str, text: str) -> Path:
-    """``atomic_write`` of one file into --out; a directory the OS refuses
-    is a ParameterError that names --out."""
+    """``atomic_write`` of one file into --out; a write the OS refuses is a
+    ParameterError that names --out."""
     try:
         return atomic_write(Path(out) / name, text)
     except OSError as exc:

@@ -105,14 +105,14 @@ def _argmax_point(values: np.ndarray, zetas: np.ndarray) -> tuple[float, float]:
 LEMMA2_FAMILY_TOL = 1e-12
 
 
-def verify_lemma2(pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID) -> VerificationReport:
-    """Empirical constant A_emp = sup sigma*|h''/h'| over the grid.
+def verify_lemma2(pair: WeierstrassPair) -> VerificationReport:
+    """Empirical constant A_emp = sup sigma*|h''/h'| over SAMPLE_GRID.
 
     Always passes when finite; for the catalog family the closed form gives
     sigma*(gamma-1)/|zeta+1| < gamma-1, so A_emp <= gamma-1 is additionally
     enforced.
     """
-    zetas = grid.points()
+    zetas = SAMPLE_GRID.points()
     vals = zetas.real * np.abs(log_derivative(pair.h.jet(zetas)))
     a_emp = float(np.max(vals))
     extremal = _argmax_point(vals, zetas)
@@ -128,7 +128,7 @@ def verify_lemma2(pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID) -> Veri
         empirical_constant=a_emp,
         extremal_point=extremal,
         tolerance=LEMMA2_FAMILY_TOL,
-        grid_descriptor=grid.descriptor,
+        grid_descriptor=SAMPLE_GRID.descriptor,
         notes=notes,
     )
 
@@ -139,18 +139,18 @@ THM1_TOL = 1e-9
 THM1_LEVELS = (1.0, 2.0)
 
 
-def verify_thm1(pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID) -> VerificationReport:
+def verify_thm1(pair: WeierstrassPair) -> VerificationReport:
     """Curvature bound on level sets: K_emp = sup C*|kappa| over the levels
     C of THM1_LEVELS, against the proof-chain bound (k0/sqrt(k)) * A_emp.
 
-    A_emp is taken over the supplied grid united with the level-set sample
+    A_emp is taken over SAMPLE_GRID united with the level-set sample
     points themselves, so the pointwise chain
     C*|kappa| = k0*sigma0*|kappa| <= (k0/sqrt(k)) * sigma0*|h''/h'|
     is checked on exactly the points that generate K_emp.
     """
     levels = list(THM1_LEVELS)
     level_sigmas = np.array([sigma_for_level(pair, c) for c in levels])
-    level_pts = level_sigmas[:, None] + 1j * grid.taus[None, :]
+    level_pts = level_sigmas[:, None] + 1j * SAMPLE_GRID.taus[None, :]
 
     c_kappa = np.array(
         [abs(c) * np.abs(curvature_closed_form(pair, level_pts[i]))
@@ -159,7 +159,7 @@ def verify_thm1(pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID) -> Verifi
     k_emp = float(np.max(c_kappa))
     extremal = _argmax_point(c_kappa, level_pts)
 
-    sweep_pts = np.concatenate([grid.points().ravel(), level_pts.ravel()])
+    sweep_pts = np.concatenate([SAMPLE_GRID.points().ravel(), level_pts.ravel()])
     a_emp = float(np.max(sweep_pts.real * np.abs(log_derivative(pair.h.jet(sweep_pts)))))
     chain_bound = pair.k0 / np.sqrt(pair.k) * a_emp
     passed = bool(k_emp <= chain_bound + THM1_TOL)
@@ -169,7 +169,7 @@ def verify_thm1(pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID) -> Verifi
         empirical_constant=k_emp,
         extremal_point=extremal,
         tolerance=THM1_TOL,
-        grid_descriptor=f"{grid.descriptor}; levels {levels}",
+        grid_descriptor=f"{SAMPLE_GRID.descriptor}; levels {levels}",
         notes=(
             f"A_emp = {a_emp:.12g}; chain bound (k0/sqrt(k))*A_emp = {chain_bound:.12g}; "
             "K_emp reported alongside, neither asserted sharp"
@@ -177,8 +177,8 @@ def verify_thm1(pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID) -> Verifi
     )
 
 
-def verify_thm2(pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID) -> VerificationReport:
-    """Concavity propagation: all four sub-checks must hold.
+def verify_thm2(pair: WeierstrassPair) -> VerificationReport:
+    """Concavity propagation on SAMPLE_GRID: all four sub-checks must hold.
 
     (a) y_tau >= 0 on the boundary trace, (b) Re h' > 0 on the interior
     grid, (c) Re h''/h' >= 0 on the boundary, (d) kappa > 0 strictly at
@@ -187,13 +187,13 @@ def verify_thm2(pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID) -> Verifi
     """
     failures: list[str] = []
 
-    boundary = 0.0 + 1j * grid.taus
+    boundary = 0.0 + 1j * SAMPLE_GRID.taus
     _, y_tau, _, _ = tau_partials(pair, boundary)
     if not np.all(y_tau >= 0.0):
         idx = int(np.argmin(y_tau))
-        failures.append(f"(a) boundary y_tau < 0 at tau={grid.taus[idx]:.6g}")
+        failures.append(f"(a) boundary y_tau < 0 at tau={SAMPLE_GRID.taus[idx]:.6g}")
 
-    zetas = grid.points()
+    zetas = SAMPLE_GRID.points()
     jets = pair.h.jet(zetas)
     re_hp = np.real(jets.d1)
     if not np.all(re_hp > 0.0):
@@ -203,7 +203,7 @@ def verify_thm2(pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID) -> Verifi
     psi_rate = np.real(log_derivative(pair.h.jet(boundary)))
     if not np.all(psi_rate >= 0.0):
         idx = int(np.argmin(psi_rate))
-        failures.append(f"(c) boundary Re h''/h' < 0 at tau={grid.taus[idx]:.6g}")
+        failures.append(f"(c) boundary Re h''/h' < 0 at tau={SAMPLE_GRID.taus[idx]:.6g}")
 
     kappa = curvature_closed_form(pair, zetas)
     min_kappa = float(np.min(kappa))
@@ -222,7 +222,7 @@ def verify_thm2(pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID) -> Verifi
         empirical_constant=min_kappa,
         extremal_point=min_at,
         tolerance=0.0,
-        grid_descriptor=grid.descriptor,
+        grid_descriptor=SAMPLE_GRID.descriptor,
         notes=notes,
     )
 
@@ -231,78 +231,60 @@ def verify_thm2(pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID) -> Verifi
 # Boundary data and the half-plane Poisson machinery
 # ---------------------------------------------------------------------------
 
-#: Construction samples of the boundary data: equispaced in theta = arctan t.
-_SAMPLE_T = np.tan(np.linspace(-np.pi / 2, np.pi / 2, 401)[1:-1])
+#: BoundaryArgumentData checks |psi| <= pi/2 at these t when it is built:
+#: the 399 interior points of 401 equispaced theta = arctan t.
+PSI_SAMPLES = np.tan(np.linspace(-np.pi / 2, np.pi / 2, 401)[1:-1])
 
 
-def _sampled(fn, t: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape)
-
-
-def _admissible(psi: np.ndarray) -> np.ndarray:
+def _admissible(psi: np.ndarray) -> None:
     if np.max(np.abs(psi)) > np.pi / 2 + 1e-12:
         raise ParameterError(
             "|psi| exceeds pi/2: not boundary data of a concave-domain solution"
         )
-    return psi
 
 
 @dataclass(frozen=True, eq=False)
 class BoundaryArgumentData:
-    """Boundary data psi(t) = arg h'(it) and, optionally, psi'(t).
+    """Boundary data psi(t) = arg h'(it) and psi'(t).
 
-    ``psi_fn``/``dpsi_fn`` are vectorized callables of t; ``t``/``psi`` hold
-    the construction samples, which must satisfy |psi| <= pi/2 like every psi
-    array the kernels integrate.  All kernels use one Gauss-Legendre rule
-    (``analytic.gauss_legendre``) after the substitution t = tau + sigma*tan(theta).
+    ``values`` maps a t array to the pair (psi, psi'), each of t's shape.
+    psi must satisfy |psi| <= pi/2 on ``PSI_SAMPLES`` and on every value
+    ``poisson_kernels`` integrates.
     """
 
-    t: np.ndarray
-    psi: np.ndarray
-    psi_fn: Callable[[np.ndarray], np.ndarray]
-    dpsi_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    values: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
-        _admissible(self.psi)
-
-    def psi_at(self, t: np.ndarray) -> np.ndarray:
-        return _admissible(_sampled(self.psi_fn, t))
+        _admissible(self.values(PSI_SAMPLES)[0])
 
     @classmethod
     def from_pair(cls, pair: WeierstrassPair) -> "BoundaryArgumentData":
-        """psi = arg h'(it) from the pair itself; psi' = Re h''/h' on the boundary."""
-        return cls.from_function(
-            lambda t: np.angle(pair.h.jet(1j * t).d1),
-            dpsi_fn=lambda t: np.real(log_derivative(pair.h.jet(1j * t))),
-        )
+        """psi = arg h'(it) and psi' = Re h''/h'(it), from one jet of h."""
 
-    @classmethod
-    def from_function(
-        cls,
-        psi_fn: Callable[[np.ndarray], np.ndarray],
-        dpsi_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    ) -> "BoundaryArgumentData":
-        """Wrap vectorized callables; a constant result is broadcast."""
-        return cls(t=_SAMPLE_T, psi=_sampled(psi_fn, _SAMPLE_T), psi_fn=psi_fn, dpsi_fn=dpsi_fn)
+        def values(t):
+            jet = pair.h.jet(1j * t)
+            return np.angle(jet.d1), np.real(log_derivative(jet))
+
+        return cls(values)
 
 
-@dataclass(frozen=True)
-class PoissonEstimate:
-    value: float
-    error_bound: float
+def poisson_kernels(data: BoundaryArgumentData, zeta) -> tuple[np.ndarray, np.ndarray]:
+    """Reconstruct three quantities at every zeta = sigma + i*tau from the
+    boundary data, in one Gauss-Legendre pass over theta in (-pi/2, pi/2)
+    with t = tau + sigma*tan(theta):
 
+    0. Im log h' = (sigma/pi) * integral psi(t) / (sigma^2+(t-tau)^2) dt
+       = (1/pi) * integral psi dtheta;
+    1. Re h''/h' by the tau-derivative kernel,
+       (2 sigma/pi) * integral (t-tau) psi(t) / (sigma^2+(t-tau)^2)^2 dt
+       = (1/(pi sigma)) * integral psi sin(2 theta) dtheta;
+    2. Re h''/h' by parts, (sigma/pi) * integral psi'(t) / (sigma^2+(t-tau)^2) dt
+       = (1/pi) * integral psi' dtheta.
 
-@dataclass(frozen=True)
-class KernelRatioEstimate:
-    derivative_form: float
-    by_parts_form: float | None
-    agreement_delta: float | None
-    error_bound: float
-
-
-def _theta_integral(zeta, weighted):
-    """(1/pi) * integral over theta in (-pi/2, pi/2) of weighted(t, theta, sigma)
-    with t = tau + sigma*tan(theta), for every zeta = sigma + i*tau at once."""
+    Forms 1 and 2 must agree: that identity is what makes the concavity
+    argument work.  ``data.values`` runs once per rule size.  Returns the
+    values and their n-vs-2n estimates, each of shape (3,) + zeta's shape.
+    """
     zeta = np.asarray(zeta, dtype=complex)
     if not np.all(zeta.real > 0.0):
         raise DomainError("Poisson reconstruction needs sigma > 0")
@@ -310,46 +292,11 @@ def _theta_integral(zeta, weighted):
 
     def integrand(x):
         theta = 0.5 * np.pi * x
-        return 0.5 * weighted(tau + sigma * np.tan(theta), theta, sigma)
+        psi, dpsi = data.values(tau + sigma * np.tan(theta))
+        _admissible(psi)
+        return 0.5 * np.stack((psi, psi * np.sin(2.0 * theta) / sigma, dpsi))
 
     return gauss_legendre(integrand)
-
-
-def poisson_im_log_hprime(data: BoundaryArgumentData, zeta) -> PoissonEstimate:
-    """Reconstruct Im log h'(zeta) = (sigma/pi) * integral psi(t)/(sigma^2+(t-tau)^2) dt.
-
-    Under t = tau + sigma*tan(theta) the kernel becomes dtheta/pi, so the
-    value is (1/pi) * integral psi dtheta; the error is the n-vs-2n estimate.
-    """
-    value, err = _theta_integral(zeta, lambda t, theta, sigma: data.psi_at(t))
-    return PoissonEstimate(value=value, error_bound=err)
-
-
-def poisson_re_ratio(data: BoundaryArgumentData, zeta) -> KernelRatioEstimate:
-    """Reconstruct Re h''/h' from boundary data via the tau-derivative kernel,
-
-        (2 sigma/pi) * integral (t-tau) psi(t) / (sigma^2+(t-tau)^2)^2 dt
-        = (1/(pi sigma)) * integral psi sin(2 theta) dtheta,
-
-    and, when psi' is available, also via the integrated-by-parts form
-    (sigma/pi) * integral psi'(t) / (sigma^2+(t-tau)^2) dt = (1/pi) * integral
-    psi' dtheta; the two must agree (that identity is what makes the
-    concavity argument work).
-    """
-    val, err = _theta_integral(
-        zeta, lambda t, theta, sigma: data.psi_at(t) * np.sin(2.0 * theta) / sigma
-    )
-    by_parts = agreement = None
-    if data.dpsi_fn is not None:
-        by_parts, err2 = _theta_integral(zeta, lambda t, theta, sigma: _sampled(data.dpsi_fn, t))
-        agreement = np.abs(val - by_parts)
-        err = err + err2
-    return KernelRatioEstimate(
-        derivative_form=val,
-        by_parts_form=by_parts,
-        agreement_delta=agreement,
-        error_bound=err,
-    )
 
 
 #: verify_poisson fails when a reconstruction deviates from its closed form
@@ -374,17 +321,16 @@ def verify_poisson(
     if data is None:
         data = BoundaryArgumentData.from_pair(pair)
     zetas = np.array(POISSON_POINTS, dtype=complex)
-    im_log = poisson_im_log_hprime(data, zetas)
-    ratio = poisson_re_ratio(data, zetas)
+    (im_log, ratio, by_parts), err = poisson_kernels(data, zetas)
     jet = pair.h.jet(zetas)
     dev = np.maximum(
-        np.abs(im_log.value - np.angle(jet.d1)),
-        np.abs(ratio.derivative_form - np.real(log_derivative(jet))),
+        np.abs(im_log - np.angle(jet.d1)),
+        np.abs(ratio - np.real(log_derivative(jet))),
     )
     worst_idx = int(np.argmax(dev))
     worst, worst_at = float(dev[worst_idx]), zetas[worst_idx]
-    worst_agree = 0.0 if ratio.agreement_delta is None else float(np.max(ratio.agreement_delta))
-    worst_err = float(np.max(np.maximum(im_log.error_bound, ratio.error_bound)))
+    worst_agree = float(np.max(np.abs(ratio - by_parts)))
+    worst_err = float(np.max(np.maximum(err[0], err[1] + err[2])))
     passed = worst <= POISSON_VALUE_TOL and worst_agree <= POISSON_AGREEMENT_TOL
     extremal = None if worst <= worst_err else (float(worst_at.real), float(worst_at.imag))
     return VerificationReport(
@@ -457,10 +403,9 @@ def verify_scaling(pair: WeierstrassPair) -> VerificationReport:
 DISK_TOL = 1e-9
 
 
-def disk_transfer_check(
-    pair: WeierstrassPair, grid: SampleGrid = SAMPLE_GRID
-) -> VerificationReport:
-    """Transfer to the unit disk through zeta -> w = (zeta-1)/(zeta+1).
+def disk_transfer_check(pair: WeierstrassPair) -> VerificationReport:
+    """Transfer to the unit disk through zeta -> w = (zeta-1)/(zeta+1), on
+    SAMPLE_GRID.
 
     With h(zeta) = H(w), the chain rule gives
     H''/H' = (h''/h')*(zeta+1)^2/2 + (zeta+1); the empirical constant is
@@ -468,7 +413,7 @@ def disk_transfer_check(
     sigma*|h''/h'| <= 2*(A1_emp*(|zeta+1|+|zeta-1|)/4 + sigma)/|zeta+1|
     is re-verified pointwise.
     """
-    zetas = grid.points()
+    zetas = SAMPLE_GRID.points()
     w = (zetas - 1.0) / (zetas + 1.0)
     ratio = log_derivative(pair.h.jet(zetas))
     h_ratio = ratio * (zetas + 1.0) ** 2 / 2.0 + (zetas + 1.0)
@@ -487,7 +432,7 @@ def disk_transfer_check(
         empirical_constant=a1_emp,
         extremal_point=_argmax_point(a1_vals, zetas),
         tolerance=DISK_TOL,
-        grid_descriptor=grid.descriptor,
+        grid_descriptor=SAMPLE_GRID.descriptor,
         notes=(
             f"A1_emp = sup (1-|w|)|H''/H'| = {a1_emp:.12g}; "
             f"inequality chain {'holds' if pointwise_ok else 'VIOLATED'} pointwise"

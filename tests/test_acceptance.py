@@ -18,8 +18,7 @@ from mingraphs import (
     lw_family,
     msr_residual,
     planar_pair,
-    poisson_im_log_hprime,
-    poisson_re_ratio,
+    poisson_kernels,
     preimages,
     reconstruct_u,
     scale_solution,
@@ -70,14 +69,15 @@ def test_criterion_2_algebraic_identity():
            f"generic-formula vs closed-form curvature: max |diff| {worst:.3e} (tol 1e-12)")
 
 
-def test_criterion_3_concavity_propagation():
+def test_criterion_3_concavity_propagation(monkeypatch):
+    monkeypatch.setattr(verify, "SAMPLE_GRID", THM_GRID)
     min_kappas = []
     for gamma in GAMMAS_FULL:
-        rep = verify_thm2(lw_family(gamma), THM_GRID)
+        rep = verify_thm2(lw_family(gamma))
         min_kappas.append(rep.empirical_constant)
         if not rep.passed:
             report(3, False, f"gamma={gamma}: {rep.notes}")
-    negative = verify_thm2(planar_pair(2.0, 2.0), THM_GRID)
+    negative = verify_thm2(planar_pair(2.0, 2.0))
     ok = min(min_kappas) > 0.0 and not negative.passed
     report(3, ok,
            f"min kappa over family sweep {min(min_kappas):.3e} > 0; "
@@ -86,12 +86,13 @@ def test_criterion_3_concavity_propagation():
 
 def test_criterion_4_curvature_bound(monkeypatch):
     monkeypatch.setattr(verify, "THM1_LEVELS", (0.5, 1.0, 2.0, 4.0, 8.0))
+    monkeypatch.setattr(verify, "SAMPLE_GRID", THM_GRID)
     details = []
     ok = True
     for gamma in GAMMAS_FULL:
         pair = lw_family(gamma)
-        thm1 = verify_thm1(pair, THM_GRID)
-        lemma2 = verify_lemma2(pair, THM_GRID)
+        thm1 = verify_thm1(pair)
+        lemma2 = verify_lemma2(pair)
         ok = ok and thm1.passed and lemma2.passed
         ok = ok and thm1.empirical_constant <= 2.0 * lemma2.empirical_constant + 1e-9
         ok = ok and lemma2.empirical_constant <= gamma - 1.0 + 1e-12
@@ -103,22 +104,20 @@ def test_criterion_4_curvature_bound(monkeypatch):
 def test_criterion_5_poisson_machinery():
     gamma = 1.5
     pair = lw_family(gamma)
-    data = BoundaryArgumentData.from_function(
-        lambda t: (gamma - 1.0) * np.arctan(t),
-        dpsi_fn=lambda t: (gamma - 1.0) / (1.0 + t * t),
+    data = BoundaryArgumentData(
+        lambda t: ((gamma - 1.0) * np.arctan(t), (gamma - 1.0) / (1.0 + t * t))
     )
     points = [complex(s, t) for s in (0.5, 1.0, 2.0, 5.0) for t in (-3, -1, 0, 1, 3)]
     assert len(points) == 20
     worst_value = worst_agree = 0.0
     for zeta in points:
         jet = pair.h.jet(zeta)
-        im_log = poisson_im_log_hprime(data, zeta)
-        worst_value = max(worst_value, abs(im_log.value - float(np.angle(jet.d1))))
-        ratio = poisson_re_ratio(data, zeta)
+        (im_log, ratio, by_parts), _ = poisson_kernels(data, zeta)
+        worst_value = max(worst_value, abs(im_log - float(np.angle(jet.d1))))
         closed = float(np.real(jet.d2 / jet.d1))
-        worst_value = max(worst_value, abs(ratio.derivative_form - closed))
-        worst_value = max(worst_value, abs(ratio.by_parts_form - closed))
-        worst_agree = max(worst_agree, ratio.agreement_delta)
+        worst_value = max(worst_value, abs(ratio - closed))
+        worst_value = max(worst_value, abs(by_parts - closed))
+        worst_agree = max(worst_agree, abs(ratio - by_parts))
     ok = worst_value <= 1e-4 and worst_agree <= 2e-4
     report(5, ok, f"Poisson reconstructions: max closed-form deviation {worst_value:.3e} "
            f"(tol 1e-4); kernel forms agree to {worst_agree:.3e} (tol 2e-4)")

@@ -1,7 +1,10 @@
 """CLI commands: artifacts, exit codes, determinism, config handling."""
 
 import argparse
+import importlib
+import itertools
 import json
+import os
 import re
 import warnings
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mingraphs import verify
 from mingraphs.cli import FLAGS, build_parser, main
 from mingraphs.config import PAIR_KEYS, build_pair, load_config, parse_map_expr
 from mingraphs.errors import ParameterError
@@ -107,6 +111,25 @@ class TestConfig:
         sentence = README.split("The defaults are ", 1)[1].split("`.", 1)[0] + "`"
         defaults = dict(re.findall(r"`(--[a-z]+)[ =]([^`]+)`", sentence))
         assert defaults == {flag: default for flag, (default, _, _) in FLAGS.items()}
+
+    def test_readme_matches_constants(self):
+        # The tolerance table gives each tolerance's value in code, and every
+        # constant the sample-set table names exists.
+        tolerances = readme_table("| Constant | Value | Check |")
+        assert set(tolerances) == {
+            "verify.THM1_TOL", "verify.LEMMA2_FAMILY_TOL", "verify.POISSON_VALUE_TOL",
+            "verify.POISSON_AGREEMENT_TOL", "verify.SCALING_TOL", "verify.DISK_TOL",
+            "verify.ANGLES_TOL", "graphfield.MSR_EXACT_TOL",
+        }
+        for constant, (value, *_) in tolerances.items():
+            module, name = constant.split(".")
+            assert getattr(importlib.import_module(f"mingraphs.{module}"), name) == float(value)
+        table = README.split("| Constant | Samples | Checks |\n", 1)[1].splitlines()[1:]
+        rows = itertools.takewhile(lambda line: line.startswith("|"), table)
+        named = re.findall(r"`verify\.(\w+)`", "".join(row.split("|")[1] for row in rows))
+        assert "PSI_SAMPLES" in named and "SAMPLE_GRID" in named
+        for name in named:
+            assert hasattr(verify, name), name
 
     def test_flag_defaults_parse_to_the_run_defaults(self):
         # The values the run settings took before their defaults became flag text.
@@ -430,18 +453,42 @@ class TestMalformedInput:
         assert named in one_line_error(capsys)
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("argv", [
-        ["levelcurves", "--levels", "1", "--tau=-1,1,5"],
-        ["verify", "thm1"],
-        ["reconstruct", "--grid=0.5,1.5,-0.5,0.5,0.25"],
-        ["sweep-gamma", "--gammas", "1.5"],
+    @pytest.mark.parametrize("argv, module, work", [
+        (["levelcurves", "--levels", "1", "--tau=-1,1,5"], "levels", "sample_level_curve"),
+        (["verify", "thm1"], "verify", "verify_thm1"),
+        (["reconstruct", "--grid=0.5,1.5,-0.5,0.5,0.25"], "graphfield", "reconstruct_u"),
+        (["sweep-gamma", "--gammas", "1.5"], "verify", "verify_lemma2"),
     ], ids=["levelcurves", "verify", "reconstruct", "sweep-gamma"])
-    def test_unwritable_out(self, tmp_path, capsys, argv):
-        # A parent of --out is a regular file: one line naming --out, no traceback.
+    def test_unwritable_out(self, tmp_path, monkeypatch, capsys, argv, module, work):
+        # A parent of --out is a regular file: one line naming --out, no
+        # traceback, before the command's work runs, and nothing created.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was refused")
+
+        monkeypatch.setattr(importlib.import_module(f"mingraphs.{module}"), work, must_not_run)
         (tmp_path / "afile").write_text("")
         out = tmp_path / "afile" / "sub"
         assert run(*argv, "--out", str(out)) == 2
-        assert f"cannot write into --out {out}: Not a directory" in one_line_error(capsys)
+        assert one_line_error(capsys) == f"error: cannot write into --out {out}: Not a directory\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["afile"]
+
+    @pytest.mark.parametrize("out, reason", [
+        ("afile", "File exists"), ("afile/sub/deeper", "Not a directory"),
+        ("locked/sub", "Permission denied"),
+    ], ids=["file", "below-file", "no-permission"])
+    def test_out_refused_with_the_reason_a_write_gives(self, tmp_path, monkeypatch, capsys,
+                                                       out, reason):
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "locked").mkdir()
+        access = os.access
+        # a directory without write permission, also when the tests run as root
+        monkeypatch.setattr(os, "access", lambda path, mode: (
+            Path(path).name != "locked" and access(path, mode)))
+        monkeypatch.chdir(tmp_path)
+        assert run("verify", "thm1", "--gamma", "2", "--out", out) == 2
+        assert one_line_error(capsys) == f"error: cannot write into --out {out}: {reason}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "locked"]
+        assert not list((tmp_path / "locked").iterdir())
 
     def test_unwritable_file_removes_partial_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"

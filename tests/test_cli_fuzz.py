@@ -5,9 +5,13 @@ Every run must end with status 0, 1 or 2 and never with a traceback; status
 of malformed values (wrong field counts, empty values, nan and inf, zero or
 negative counts, unknown formats, sections and keys, an ``--out`` at or
 below a regular file) after small valid flags, so that each run stays
-cheap: at most a few level samples and a coarse window.
+cheap: at most a few level samples and a coarse window.  Each drawn flag is
+one the command takes (read from ``build_parser``), except for one draw in
+ten, which is a token argparse refuses for that command: an unknown flag,
+an abbreviation or a flag of another command.
 """
 
+import argparse
 import contextlib
 import io
 import tempfile
@@ -17,7 +21,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mingraphs.cli import VERIFY_CHECKS, main
+from mingraphs.cli import VERIFY_CHECKS, build_parser, main
 
 FLAGS = (
     "--gamma=1.5", "--gamma=1.05", "--gamma=1.995", "--gamma=2", "--gamma=nan", "--gamma=inf",
@@ -32,11 +36,40 @@ FLAGS = (
     "--grid=1.5,0.5,-0.5,0.5,0.25", "--grid=-5,-3,0,1,0.5", "--grid=0.5,3,-2,2,1e-15",
     "--grid=0.5,1.5,-0.5,0.5,nan",
     "--format=csv", "--format=csv,json,svg", "--format=pdf", "--format=csv,pdf", "--format=,",
-    "--format=json", "--frob", "--tol=msr_exact=1e-9", "--gammas=1.5", "--gammas=nan",
-    "--gammas=x", "--gammas=2", "--gammas=,", "--gam=1.5",
+    "--format=json", "--gammas=1.5", "--gammas=nan",
+    "--gammas=x", "--gammas=2", "--gammas=,",
     "--levels=", "--tau=", "--grid=", "--format=", "--gammas=", "--config=",
     "--out={tmp}/run.ini", "--out={tmp}/run.ini/sub", "--out={tmp}/run.ini/sub/deeper",
 )
+
+#: Tokens that no command takes: an unknown flag, an abbreviation, a removed flag.
+UNKNOWN = ("--frob", "--gam=1.5", "--tol=msr_exact=1e-9")
+
+
+def _taken() -> dict[str, set[str]]:
+    """Command -> the flags its subparser takes."""
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {name: {flag for action in sub._actions for flag in action.option_strings}
+            for name, sub in commands.items()}
+
+
+TAKEN = _taken()
+#: Command -> the tokens of FLAGS whose flag it takes, and the other tokens.
+OWN = {name: tuple(t for t in FLAGS if t.split("=")[0] in flags) for name, flags in TAKEN.items()}
+FOREIGN = {name: UNKNOWN + tuple(t for t in FLAGS if t.split("=")[0] not in flags)
+           for name, flags in TAKEN.items()}
+
+
+#: Command -> up to three flag tokens, each one the command takes or, for
+#: one draw in ten, one it refuses.
+FLAG_LISTS = {
+    name: st.lists(st.integers(0, 9).flatmap(
+        lambda k, name=name: st.sampled_from(FOREIGN[name] if k == 0 else OWN[name])),
+        max_size=3)
+    for name in TAKEN
+}
+
 
 #: Small valid values that every run starts from, with ``--out {tmp}/out``;
 #: drawn flags after them win.
@@ -89,11 +122,12 @@ def config_text(entries, raw) -> str:
 @given(
     command=st.sampled_from(["levelcurves", "reconstruct", "sweep-gamma",
                              *[f"verify {c}" for c in (*VERIFY_CHECKS, "all")]]),
-    flags=st.lists(st.sampled_from(FLAGS), max_size=3),
     entries=st.lists(st.sampled_from(ENTRIES), max_size=4),
     raw=st.one_of(st.none(), st.sampled_from(RAW)),
+    data=st.data(),
 )
-def test_any_input_exits_cleanly(command, flags, entries, raw):
+def test_any_input_exits_cleanly(command, entries, raw, data):
+    flags = data.draw(FLAG_LISTS[command.split()[0]], label="flags")
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "run.ini"
         config.write_text(config_text(entries, raw))

@@ -166,7 +166,8 @@ class TestDeferredParts:
         assert calls == []
         assert (jet.d1, jet.d1, jet.v) == (2.0, 2.0, 1.0)
         assert calls == ["d1", "v"]
-        assert jet.is_finite() and calls == ["d1", "v", "d2"]
+        assert (jet.v, jet.d1, jet.d2) == (1.0, 2.0, 3.0)
+        assert calls == ["d1", "v", "d2"]
 
     def test_plain_values(self):
         jet = Jet2(1.0 + 1.0j, 2.0, 0.0)

@@ -1,6 +1,7 @@
 """Verifier sweeps, Poisson reconstruction, disk transfer, asymptotics."""
 
 import json
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from mingraphs import (
     AffineMap,
+    AnalyticMap,
     BoundaryArgumentData,
     ConvergenceError,
     ParameterError,
@@ -21,8 +23,7 @@ from mingraphs import (
     disk_transfer_check,
     estimate_asymptotic_angles,
     lw_family,
-    poisson_im_log_hprime,
-    poisson_re_ratio,
+    poisson_kernels,
     verify_lemma2,
     verify_poisson,
     verify_scaling,
@@ -82,13 +83,14 @@ class TestLemma2:
         assert 1.0 * abs(jet.d2 / jet.d1) == pytest.approx(0.25, rel=1e-13)
 
     def test_planar_zero(self, planar22):
-        report = verify_lemma2(planar22, GRID)
+        report = verify_lemma2(planar22)
         assert report.passed and report.empirical_constant == 0.0
 
-    def test_lw19_supremum_on_real_axis(self):
+    def test_lw19_supremum_on_real_axis(self, monkeypatch):
         grid = SampleGrid(sigmas=np.linspace(0.5, 50.0, 25), taus=np.linspace(-50.0, 50.0, 21),
                           descriptor="sigma lin[0.5,50]x25, tau [-50,50]x21")
-        report = verify_lemma2(lw_family(1.9), grid)
+        monkeypatch.setattr(verify, "SAMPLE_GRID", grid)
+        report = verify_lemma2(lw_family(1.9))
         assert report.passed
         assert report.empirical_constant == pytest.approx(50.0 * 0.9 / 51.0, rel=1e-12)
         assert report.empirical_constant < 0.9
@@ -96,7 +98,7 @@ class TestLemma2:
 
     @pytest.mark.parametrize("gamma", [1.1, 1.5, 1.9])
     def test_family_bound(self, gamma):
-        report = verify_lemma2(lw_family(gamma), GRID)
+        report = verify_lemma2(lw_family(gamma))
         assert report.passed
         assert report.empirical_constant <= gamma - 1.0 + 1e-12
 
@@ -104,16 +106,19 @@ class TestLemma2:
 class TestDerivativeFloor:
     """h' = zeta - 4 vanishes at zeta = 4: every h''/h' must refuse it."""
 
-    GRID = SampleGrid(sigmas=np.array([1.0, 4.0]), taus=np.array([-1.0, 0.0, 1.0]),
-                      descriptor="contains zeta = 4")
+    @pytest.fixture(autouse=True)
+    def grid_through_zero(self, monkeypatch):
+        monkeypatch.setattr(verify, "SAMPLE_GRID", SampleGrid(
+            sigmas=np.array([1.0, 4.0]), taus=np.array([-1.0, 0.0, 1.0]),
+            descriptor="contains zeta = 4"))
 
     def test_lemma2_raises(self):
         with pytest.raises(SingularityError):
-            verify_lemma2(sign_flip_pair(), self.GRID)
+            verify_lemma2(sign_flip_pair())
 
     def test_disk_raises(self):
         with pytest.raises(SingularityError):
-            disk_transfer_check(sign_flip_pair(), self.GRID)
+            disk_transfer_check(sign_flip_pair())
 
 
 class TestThm1:
@@ -123,131 +128,150 @@ class TestThm1:
 
     def test_planar(self, planar22, monkeypatch):
         monkeypatch.setattr(verify, "THM1_LEVELS", (0.5, 1.0, 2.0))
-        report = verify_thm1(planar22, GRID)
+        report = verify_thm1(planar22)
         assert report.passed and report.empirical_constant == 0.0
 
     def test_lw15_chain(self, lw15, five_levels):
-        report = verify_thm1(lw15, GRID)
+        report = verify_thm1(lw15)
         assert report.passed
         # C=2, tau=0 sits on the sampled set: C*kappa there is a lower bound
         assert report.empirical_constant >= 2.0 * curvature_closed_form(lw15, 1.0 + 0j) - 1e-12
         assert "chain bound" in report.notes
 
     def test_no_growth_across_levels(self, lw15, five_levels):
-        report = verify_thm1(lw15, GRID)
-        a_emp = verify_lemma2(lw15, GRID).empirical_constant
+        report = verify_thm1(lw15)
+        a_emp = verify_lemma2(lw15).empirical_constant
         assert report.empirical_constant <= 2.0 * a_emp + 1e-9
 
 
 class TestThm2:
     def test_lw15_passes(self, lw15):
-        report = verify_thm2(lw15, GRID)
+        report = verify_thm2(lw15)
         assert report.passed
         assert report.empirical_constant > 0.0
         assert report.notes == "all sub-checks passed"
 
     def test_planar_fails_strict_positivity(self, planar22):
-        report = verify_thm2(planar22, GRID)
+        report = verify_thm2(planar22)
         assert not report.passed
         assert "(d)" in report.notes
         assert "planar" in report.notes
 
-    def test_sign_flip_fails_re_hprime(self):
+    def test_sign_flip_fails_re_hprime(self, monkeypatch):
         # keep |tau| >= 2 so h' = zeta - 4 never vanishes on the grid
         grid = SampleGrid(sigmas=np.linspace(1.0, 10.0, 10), taus=np.linspace(2.0, 10.0, 9),
                           descriptor="sigma [1,10], tau [2,10]")
-        report = verify_thm2(sign_flip_pair(), grid)
+        monkeypatch.setattr(verify, "SAMPLE_GRID", grid)
+        report = verify_thm2(sign_flip_pair())
         assert not report.passed
         assert "(b)" in report.notes  # Re h' <= 0 named with its point
         assert "(a)" in report.notes  # boundary y_tau < 0 as well
 
 
+def boundary_data(psi, dpsi) -> BoundaryArgumentData:
+    """Boundary data from vectorized callables psi(t) and psi'(t)."""
+    return BoundaryArgumentData(lambda t: (psi(t), dpsi(t)))
+
+
+def zeros(t):
+    return np.zeros_like(t)
+
+
 class TestPoisson:
     def test_zero_data(self, lw15):
-        data = BoundaryArgumentData.from_function(lambda t: 0.0, dpsi_fn=lambda t: 0.0)
-        est = poisson_im_log_hprime(data, 1.0 + 0j)
-        assert est.value == pytest.approx(0.0, abs=1e-12)
-        ratio = poisson_re_ratio(data, 1.0 + 0j)
-        assert ratio.derivative_form == pytest.approx(0.0, abs=1e-12)
-        assert ratio.by_parts_form == pytest.approx(0.0, abs=1e-12)
+        data = boundary_data(zeros, zeros)
+        (im_log, ratio, by_parts), _ = poisson_kernels(data, 1.0 + 0j)
+        assert im_log == pytest.approx(0.0, abs=1e-12)
+        assert ratio == pytest.approx(0.0, abs=1e-12)
+        assert by_parts == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_data_gives_zero_ratio(self):
-        data = BoundaryArgumentData.from_function(lambda t: 0.3, dpsi_fn=lambda t: 0.0)
-        ratio = poisson_re_ratio(data, 1.5 + 0.5j)
-        assert ratio.derivative_form == pytest.approx(0.0, abs=1e-9)
-        assert ratio.by_parts_form == pytest.approx(0.0, abs=1e-12)
+        data = boundary_data(lambda t: np.full_like(t, 0.3), zeros)
+        (_, ratio, by_parts), _ = poisson_kernels(data, 1.5 + 0.5j)
+        assert ratio == pytest.approx(0.0, abs=1e-9)
+        assert by_parts == pytest.approx(0.0, abs=1e-12)
 
     def test_odd_data_at_real_point(self, lw15):
-        data = BoundaryArgumentData.from_function(
-            lambda t: 0.5 * np.arctan(t), dpsi_fn=lambda t: 0.5 / (1 + t * t)
-        )
-        est = poisson_im_log_hprime(data, 1.0 + 0j)
-        assert est.value == pytest.approx(0.0, abs=1e-10)
+        data = boundary_data(lambda t: 0.5 * np.arctan(t), lambda t: 0.5 / (1 + t * t))
+        (im_log, _, _), _ = poisson_kernels(data, 1.0 + 0j)
+        assert im_log == pytest.approx(0.0, abs=1e-10)
         assert np.angle(lw15.h.jet(1.0 + 0j).d1) == 0.0
 
     def test_interior_reconstruction(self, lw15):
         data = BoundaryArgumentData.from_pair(lw15)
-        est = poisson_im_log_hprime(data, 1.0 + 1.0j)
-        assert est.value == pytest.approx(0.5 * np.angle(2.0 + 1.0j), abs=1e-4)
-        ratio = poisson_re_ratio(data, 1.0 + 0j)
-        assert ratio.derivative_form == pytest.approx(0.25, abs=1e-4)
-        assert ratio.by_parts_form == pytest.approx(0.25, abs=1e-4)
-        assert ratio.agreement_delta <= 2e-4
+        (im_log, _, _), _ = poisson_kernels(data, 1.0 + 1.0j)
+        assert im_log == pytest.approx(0.5 * np.angle(2.0 + 1.0j), abs=1e-4)
+        (_, ratio, by_parts), _ = poisson_kernels(data, 1.0 + 0j)
+        assert ratio == pytest.approx(0.25, abs=1e-4)
+        assert by_parts == pytest.approx(0.25, abs=1e-4)
+        assert abs(ratio - by_parts) <= 2e-4
 
     def test_gamma19_point(self):
-        pair = lw_family(1.9)
-        data = BoundaryArgumentData.from_function(
-            lambda t: 0.9 * np.arctan(t), dpsi_fn=lambda t: 0.9 / (1 + t * t)
-        )
-        ratio = poisson_re_ratio(data, 2.0 + 3.0j)
-        assert ratio.derivative_form == pytest.approx(0.15, abs=1e-4)
+        data = boundary_data(lambda t: 0.9 * np.arctan(t), lambda t: 0.9 / (1 + t * t))
+        (_, ratio, _), _ = poisson_kernels(data, 2.0 + 3.0j)
+        assert ratio == pytest.approx(0.15, abs=1e-4)
         assert np.real(0.9 / (3.0 + 3.0j)) == pytest.approx(0.15)
 
     def test_psi_bound_enforced(self):
         with pytest.raises(ParameterError):
-            BoundaryArgumentData.from_function(lambda t: 2.0)
+            boundary_data(lambda t: np.full_like(t, 2.0), zeros)
 
     def test_psi_bound_enforced_on_integrated_values(self):
         # the spike at 1e-3 < t < 2e-3 misses every construction sample but
         # not the quadrature nodes near this point
-        data = BoundaryArgumentData.from_function(
-            lambda t: np.where((t > 1e-3) & (t < 2e-3), 2.0, 0.0)
-        )
-        assert np.max(np.abs(data.psi)) == 0.0
+        data = boundary_data(lambda t: np.where((t > 1e-3) & (t < 2e-3), 2.0, 0.0), zeros)
+        assert np.max(np.abs(data.values(verify.PSI_SAMPLES)[0])) == 0.0
         with pytest.raises(ParameterError):
-            poisson_im_log_hprime(data, 0.0015 + 0j)
+            poisson_kernels(data, 0.0015 + 0j)
 
     @pytest.mark.parametrize("zeta", [0.5 - 3.0j, 0.5 + 1.0j, 1.0 + 0j, 2.0 + 3.0j])
     def test_mpmath_oracle(self, lw15, zeta):
-        im_log, deriv, by_parts = t_space_kernels(1.5, zeta)
-        data = BoundaryArgumentData.from_pair(lw15)
-        est = poisson_im_log_hprime(data, zeta)
-        ratio = poisson_re_ratio(data, zeta)
-        assert abs(est.value - im_log) <= 1e-12
-        assert abs(ratio.derivative_form - deriv) <= 1e-12
-        assert abs(ratio.by_parts_form - by_parts) <= 1e-12
-        for err in (est.error_bound, ratio.error_bound):
+        oracle = t_space_kernels(1.5, zeta)
+        values, errors = poisson_kernels(BoundaryArgumentData.from_pair(lw15), zeta)
+        for value, expected in zip(values, oracle):  # Im log h', derivative form, by parts
+            assert abs(value - expected) <= 1e-12
+        for err in (*errors, errors[1] + errors[2]):
             assert np.isfinite(err) and err <= 1e-10
 
     def test_one_call_per_rule_size(self):
         calls = []
 
-        def psi(t):
+        def values(t):
             calls.append(t.shape)
-            return 0.5 * np.arctan(t)
+            return 0.5 * np.arctan(t), 0.5 / (1 + t * t)
 
-        data = BoundaryArgumentData.from_function(psi)
+        data = BoundaryArgumentData(values)
         calls.clear()
         points = np.array([complex(s, t) for s in (0.5, 1.0, 2.0, 5.0) for t in (-3, -1, 0, 1, 3)])
-        poisson_im_log_hprime(data, points)
+        poisson_kernels(data, points)
         assert 2 <= len(calls) <= 7  # rule sizes 64, 128, ..., 4096
         assert all(shape[0] == 20 for shape in calls)
 
+    def test_report_evaluates_boundary_once_per_rule_size(self, lw15):
+        # One jet of h on the boundary at construction (the 399 samples),
+        # then one per Gauss-Legendre rule size covering all 20 points.
+        class BoundaryCalls(AnalyticMap):
+            shapes = []
+
+            def jet(self, zeta):
+                zeta = np.asarray(zeta, dtype=complex)
+                if np.all(zeta.real == 0.0):
+                    self.shapes.append(zeta.shape)
+                return lw15.h.jet(zeta)
+
+        pair = replace(lw15, h=BoundaryCalls())
+        report = verify_poisson(pair, BoundaryArgumentData.from_pair(pair))
+        assert report.to_json() == verify_poisson(lw15).to_json()
+        construction, *rules = BoundaryCalls.shapes
+        assert construction == verify.PSI_SAMPLES.shape == (399,)
+        assert 2 <= len(rules) <= 7
+        assert rules == [(len(verify.POISSON_POINTS), 64 * 2**k) for k in range(len(rules))]
+
     def test_nonconvergent_data_raises(self):
         # a jump in psi away from the symmetric node set: O(1/n) convergence
-        data = BoundaryArgumentData.from_function(lambda t: 0.5 * np.sign(t - 0.3))
+        data = boundary_data(lambda t: 0.5 * np.sign(t - 0.3), zeros)
         with pytest.raises(QuadratureError):
-            poisson_im_log_hprime(data, 1.0 + 0j)
+            poisson_kernels(data, 1.0 + 0j)
 
     def test_wrong_pair_data_fails(self):
         report = verify_poisson(lw_family(1.9), BoundaryArgumentData.from_pair(lw_family(1.5)))
@@ -261,7 +285,7 @@ class TestPoisson:
     @pytest.mark.parametrize("gamma", [1.1, 1.3, 1.5, 1.7, 1.9])
     def test_psi_bound_on_family(self, gamma):
         data = BoundaryArgumentData.from_pair(lw_family(gamma))
-        assert np.max(np.abs(data.psi)) <= np.pi / 2
+        assert np.max(np.abs(data.values(verify.PSI_SAMPLES)[0])) <= np.pi / 2
 
     def test_report(self, lw15, monkeypatch):
         monkeypatch.setattr(verify, "POISSON_POINTS", (0.5 + 0j, 1.0 + 2.0j, 2.0 - 1.0j))
@@ -311,19 +335,20 @@ class TestScaling:
 
 
 class TestDiskTransfer:
-    def test_center_of_disk(self, lw15):
+    def test_center_of_disk(self, lw15, monkeypatch):
         grid = SampleGrid(sigmas=np.array([1.0]), taus=np.array([0.0]), descriptor="zeta=1")
-        report = disk_transfer_check(lw15, grid)
+        monkeypatch.setattr(verify, "SAMPLE_GRID", grid)
+        report = disk_transfer_check(lw15)
         # w = 0 there: A1 = |H''/H'| = |(h''/h')*(zeta+1)^2/2 + (zeta+1)| = 2.5
         assert report.passed
         assert report.empirical_constant == pytest.approx(2.5, rel=1e-12)
 
     def test_planar_finite(self, planar22):
-        report = disk_transfer_check(planar22, GRID)
+        report = disk_transfer_check(planar22)
         assert report.passed and np.isfinite(report.empirical_constant)
 
     def test_lw15_chain_consistent(self, lw15):
-        report = disk_transfer_check(lw15, GRID)
+        report = disk_transfer_check(lw15)
         assert report.passed
         assert "holds" in report.notes
 
@@ -355,7 +380,7 @@ class TestAsymptoticAngles:
 
 class TestReportSerialization:
     def test_fixed_field_order(self, planar22):
-        report = verify_lemma2(planar22, GRID)
+        report = verify_lemma2(planar22)
         parsed = json.loads(report.to_json())
         assert list(parsed.keys()) == [
             "check_name", "passed", "empirical_constant", "extremal_point",
@@ -365,6 +390,6 @@ class TestReportSerialization:
         assert isinstance(parsed["extremal_point"], list)
 
     def test_determinism(self, lw15):
-        a = verify_thm2(lw15, GRID).to_json()
-        b = verify_thm2(lw15, GRID).to_json()
+        a = verify_thm2(lw15).to_json()
+        b = verify_thm2(lw15).to_json()
         assert a == b
