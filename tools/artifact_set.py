@@ -31,7 +31,9 @@ that moves an artifact shows the moved records in its diff.
 
 The set covers ``reconstruct`` (csv) at gamma 1.23, 1.5 and 1.77 times
 h = 1/32, 1/64 and 1/128 on the default window, plus the masked window
-x in [-3, 3] x y in [-2, 2] at h = 1/64; ``verify all`` near both ends of
+x in [-3, 3] x y in [-2, 2] at h = 1/64 and, at h = 1/32, the window
+x in [-2, -0.25] x y in [-0.5, 0.5], whose middle column misses the image
+domain and whose last columns meet it; ``verify all`` near both ends of
 the family and at 1.5; ``levelcurves`` (csv, json, svg) at three gammas;
 ``verify all``, ``levelcurves`` and ``reconstruct`` on a custom pair whose
 g is anchored at zeta = 0; ``sweep-gamma`` at gamma 1.1, 1.5 and 1.9; the
@@ -78,6 +80,9 @@ def _commands() -> list[tuple[str, list[str], str | None]]:
     out.append(("reconstruct_masked_g1.5_h64",
                 ["reconstruct", "--gamma", "1.5", "--format", "csv",
                  "--grid=-3,3,-2,2,0.015625"], None))
+    out.append(("reconstruct_edge_g1.5_h32",
+                ["reconstruct", "--gamma", "1.5", "--format", "csv",
+                 "--grid=-2,-0.25,-0.5,0.5,0.03125"], None))
     for gamma in ("1.0013", "1.004", "1.5", "1.995", "1.9985"):
         out.append((f"verify_all_g{gamma}", ["verify", "all", "--gamma", gamma], None))
     for gamma in ("1.2", "1.5", "1.8"):
