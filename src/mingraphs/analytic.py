@@ -128,8 +128,12 @@ def _scaled(c: complex, jet: Jet2) -> Jet2:
 def require_above_floor(d1, name: str = "d1") -> None:
     """Raise SingularityError unless |d1| > DERIVATIVE_FLOOR everywhere: the
     harmonic-map representation degenerates at such points and anything
-    built on 1/d1 would be garbage."""
-    if not (np.abs(d1) > DERIVATIVE_FLOOR).all():
+    built on 1/d1 would be garbage.  A non-finite d1 is a float64 overflow,
+    and raises DomainError saying so."""
+    magnitude = np.abs(d1)
+    if not np.isfinite(magnitude).all():
+        raise DomainError(f"|{name}| is not finite: the representation overflows float64")
+    if not (magnitude > DERIVATIVE_FLOOR).all():
         raise SingularityError(
             f"|{name}| <= {DERIVATIVE_FLOOR:g}: critical point of the representation"
         )

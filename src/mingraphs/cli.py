@@ -58,6 +58,14 @@ VERIFY_CHECKS = (
     "thm1", "thm2", "lemma2", "poisson", "scaling", "disk", "superharmonic", "msr",
 )
 
+#: The checks that sample the pair, in the order ``verify all`` runs them:
+#: check -> the name of its function in ``verify``, which takes the pair
+#: alone.  The function is looked up when the command runs.
+SAMPLED_CHECKS = {
+    "lemma2": "verify_lemma2", "thm1": "verify_thm1", "thm2": "verify_thm2",
+    "poisson": "verify_poisson", "scaling": "verify_scaling", "disk": "disk_transfer_check",
+}
+
 
 def _tau(text: str) -> tuple[float, float, int]:
     lo, hi, n = text.split(",")
@@ -227,36 +235,26 @@ def _graph_reports(pair, grid, which: list[str]) -> list[VerificationReport]:
 
 
 def cmd_verify(args) -> int:
-    from .verify import (
-        BoundaryArgumentData,
-        disk_transfer_check,
-        verify_lemma2,
-        verify_poisson,
-        verify_scaling,
-        verify_thm1,
-        verify_thm2,
-    )
+    from . import verify
 
     which = list(VERIFY_CHECKS) if args.check == "all" else [args.check]
     pair = build_pair(args.pair)
 
-    reports: list[VerificationReport] = []
     try:
-        if "lemma2" in which:
-            reports.append(verify_lemma2(pair))
-        if "thm1" in which:
-            reports.append(verify_thm1(pair))
-        if "thm2" in which:
-            reports.append(verify_thm2(pair))
-        if "poisson" in which:
-            reports.append(verify_poisson(pair, BoundaryArgumentData.from_pair(pair)))
-        if "scaling" in which:
-            reports.append(verify_scaling(pair))
-        if "disk" in which:
-            reports.append(disk_transfer_check(pair))
+        # an overflow while sampling the pair stops the command here, with
+        # one line, instead of a numpy warning and a later, misleading error.
+        # The grid checks stay outside: Newton on nodes outside D only has to
+        # fail, and is not known to stay finite on the way.
+        with np.errstate(over="raise", invalid="raise"):
+            reports = [getattr(verify, func)(pair)
+                       for name, func in SAMPLED_CHECKS.items() if name in which]
         graph_checks = [name for name in ("superharmonic", "msr") if name in which]
         if graph_checks:
             reports.extend(_graph_reports(pair, args.grid, graph_checks))
+    except FloatingPointError as exc:
+        print(f"verify failed while evaluating: the pair overflows float64 ({exc})",
+              file=sys.stderr)
+        return 2
     except _ERRORS as exc:
         print(f"verify failed while evaluating: {exc}", file=sys.stderr)
         return 2

@@ -10,12 +10,14 @@ f by a Newton iteration whose exact 2x2 Jacobian comes from h' and
 g' = -k/h' (Wirtinger derivatives f_zeta = h', f_zetabar = conj(g')), so an
 update solves a*d + b*conj(d) = -r with a = h', b = conj(g').  Univalence
 (|h'| > |g'|) keeps the Jacobian determinant positive, so a converged
-iterate is the preimage.  Seeds come from the brute-force nearest point of
-a coarse forward-evaluated cloud and then march column to column, outward
-from a seed column.  The two directions are independent chains, so each
-march step solves the pair of columns seed+d and seed-d in one Newton
+iterate is the preimage.  Each node is inverted once.  The middle column
+takes its seeds from the brute-force nearest point of a coarse
+forward-evaluated cloud, then columns march outward, each row seeded by
+its neighbor's preimage.  The two directions are independent chains, so
+each march step solves the pair of columns mid+d and mid-d in one Newton
 batch; a row whose neighbor in the previous column failed takes a cloud
-seed again.  Every node follows its own iteration, so the batching does
+seed.  ``preimages`` runs the same march, so it returns the preimage behind
+each value.  Every node follows its own iteration, so the batching does
 not change a bit of the result.
 
 Stencil conventions (all centered, second order):
@@ -284,17 +286,43 @@ def _nearest(cloud: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _march(pair: WeierstrassPair, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invert f once at every node of the grid xs x ys; returns (zeta, ok) of
+    shape (ny, nx).
+
+    The middle column is solved from nearest-cloud seeds, then columns march
+    outward, each row seeded by the preimage of its neighbor toward the
+    middle.  Column mid+d is seeded only from mid+d-1 and column mid-d only
+    from mid-d+1, so both directions share one Newton batch per step; a row
+    whose neighbor failed takes a nearest-cloud seed.  The cloud covers the
+    grid's own extent, so the grid alone fixes every bit of the result.
+    """
+    nx, ny = xs.size, ys.size
+    targets = xs[None, :] + 1j * ys[:, None]
+    zeta = np.full((ny, nx), np.nan, dtype=complex)
+    ok = np.zeros((ny, nx), dtype=bool)
+    cloud_z, cloud_f = _forward_cloud(pair, ((xs[0], xs[-1]), (ys[0], ys[-1])))
+    mid = nx // 2
+    for d in range(max(mid + 1, nx - mid)):
+        cols = [i for i in ((mid + d, mid - d) if d else (mid,)) if 0 <= i < nx]
+        # the middle column is its own neighbor, not yet solved
+        prev = [i - int(np.sign(i - mid)) for i in cols]
+        t = targets[:, cols].T
+        guesses = np.where(ok[:, prev], zeta[:, prev], np.nan + 0j).T
+        missing = ~np.isfinite(guesses)
+        if missing.any():
+            guesses[missing] = cloud_z[_nearest(cloud_f, t[missing])]
+        z, good = _newton_batch(pair, t.ravel(), guesses.ravel(), NEWTON_TOL, NEWTON_MAX_ITER)
+        zeta[:, cols], ok[:, cols] = z.reshape(t.shape).T, good.reshape(t.shape).T
+    return zeta, ok
+
+
 def reconstruct_u(pair: WeierstrassPair, window: Window, spacing: float) -> ScalarField2D:
     """Invert f on every grid node of the window and set u = k0*sigma.
 
-    A seed column is solved from nearest-cloud initial guesses, then columns
-    march outward, each row seeded by its neighbor's preimage.  Column
-    seed+d is seeded only from seed+d-1 and column seed-d only from
-    seed-d+1, so both march directions share one Newton batch per step;
-    rows without a solved neighbor take nearest-cloud seeds.  Nodes whose
-    inversion fails (in particular nodes outside the image domain) are
-    masked out; the attached stats record the failure count and whether a
-    seed could be placed at all.
+    Each node is inverted once, by ``_march``.  Nodes whose inversion fails
+    (in particular nodes outside the image domain) are masked out; the
+    attached stats count the nodes attempted, solved and failed.
     """
     nx, ny = _axis_size(window[0], spacing), _axis_size(window[1], spacing)
     if nx * ny > MAX_GRID_NODES:
@@ -303,41 +331,7 @@ def reconstruct_u(pair: WeierstrassPair, window: Window, spacing: float) -> Scal
         )
     xs = _axis(window[0], spacing)
     ys = _axis(window[1], spacing)
-    targets = xs[None, :] + 1j * ys[:, None]
-    zeta = np.full((ny, nx), np.nan, dtype=complex)
-    ok = np.zeros((ny, nx), dtype=bool)
-
-    cloud_z, cloud_f = _forward_cloud(pair, window)
-
-    def solve_columns(cols: list[int], guesses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve whole columns in one Newton batch.  ``guesses`` has shape
-        (len(cols), ny), NaN where the nearest cloud point seeds the row;
-        returns (zeta, ok) of shape (ny, len(cols))."""
-        t = targets[:, cols].T
-        missing = ~np.isfinite(guesses)
-        if missing.any():
-            guesses[missing] = cloud_z[_nearest(cloud_f, t[missing])]
-        z, good = _newton_batch(pair, t.ravel(), guesses.ravel(), NEWTON_TOL, NEWTON_MAX_ITER)
-        return z.reshape(t.shape).T, good.reshape(t.shape).T
-
-    # place the seed column, middle outward
-    seed_i = None
-    for i in sorted(range(nx), key=lambda col: (abs(col - nx // 2), col)):
-        z, good = solve_columns([i], np.full((1, ny), np.nan + 0j))
-        if good.any():
-            seed_i = i
-            zeta[:, [i]], ok[:, [i]] = z, good
-            break
-
-    # march outward, both directions in one batch per step
-    if seed_i is not None:
-        for d in range(1, max(seed_i + 1, nx - seed_i)):
-            cols = [i for i in (seed_i + d, seed_i - d) if 0 <= i < nx]
-            prev = [i - 1 if i > seed_i else i + 1 for i in cols]
-            zeta[:, cols], ok[:, cols] = solve_columns(
-                cols, np.where(ok[:, prev], zeta[:, prev], np.nan + 0j).T
-            )
-
+    zeta, ok = _march(pair, xs, ys)
     values = np.where(ok, pair.k0 * zeta.real, np.nan)
     stats = ReconstructionStats(
         attempted=nx * ny, solved=int(ok.sum()), failed=int(nx * ny - ok.sum()),
@@ -350,16 +344,10 @@ def reconstruct_u(pair: WeierstrassPair, window: Window, spacing: float) -> Scal
 
 def preimages(pair: WeierstrassPair, field: ScalarField2D) -> np.ndarray:
     """Preimage grid zeta = f^{-1}(x, y) for the masked nodes of a field
-    (NaN elsewhere); seeds come from a fresh forward cloud."""
-    xs, ys = field.xs(), field.ys()
-    window = ((float(xs[0]), float(xs[-1])), (float(ys[0]), float(ys[-1])))
-    cloud_z, cloud_f = _forward_cloud(pair, window)
-    targets = (xs[None, :] + 1j * ys[:, None])[field.mask]
-    z, good = _newton_batch(pair, targets, cloud_z[_nearest(cloud_f, targets)],
-                            NEWTON_TOL, NEWTON_MAX_ITER)
-    out = np.full(field.values.shape, np.nan, dtype=complex)
-    out[field.mask] = np.where(good, z, np.nan)
-    return out
+    (NaN elsewhere), from the march that ``reconstruct_u`` runs: on a field it
+    built, k0*Re(zeta) is the field's value, bit for bit."""
+    zeta, ok = _march(pair, field.xs(), field.ys())
+    return np.where(field.mask & ok, zeta, np.nan)
 
 
 # ---------------------------------------------------------------------------

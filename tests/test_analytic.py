@@ -103,6 +103,12 @@ class TestLogDerivative:
         with pytest.raises(SingularityError, match=r"\|h'\| <= 1e-300"):
             require_above_floor(np.array([1.0, 1e-300]), "h'")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, np.inf)])
+    def test_non_finite_is_an_overflow(self, bad):
+        # nan fails |d1| > floor too, but it is no critical point
+        with pytest.raises(DomainError, match=r"\|h'\| is not finite: .* overflows float64"):
+            require_above_floor(np.array([1.0, bad]), "h'")
+
 
 def _catalog_maps():
     lw_h = PowerAffineMap(offset=1.0, exponent=1.5)

@@ -639,6 +639,22 @@ class TestMalformedInput:
             assert entry in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("exponent", ["400", "1e300"])
+    @pytest.mark.parametrize("check", ["lemma2", "thm1", "thm2", "poisson", "scaling", "disk",
+                                       "all"])
+    def test_overflowing_pair(self, tmp_path, capsys, exponent, check):
+        # h' overflows on the sample points: one line naming the overflow, not
+        # numpy warnings and a "critical point" that is not one
+        config = tmp_path / "run.ini"
+        config.write_text("[pair]\nkind = custom\nk0 = 2\n"
+                          f"h = power-affine offset=1 exponent={exponent}\ng_anchor = 1:0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            status = run("verify", check, "--config", str(config), "--out", str(tmp_path / "out"))
+        assert status == 2
+        assert "the pair overflows float64" in one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_critical_point_on_grid(self, tmp_path, capsys):
         # h' = zeta - 10 vanishes at zeta = 10, the sample grid's sigma = 10, tau = 0
         config = tmp_path / "flip.ini"

@@ -542,14 +542,30 @@ ANCHOR_ZERO_SPEC = {
     "g_anchor": "0j:-1.3333333333333333",
 }
 MASKED_WINDOW = ((-3.0, 3.0), (-2.0, 2.0))
-#: only the last two of its 29 columns at h = 1/16 meet D, so the seed column
-#: sits next to the right edge and the march to the right ends after one step
+#: only the last two of its 29 columns at h = 1/16 meet D, so the middle
+#: column misses D
 EDGE_SEED_WINDOW = ((-2.0, -0.25), (-0.5, 0.5))
+#: for the planar pair at h = 1/16 the middle column misses D
+PLANAR_MISS_WINDOW = ((-4.0, 0.0), (2.0, 5.0))
+
+
+def _count_newton_targets(monkeypatch) -> list[int]:
+    """The size of each Newton batch that graphfield runs from now on."""
+    sizes = []
+    newton = graphfield._newton_batch
+
+    def counting(pair, targets, *args):
+        sizes.append(np.size(targets))
+        return newton(pair, targets, *args)
+
+    monkeypatch.setattr(graphfield, "_newton_batch", counting)
+    return sizes
 
 
 class TestBatchedMarch:
-    """Both march directions share one Newton batch per step, with the same
-    bits as one batch per column."""
+    """One march from the middle column, both directions in one Newton batch
+    per step, with the same bits as a search for the first column with a
+    solved node followed by one batch per column."""
 
     @pytest.mark.parametrize("pair, window, spacing", [
         (lw_family(1.003), WINDOW, 1.0 / 32.0),
@@ -558,7 +574,8 @@ class TestBatchedMarch:
         (lw_family(1.5), MASKED_WINDOW, 1.0 / 32.0),
         (lw_family(1.5), EDGE_SEED_WINDOW, 1.0 / 16.0),
         (build_pair(ANCHOR_ZERO_SPEC), WINDOW, 1.0 / 8.0),
-    ], ids=["lw1.003", "lw1.5", "lw1.996", "masked", "edge-seed", "anchor-zero"])
+        (planar_pair(2.0, 2.0), PLANAR_MISS_WINDOW, 1.0 / 16.0),
+    ], ids=["lw1.003", "lw1.5", "lw1.996", "masked", "edge-seed", "anchor-zero", "planar-miss"])
     def test_same_bits_as_one_batch_per_column(self, pair, window, spacing):
         values, mask, stats = _reference_reconstruct_u(pair, window, spacing)
         field = reconstruct_u(pair, window, spacing)
@@ -567,18 +584,13 @@ class TestBatchedMarch:
         assert field.stats == stats
 
     def test_masked_window_runs_cloud_fallback(self, lw15, monkeypatch):
-        newton_sizes, nearest_sizes = [], []
-        newton, nearest = graphfield._newton_batch, graphfield._nearest
-
-        def counting_newton(pair, targets, *args):
-            newton_sizes.append(np.size(targets))
-            return newton(pair, targets, *args)
+        newton_sizes, nearest_sizes = _count_newton_targets(monkeypatch), []
+        nearest = graphfield._nearest
 
         def counting_nearest(cloud, targets):
             nearest_sizes.append(targets.size)
             return nearest(cloud, targets)
 
-        monkeypatch.setattr(graphfield, "_newton_batch", counting_newton)
         monkeypatch.setattr(graphfield, "_nearest", counting_nearest)
         field = reconstruct_u(lw15, MASKED_WINDOW, 1.0 / 32.0)
         ny = field.ny
@@ -593,19 +605,30 @@ class TestBatchedMarch:
         assert field.nx == 29 and solved_cols.tolist() == [27, 28]
 
     def test_one_newton_batch_per_march_step(self, lw15, monkeypatch):
-        calls = []
-        newton = graphfield._newton_batch
-
-        def counting(*args):
-            calls.append(np.size(args[1]))
-            return newton(*args)
-
-        monkeypatch.setattr(graphfield, "_newton_batch", counting)
+        calls = _count_newton_targets(monkeypatch)
         field = reconstruct_u(lw15, WINDOW, 1.0 / 32.0)
         assert field.nx == 81 and field.stats.failed == 0
-        # the seed column, then 40 steps of two columns each; one batch per column is 81
+        # the middle column, then 40 steps of two columns each; one batch per column is 81
         assert len(calls) == 41
         assert calls == [field.ny] + [2 * field.ny] * 40
+
+    @pytest.mark.parametrize("window, spacing", [
+        (EDGE_SEED_WINDOW, 1.0 / 16.0), (MASKED_WINDOW, 1.0 / 32.0),
+    ], ids=["edge-seed", "masked"])
+    def test_every_node_inverted_once(self, lw15, window, spacing, monkeypatch):
+        # a column whose nodes all fail is not solved again from other seeds
+        sizes = _count_newton_targets(monkeypatch)
+        field = reconstruct_u(lw15, window, spacing)
+        assert field.stats.failed > 0
+        assert sum(sizes) == field.nx * field.ny
+
+    @pytest.mark.parametrize("name", ["field32", "masked_field"])
+    def test_preimages_behind_each_value(self, lw15, name, request):
+        field = request.getfixturevalue(name)  # WINDOW and MASKED_WINDOW at h = 1/32
+        pre = preimages(lw15, field)
+        assert np.isnan(pre[~field.mask]).all()
+        u = lw15.k0 * pre.real
+        assert u[field.mask].tobytes() == field.values[field.mask].tobytes()
 
 
 def test_interior_mask_erosion():
