@@ -21,7 +21,7 @@ SMALL = ["levelcurves", "--gamma", "1.5", "--levels", "1", "--tau=-1,1,5", "--fo
 
 def test_command_set():
     names = [name for name, _, _ in artifact_set.COMMANDS]
-    assert len(names) == 25 and len(set(names)) == 25
+    assert len(names) == 27 and len(set(names)) == 27
     assert {"reconstruct_masked_g1.5_h64", "reconstruct_edge_g1.5_h32"} <= set(names)
     assert {args[0] for _, args, _ in artifact_set.COMMANDS} == {
         "reconstruct", "verify", "levelcurves", "sweep-gamma"}
@@ -31,6 +31,8 @@ def test_command_set():
     assert with_config == [
         (["verify", "all"], anchored), (["levelcurves", "--config"], anchored),
         (["reconstruct", "--config"], anchored), (["verify", "thm2"], artifact_set.PLANAR_CONFIG),
+        (["verify", "superharmonic"], artifact_set.OVERFLOW_CONFIG),
+        (["verify", "all"], artifact_set.NON_INJECTIVE_CONFIG),
     ]
 
 

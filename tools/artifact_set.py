@@ -37,10 +37,13 @@ domain and whose last columns meet it; ``verify all`` near both ends of
 the family and at 1.5; ``levelcurves`` (csv, json, svg) at three gammas;
 ``verify all``, ``levelcurves`` and ``reconstruct`` on a custom pair whose
 g is anchored at zeta = 0; ``sweep-gamma`` at gamma 1.1, 1.5 and 1.9; the
-planar negative control ``verify thm2``, which fails by design; and
-``verify thm1 --gamma 2``, which the CLI refuses.  Every command runs, and
-the set covers exit statuses 0, 1 (``verify all`` near the ends of the
-family fails ``msr``, and planar ``thm2`` fails) and 2.
+planar negative control ``verify thm2``, which fails by design;
+``verify thm1 --gamma 2``, which the CLI refuses; ``verify superharmonic``
+on h = (zeta+1)**400, whose h' overflows float64 on the sample grid; and
+``verify all`` on h = (zeta+1)**3.5 with its closed-form g, whose boundary
+argument leaves [-pi/2, pi/2].  Every command runs, and the set covers exit
+statuses 0, 1 (``verify all`` near the ends of the family fails ``msr``, and
+planar ``thm2`` fails) and 2.
 
 Only the standard library is used, and numpy's version and CPU features
 for the ``machine`` record.
@@ -66,6 +69,17 @@ ANCHOR_ZERO_CONFIG = (
     "g_anchor = 0j:-1.3333333333333333\n"
 )
 PLANAR_CONFIG = "[pair]\nkind = planar\na = 2\nk0 = 2\n"
+#: h' = 400*(zeta+1)**399 overflows float64 on the sample grid.
+OVERFLOW_CONFIG = (
+    "[pair]\nkind = custom\nk0 = 2\nh = power-affine offset=1 exponent=400\n"
+    "g_anchor = 1:0\n"
+)
+#: h = (zeta+1)**3.5 with its closed-form g: arg h' leaves [-pi/2, pi/2] on
+#: the boundary, so D is not concave (and h is not univalent).
+NON_INJECTIVE_CONFIG = (
+    "[pair]\nkind = custom\nk0 = 2\nh = power-affine offset=1 exponent=3.5\n"
+    "g = power-affine offset=1 exponent=-1.5 coeff=0.19047619047619047\n"
+)
 CONFIG_NAME = "pair.ini"
 
 
@@ -98,6 +112,10 @@ def _commands() -> list[tuple[str, list[str], str | None]]:
     out.append(("planar_verify_thm2", ["verify", "thm2", "--config", CONFIG_NAME],
                 PLANAR_CONFIG))
     out.append(("refused_verify_thm1_g2", ["verify", "thm1", "--gamma", "2"], None))
+    out.append(("overflow_verify_superharmonic",
+                ["verify", "superharmonic", "--config", CONFIG_NAME], OVERFLOW_CONFIG))
+    out.append(("non_injective_verify_all", ["verify", "all", "--config", CONFIG_NAME],
+                NON_INJECTIVE_CONFIG))
     return out
 
 
