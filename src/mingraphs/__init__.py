@@ -24,14 +24,13 @@ _EXPORTS = {
         "reconstruct_u", "residual_convergence_order",
     ),
     "levels": (
-        "LevelCurve", "LevelCurveSpec", "boundary_trace", "curvature_closed_form",
-        "curvature_generic", "curvature_h_image", "sample_level_curve", "sigma_for_level",
-        "tau_partials",
+        "HeightRecord", "LevelCurve", "LevelCurveSpec", "boundary_trace", "curvature_generic",
+        "sample_level_curve", "sigma_for_level",
     ),
     "verify": (
-        "BoundaryArgumentData", "SampleGrid", "VerificationReport", "disk_transfer_check",
-        "estimate_asymptotic_angles", "poisson_kernels", "verify_lemma2", "verify_poisson",
-        "verify_scaling", "verify_thm1", "verify_thm2",
+        "Admitted", "BoundaryArgumentData", "SampleGrid", "VerificationReport", "admit",
+        "disk_transfer_check", "estimate_asymptotic_angles", "poisson_kernels", "verify_lemma2",
+        "verify_poisson", "verify_scaling", "verify_thm1", "verify_thm2",
     ),
     "weierstrass": (
         "SurfacePoint", "WeierstrassPair", "eval_surface", "g_prime", "g_value",

@@ -38,7 +38,6 @@ import numpy as np
 from .config import build_pair, load_config, parse_value
 from .errors import (
     ConvergenceError,
-    DomainError,
     EmptyInteriorError,
     ParameterError,
     QuadratureError,
@@ -49,18 +48,16 @@ from .serialize import atomic_write, fmt_float
 if TYPE_CHECKING:
     from .verify import VerificationReport
 
-_ERRORS = (
-    ParameterError, DomainError, SingularityError, QuadratureError,
-    ConvergenceError, EmptyInteriorError, ValueError,
-)
+#: ValueError covers ParameterError and DomainError.
+_ERRORS = (SingularityError, QuadratureError, ConvergenceError, EmptyInteriorError, ValueError)
 
 VERIFY_CHECKS = (
     "thm1", "thm2", "lemma2", "poisson", "scaling", "disk", "superharmonic", "msr",
 )
 
 #: The checks that sample the pair, in the order ``verify all`` runs them:
-#: check -> the name of its function in ``verify``, which takes the pair
-#: alone.  The function is looked up when the command runs.
+#: check -> the name of its function in ``verify``, which takes the pair as
+#: ``verify.admit`` returns it.  The function is looked up when the command runs.
 SAMPLED_CHECKS = {
     "lemma2": "verify_lemma2", "thm1": "verify_thm1", "thm2": "verify_thm2",
     "poisson": "verify_poisson", "scaling": "verify_scaling", "disk": "disk_transfer_check",
@@ -241,12 +238,12 @@ def cmd_verify(args) -> int:
     pair = build_pair(args.pair)
 
     try:
-        # an overflow while sampling the pair stops the command here, with
-        # one line, instead of a numpy warning and a later, misleading error.
-        # The grid checks stay outside: Newton on nodes outside D only has to
-        # fail, and is not known to stay finite on the way.
+        # admit runs before every check: an overflow while sampling the pair stops
+        # the command here with one line, not a numpy warning and a later,
+        # misleading error.  Newton outside D only has to fail: grid checks run unguarded.
         with np.errstate(over="raise", invalid="raise"):
-            reports = [getattr(verify, func)(pair)
+            admitted = verify.admit(pair)
+            reports = [getattr(verify, func)(admitted)
                        for name, func in SAMPLED_CHECKS.items() if name in which]
         graph_checks = [name for name in ("superharmonic", "msr") if name in which]
         if graph_checks:
@@ -259,22 +256,20 @@ def cmd_verify(args) -> int:
         print(f"verify failed while evaluating: {exc}", file=sys.stderr)
         return 2
 
-    all_passed = True
     first_failure = None
     for report in reports:
         _write(args.out, f"verify_{report.check_name}.json", report.to_json())
-        status = "PASS" if report.passed else "FAIL"
-        print(f"{status} {report.check_name}: {report.notes}")
-        if not report.passed:
-            all_passed = False
-            first_failure = first_failure or report.check_name
+        print(f"{'PASS' if report.passed else 'FAIL'} {report.check_name}: {report.notes}")
+        if not (report.passed or first_failure):
+            first_failure = report.check_name
     if first_failure:
         print(f"first failing check: {first_failure}", file=sys.stderr)
-    return 0 if all_passed else 1
+        return 1
+    return 0
 
 
 def cmd_sweep_gamma(args) -> int:
-    from .verify import estimate_asymptotic_angles, verify_lemma2, verify_thm1, verify_thm2
+    from .verify import admit, estimate_asymptotic_angles, verify_lemma2, verify_thm1, verify_thm2
     from .weierstrass import lw_family
 
     bad = [fmt_float(gamma) for gamma in args.gammas if not np.isfinite(gamma)]
@@ -286,19 +281,13 @@ def cmd_sweep_gamma(args) -> int:
     any_bad = False
     for gamma in args.gammas:
         try:
-            pair = lw_family(gamma)
-            lemma2 = verify_lemma2(pair)
-            thm1 = verify_thm1(pair)
-            thm2 = verify_thm2(pair)
-            plus, minus = estimate_asymptotic_angles(pair)
-            rows.append(",".join([
-                fmt_float(gamma), fmt_float(lemma2.empirical_constant),
-                fmt_float(thm1.empirical_constant), fmt_float(thm2.empirical_constant),
-                fmt_float(plus), fmt_float(minus),
-                str(int(lemma2.passed)), str(int(thm1.passed)), str(int(thm2.passed)), "",
-            ]))
-            if not (lemma2.passed and thm1.passed and thm2.passed):
-                any_bad = True
+            admitted = admit(lw_family(gamma))
+            reports = [check(admitted) for check in (verify_lemma2, verify_thm1, verify_thm2)]
+            angles = estimate_asymptotic_angles(admitted.pair)
+            numbers = [gamma, *(report.empirical_constant for report in reports), *angles]
+            passes = [str(int(report.passed)) for report in reports]
+            rows.append(",".join([*map(fmt_float, numbers), *passes, ""]))
+            any_bad = any_bad or not all(report.passed for report in reports)
         except _ERRORS as exc:
             rows.append(",".join([fmt_float(gamma)] + ["nan"] * 5 + ["0", "0", "0",
                                                                      str(exc).replace(",", ";")]))

@@ -27,9 +27,9 @@ Values parse as Python complex literals (no spaces inside a value).
 Every integral (the Poisson kernels, anchored g, the height integral) uses
 the one Gauss-Legendre rule of ``analytic.gauss_legendre``, so there is no
 quadrature knob.  Nor is there a tolerance or sampling knob: each check's
-acceptance rule and sample set (``verify.SAMPLE_GRID``, ``THM1_LEVELS``,
-``ANGLE_PROBES``, ``POISSON_POINTS``) are constants beside it, in ``verify``
-and ``graphfield``; ``--levels`` feeds ``levelcurves`` alone.
+acceptance rule and sample set are constants in ``verify`` and ``graphfield``
+(``verify.SAMPLE_GRID``, where ``verify.admit`` evaluates h once per pair,
+``THM1_LEVELS``, ``POISSON_POINTS``); ``--levels`` feeds ``levelcurves`` alone.
 """
 
 from __future__ import annotations

@@ -24,9 +24,11 @@ orientation makes kappa positive exactly when the curve bends away from
 the region u > C; the sign is verified against that geometric definition
 in the test suite rather than assumed.
 
-A sampled curve is one ``LevelCurve``, with an array per export column.
-The finite-difference curvature oracle that checks the closed form lives
-with the tests, in ``tests/oracles.py``.
+The tau-partials, kappa and kappa1 are read from a ``HeightRecord``: h at
+a point set from one evaluation, shared by a level's columns and by the
+sampled checks in ``verify``.  A sampled curve is one ``LevelCurve``, with
+an array per export column.  The finite-difference curvature oracle that
+checks the closed form lives with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .analytic import log_derivative
+from .analytic import Jet2, log_derivative
 from .errors import ParameterError, SingularityError
 from .serialize import NON_FINITE_TEXT, fmt_float, json_number
-from .weierstrass import WeierstrassPair, eval_surface
+from .weierstrass import WeierstrassPair, g_value
 
 #: LevelCurveSpec refuses more samples than this.  A `levelcurves` run peaks
 #: at about 2.8 KiB per sample with csv, json and svg output (600 MiB at
@@ -107,20 +109,6 @@ def sigma_for_level(pair: WeierstrassPair, c: float) -> float:
     return c / pair.k0
 
 
-def tau_partials(pair: WeierstrassPair, zeta):
-    """(x_tau, y_tau, x_tautau, y_tautau) of the level parametrization at zeta."""
-    jet = pair.h.jet(zeta)
-    ratio = log_derivative(jet)  # h''/h', also enforces the derivative floor
-    hp = jet.d1
-    hpp = jet.d2
-    k = pair.k
-    x_tau = -np.imag(hp - k / hp)
-    y_tau = np.real(hp + k / hp)
-    x_tautau = -np.real(hpp + k * ratio / hp)
-    y_tautau = -np.imag(hpp - k * ratio / hp)
-    return x_tau, y_tau, x_tautau, y_tautau
-
-
 def curvature_generic(x_tau, y_tau, x_tautau, y_tautau):
     """Turning rate d(phi)/ds from first and second parameter derivatives."""
     speed_sq = x_tau * x_tau + y_tau * y_tau
@@ -129,20 +117,39 @@ def curvature_generic(x_tau, y_tau, x_tautau, y_tautau):
     return (x_tau * y_tautau - y_tau * x_tautau) / speed_sq**1.5
 
 
-def curvature_closed_form(pair: WeierstrassPair, zeta):
-    """kappa = |h'|/(|h'|^2+k) * Re(h''/h') at zeta (sign: positive bending away
-    from the set u > C)."""
-    jet = pair.h.jet(zeta)
-    ratio = log_derivative(jet)
-    mag = np.abs(jet.d1)
-    return mag / (mag * mag + pair.k) * np.real(ratio)
+@dataclass(frozen=True, eq=False)
+class HeightRecord:
+    """h of a pair at the points ``zeta``: ``at`` evaluates its jet once and
+    refuses a point where |h'| is at the derivative floor or not finite;
+    ``ratio`` is h''/h'.  The level quantities follow by the formulas above."""
 
+    pair: WeierstrassPair
+    zeta: np.ndarray
+    jet: Jet2
+    ratio: np.ndarray
 
-def curvature_h_image(pair: WeierstrassPair, zeta):
-    """Curvature of the image of the vertical line under h alone: Re(h''/h')/|h'|."""
-    jet = pair.h.jet(zeta)
-    ratio = log_derivative(jet)
-    return np.real(ratio) / np.abs(jet.d1)
+    @classmethod
+    def at(cls, pair: WeierstrassPair, zeta) -> "HeightRecord":
+        jet = pair.h.jet(zeta)
+        return cls(pair, zeta, jet, log_derivative(jet))
+
+    @property
+    def tau_partials(self):
+        """(x_tau, y_tau, x_tautau, y_tautau) of the level parametrization."""
+        hp, hpp, k = self.jet.d1, self.jet.d2, self.pair.k
+        return (-np.imag(hp - k / hp), np.real(hp + k / hp),
+                -np.real(hpp + k * self.ratio / hp), -np.imag(hpp - k * self.ratio / hp))
+
+    @property
+    def kappa(self):
+        """|h'|/(|h'|^2+k) * Re(h''/h'), positive bending away from u > C."""
+        mag = np.abs(self.jet.d1)
+        return mag / (mag * mag + self.pair.k) * np.real(self.ratio)
+
+    @property
+    def kappa1(self):
+        """Curvature of the image of the vertical line under h alone: Re(h''/h')/|h'|."""
+        return np.real(self.ratio) / np.abs(self.jet.d1)
 
 
 def sample_level_curve(pair: WeierstrassPair, spec: LevelCurveSpec) -> LevelCurve:
@@ -163,13 +170,13 @@ def sample_level_curve(pair: WeierstrassPair, spec: LevelCurveSpec) -> LevelCurv
 
 
 def _sample(pair: WeierstrassPair, spec: LevelCurveSpec) -> LevelCurve:
-    sigma0 = sigma_for_level(pair, spec.c)
     taus = spec.taus()
-    zetas = sigma0 + 1j * taus
-    pts = eval_surface(pair, zetas)
-    x_tau, y_tau, x_tautau, y_tautau = tau_partials(pair, zetas)
+    zetas = sigma_for_level(pair, spec.c) + 1j * taus
+    heights = HeightRecord.at(pair, zetas)
+    f = heights.jet.v + np.conj(g_value(pair, zetas))  # eval_surface's (x, y)
+    x_tau, y_tau, x_tautau, y_tautau = heights.tau_partials
     kappa = curvature_generic(x_tau, y_tau, x_tautau, y_tautau)
-    kappa_closed = curvature_closed_form(pair, zetas)
+    kappa_closed = heights.kappa
     speed = np.sqrt(x_tau**2 + y_tau**2)
     ds = 0.5 * (speed[1:] + speed[:-1]) * np.diff(taus)
     # closed form is the stored kappa; the generic route must agree and acts
@@ -177,12 +184,12 @@ def _sample(pair: WeierstrassPair, spec: LevelCurveSpec) -> LevelCurve:
     if not np.allclose(kappa, kappa_closed, rtol=0.0, atol=1e-9 * (1.0 + np.abs(kappa_closed).max())):
         raise SingularityError("curvature routes disagree; data likely degenerate")
     return LevelCurve(
-        tau=taus, x=pts.x, y=pts.y,
+        tau=taus, x=f.real, y=f.imag,
         x_tau=x_tau, y_tau=y_tau, x_tautau=x_tautau, y_tautau=y_tautau,
         phi=np.arctan2(y_tau, x_tau),
         s=np.concatenate([[0.0], np.cumsum(ds)]),
         kappa=kappa_closed,
-        kappa1=curvature_h_image(pair, zetas),
+        kappa1=heights.kappa1,
     )
 
 

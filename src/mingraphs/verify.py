@@ -17,13 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import gauss_legendre, log_derivative
+from .analytic import gauss_legendre
 from .errors import ConvergenceError, DomainError, ParameterError
-from .levels import (
-    curvature_closed_form,
-    sigma_for_level,
-    tau_partials,
-)
+from .levels import HeightRecord, sigma_for_level
 from .serialize import to_json
 from .weierstrass import WeierstrassPair, scale_solution
 
@@ -61,6 +57,22 @@ class SampleGrid:
 #: The grid that `verify` and `sweep-gamma` sample every sampled check on.
 #: It is fixed, so no input can shrink it until a failing point drops out.
 SAMPLE_GRID = SampleGrid.rectangular(0.02, 10.0, 24, 10.0, 21)
+
+
+@dataclass(frozen=True, eq=False)
+class Admitted:
+    """What every sampled check takes: the pair, h on SAMPLE_GRID and on its boundary."""
+
+    pair: WeierstrassPair
+    grid: HeightRecord
+    boundary: HeightRecord
+
+
+def admit(pair: WeierstrassPair) -> Admitted:
+    """Evaluate h once on SAMPLE_GRID and once on its boundary; a point where
+    h' is at the derivative floor or not finite refuses the pair."""
+    return Admitted(pair, HeightRecord.at(pair, SAMPLE_GRID.points()),
+                    HeightRecord.at(pair, 0.0 + 1j * SAMPLE_GRID.taus))
 
 
 @dataclass(frozen=True)
@@ -105,21 +117,21 @@ def _argmax_point(values: np.ndarray, zetas: np.ndarray) -> tuple[float, float]:
 LEMMA2_FAMILY_TOL = 1e-12
 
 
-def verify_lemma2(pair: WeierstrassPair) -> VerificationReport:
+def verify_lemma2(admitted: Admitted) -> VerificationReport:
     """Empirical constant A_emp = sup sigma*|h''/h'| over SAMPLE_GRID.
 
     Always passes when finite; for the catalog family the closed form gives
     sigma*(gamma-1)/|zeta+1| < gamma-1, so A_emp <= gamma-1 is additionally
     enforced.
     """
-    zetas = SAMPLE_GRID.points()
-    vals = zetas.real * np.abs(log_derivative(pair.h.jet(zetas)))
+    grid, gamma = admitted.grid, admitted.pair.gamma
+    vals = grid.zeta.real * np.abs(grid.ratio)
     a_emp = float(np.max(vals))
-    extremal = _argmax_point(vals, zetas)
+    extremal = _argmax_point(vals, grid.zeta)
     passed = bool(np.isfinite(a_emp))
     notes = f"A_emp = sup sigma|h''/h'| over {vals.size} points"
-    if pair.gamma is not None and 1.0 < pair.gamma < 2.0:
-        bound = pair.gamma - 1.0
+    if gamma is not None and 1.0 < gamma < 2.0:
+        bound = gamma - 1.0
         passed = passed and a_emp <= bound + LEMMA2_FAMILY_TOL
         notes += f"; family bound gamma-1 = {bound:.12g}"
     return VerificationReport(
@@ -139,7 +151,7 @@ THM1_TOL = 1e-9
 THM1_LEVELS = (1.0, 2.0)
 
 
-def verify_thm1(pair: WeierstrassPair) -> VerificationReport:
+def verify_thm1(admitted: Admitted) -> VerificationReport:
     """Curvature bound on level sets: K_emp = sup C*|kappa| over the levels
     C of THM1_LEVELS, against the proof-chain bound (k0/sqrt(k)) * A_emp.
 
@@ -148,19 +160,17 @@ def verify_thm1(pair: WeierstrassPair) -> VerificationReport:
     C*|kappa| = k0*sigma0*|kappa| <= (k0/sqrt(k)) * sigma0*|h''/h'|
     is checked on exactly the points that generate K_emp.
     """
+    pair = admitted.pair
     levels = list(THM1_LEVELS)
     level_sigmas = np.array([sigma_for_level(pair, c) for c in levels])
-    level_pts = level_sigmas[:, None] + 1j * SAMPLE_GRID.taus[None, :]
+    on_levels = HeightRecord.at(pair, level_sigmas[:, None] + 1j * SAMPLE_GRID.taus[None, :])
 
-    c_kappa = np.array(
-        [abs(c) * np.abs(curvature_closed_form(pair, level_pts[i]))
-         for i, c in enumerate(levels)]
-    )
+    c_kappa = np.abs(levels)[:, None] * np.abs(on_levels.kappa)
     k_emp = float(np.max(c_kappa))
-    extremal = _argmax_point(c_kappa, level_pts)
+    extremal = _argmax_point(c_kappa, on_levels.zeta)
 
-    sweep_pts = np.concatenate([SAMPLE_GRID.points().ravel(), level_pts.ravel()])
-    a_emp = float(np.max(sweep_pts.real * np.abs(log_derivative(pair.h.jet(sweep_pts)))))
+    sups = [np.max(h.zeta.real * np.abs(h.ratio)) for h in (admitted.grid, on_levels)]
+    a_emp = float(np.max(sups))
     chain_bound = pair.k0 / np.sqrt(pair.k) * a_emp
     passed = bool(k_emp <= chain_bound + THM1_TOL)
     return VerificationReport(
@@ -177,7 +187,7 @@ def verify_thm1(pair: WeierstrassPair) -> VerificationReport:
     )
 
 
-def verify_thm2(pair: WeierstrassPair) -> VerificationReport:
+def verify_thm2(admitted: Admitted) -> VerificationReport:
     """Concavity propagation on SAMPLE_GRID: all four sub-checks must hold.
 
     (a) y_tau >= 0 on the boundary trace, (b) Re h' > 0 on the interior
@@ -186,26 +196,24 @@ def verify_thm2(pair: WeierstrassPair) -> VerificationReport:
     level lines are straight.
     """
     failures: list[str] = []
-
-    boundary = 0.0 + 1j * SAMPLE_GRID.taus
-    _, y_tau, _, _ = tau_partials(pair, boundary)
+    grid, boundary = admitted.grid, admitted.boundary
+    _, y_tau, _, _ = boundary.tau_partials
     if not np.all(y_tau >= 0.0):
         idx = int(np.argmin(y_tau))
         failures.append(f"(a) boundary y_tau < 0 at tau={SAMPLE_GRID.taus[idx]:.6g}")
 
-    zetas = SAMPLE_GRID.points()
-    jets = pair.h.jet(zetas)
+    zetas, jets = grid.zeta, grid.jet
     re_hp = np.real(jets.d1)
     if not np.all(re_hp > 0.0):
         bad = _argmax_point(-re_hp, zetas)
         failures.append(f"(b) Re h' <= 0 at (sigma,tau)=({bad[0]:.6g},{bad[1]:.6g})")
 
-    psi_rate = np.real(log_derivative(pair.h.jet(boundary)))
+    psi_rate = np.real(boundary.ratio)
     if not np.all(psi_rate >= 0.0):
         idx = int(np.argmin(psi_rate))
         failures.append(f"(c) boundary Re h''/h' < 0 at tau={SAMPLE_GRID.taus[idx]:.6g}")
 
-    kappa = curvature_closed_form(pair, zetas)
+    kappa = grid.kappa
     min_kappa = float(np.min(kappa))
     min_at = _argmax_point(-kappa, zetas)
     if not np.all(kappa > 0.0):
@@ -262,8 +270,8 @@ class BoundaryArgumentData:
         """psi = arg h'(it) and psi' = Re h''/h'(it), from one jet of h."""
 
         def values(t):
-            jet = pair.h.jet(1j * t)
-            return np.angle(jet.d1), np.real(log_derivative(jet))
+            heights = HeightRecord.at(pair, 1j * t)
+            return np.angle(heights.jet.d1), np.real(heights.ratio)
 
         return cls(values)
 
@@ -309,7 +317,7 @@ POISSON_POINTS = tuple(complex(s, t) for s in (0.5, 1.0, 2.0, 5.0) for t in (-3,
 
 
 def verify_poisson(
-    pair: WeierstrassPair, data: BoundaryArgumentData | None = None
+    admitted: Admitted, data: BoundaryArgumentData | None = None
 ) -> VerificationReport:
     """Compare both kernel reconstructions against the closed forms arg h'
     and Re h''/h' at the POISSON_POINTS.
@@ -319,13 +327,13 @@ def verify_poisson(
     estimate: there it is noise, and where noise peaks says nothing.
     """
     if data is None:
-        data = BoundaryArgumentData.from_pair(pair)
+        data = BoundaryArgumentData.from_pair(admitted.pair)
     zetas = np.array(POISSON_POINTS, dtype=complex)
     (im_log, ratio, by_parts), err = poisson_kernels(data, zetas)
-    jet = pair.h.jet(zetas)
+    heights = HeightRecord.at(admitted.pair, zetas)
     dev = np.maximum(
-        np.abs(im_log - np.angle(jet.d1)),
-        np.abs(ratio - np.real(log_derivative(jet))),
+        np.abs(im_log - np.angle(heights.jet.d1)),
+        np.abs(ratio - np.real(heights.ratio)),
     )
     worst_idx = int(np.argmax(dev))
     worst, worst_at = float(dev[worst_idx]), zetas[worst_idx]
@@ -361,21 +369,20 @@ SCALING_TOL = 1e-10
 _EXTREMA_LEVEL = 2.0
 
 
-def verify_scaling(pair: WeierstrassPair) -> VerificationReport:
+def verify_scaling(admitted: Admitted) -> VerificationReport:
     """Check c*kappa_scaled = kappa at fixed zeta, plus invariance of the tau
     locations of curvature extrema along a level set, for every c in
     SCALE_FACTORS.  The report's constant and point are those of the first
     factor with the largest deviation."""
-    kappa = np.array([curvature_closed_form(pair, z) for z in SCALING_POINTS])
+    pair = admitted.pair
     line = sigma_for_level(pair, _EXTREMA_LEVEL) + 1j * np.linspace(-10.0, 10.0, 401)
-    base_line = np.asarray(curvature_closed_form(pair, line))
-
+    points = np.concatenate((SCALING_POINTS, line))  # one evaluation of h per pair
+    kappa, base_line = np.split(HeightRecord.at(pair, points).kappa, [len(SCALING_POINTS)])
     passed, worst, worst_at, notes = True, None, None, []
     for c in SCALE_FACTORS:
-        scaled = scale_solution(pair, c)
-        kappa_scaled = np.array([curvature_closed_form(scaled, z) for z in SCALING_POINTS])
+        scaled = HeightRecord.at(scale_solution(pair, c), points).kappa
+        kappa_scaled, scaled_line = np.split(scaled, [len(SCALING_POINTS)])
         delta = np.abs(c * kappa_scaled - kappa)
-        scaled_line = np.asarray(curvature_closed_form(scaled, line))
         extrema_match = (
             int(np.argmax(base_line)) == int(np.argmax(scaled_line))
             and int(np.argmin(base_line)) == int(np.argmin(scaled_line))
@@ -403,7 +410,7 @@ def verify_scaling(pair: WeierstrassPair) -> VerificationReport:
 DISK_TOL = 1e-9
 
 
-def disk_transfer_check(pair: WeierstrassPair) -> VerificationReport:
+def disk_transfer_check(admitted: Admitted) -> VerificationReport:
     """Transfer to the unit disk through zeta -> w = (zeta-1)/(zeta+1), on
     SAMPLE_GRID.
 
@@ -413,12 +420,10 @@ def disk_transfer_check(pair: WeierstrassPair) -> VerificationReport:
     sigma*|h''/h'| <= 2*(A1_emp*(|zeta+1|+|zeta-1|)/4 + sigma)/|zeta+1|
     is re-verified pointwise.
     """
-    zetas = SAMPLE_GRID.points()
+    zetas, ratio = admitted.grid.zeta, admitted.grid.ratio
     w = (zetas - 1.0) / (zetas + 1.0)
-    ratio = log_derivative(pair.h.jet(zetas))
     h_ratio = ratio * (zetas + 1.0) ** 2 / 2.0 + (zetas + 1.0)
-    slack = 1.0 - np.abs(w)
-    a1_vals = slack * np.abs(h_ratio)
+    a1_vals = (1.0 - np.abs(w)) * np.abs(h_ratio)
     a1_emp = float(np.max(a1_vals))
 
     lhs = zetas.real * np.abs(ratio)
@@ -457,7 +462,7 @@ def estimate_asymptotic_angles(pair: WeierstrassPair) -> tuple[float, float]:
     """
 
     def phi_at(tau: float) -> float:
-        x_tau, y_tau, _, _ = tau_partials(pair, 1j * tau)
+        x_tau, y_tau, _, _ = HeightRecord.at(pair, 1j * tau).tau_partials
         return float(np.arctan2(y_tau, x_tau))
 
     def limit(signed: tuple[float, ...], side: str) -> float:

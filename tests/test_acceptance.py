@@ -9,8 +9,9 @@ import pytest
 
 from mingraphs import (
     BoundaryArgumentData,
+    HeightRecord,
     SampleGrid,
-    curvature_closed_form,
+    admit,
     curvature_generic,
     eval_surface,
     laplacian,
@@ -22,7 +23,6 @@ from mingraphs import (
     preimages,
     reconstruct_u,
     scale_solution,
-    tau_partials,
     verify_lemma2,
     verify_scaling,
     verify_thm1,
@@ -49,7 +49,7 @@ def test_criterion_1_oracle_equivalence():
         pair = lw_family(gamma)
         for sigma0 in SIGMA0S:
             for tau in TAUS21:
-                closed = curvature_closed_form(pair, complex(sigma0, tau))
+                closed = HeightRecord.at(pair, complex(sigma0, tau)).kappa
                 oracle = curvature_fd_oracle(pair, sigma0, float(tau), step=1e-4)
                 worst = max(worst, abs(closed - oracle) / (1.0 + abs(closed)))
     report(1, worst <= 1e-6,
@@ -62,8 +62,8 @@ def test_criterion_2_algebraic_identity():
         pair = lw_family(gamma)
         for sigma0 in SIGMA0S:
             zetas = sigma0 + 1j * TAUS21
-            generic = curvature_generic(*tau_partials(pair, zetas))
-            closed = curvature_closed_form(pair, zetas)
+            heights = HeightRecord.at(pair, zetas)
+            generic, closed = curvature_generic(*heights.tau_partials), heights.kappa
             worst = max(worst, float(np.max(np.abs(generic - closed))))
     report(2, worst <= 1e-12,
            f"generic-formula vs closed-form curvature: max |diff| {worst:.3e} (tol 1e-12)")
@@ -73,11 +73,11 @@ def test_criterion_3_concavity_propagation(monkeypatch):
     monkeypatch.setattr(verify, "SAMPLE_GRID", THM_GRID)
     min_kappas = []
     for gamma in GAMMAS_FULL:
-        rep = verify_thm2(lw_family(gamma))
+        rep = verify_thm2(admit(lw_family(gamma)))
         min_kappas.append(rep.empirical_constant)
         if not rep.passed:
             report(3, False, f"gamma={gamma}: {rep.notes}")
-    negative = verify_thm2(planar_pair(2.0, 2.0))
+    negative = verify_thm2(admit(planar_pair(2.0, 2.0)))
     ok = min(min_kappas) > 0.0 and not negative.passed
     report(3, ok,
            f"min kappa over family sweep {min(min_kappas):.3e} > 0; "
@@ -91,8 +91,8 @@ def test_criterion_4_curvature_bound(monkeypatch):
     ok = True
     for gamma in GAMMAS_FULL:
         pair = lw_family(gamma)
-        thm1 = verify_thm1(pair)
-        lemma2 = verify_lemma2(pair)
+        thm1 = verify_thm1(admit(pair))
+        lemma2 = verify_lemma2(admit(pair))
         ok = ok and thm1.passed and lemma2.passed
         ok = ok and thm1.empirical_constant <= 2.0 * lemma2.empirical_constant + 1e-9
         ok = ok and lemma2.empirical_constant <= gamma - 1.0 + 1e-12
@@ -152,7 +152,7 @@ def test_criterion_8_levelset_curvature(lw15, field32, field64):
         ls = levelset_curvature_field(field, 2.0)
         pre = preimages(lw15, field)
         near = ls.mask & (np.abs(field.values - 2.0) < 2.0 * field.spacing)
-        kappa_param = np.array([curvature_closed_form(lw15, z) for z in pre[near]])
+        kappa_param = np.array([HeightRecord.at(lw15, z).kappa for z in pre[near]])
         return float(np.max(np.abs(ls.values[near] - kappa_param)))
 
     fine, coarse = mismatch(field64), mismatch(field32)
@@ -165,13 +165,13 @@ def test_criterion_9_scaling_law(lw15):
     points = [complex(s, t) for s in (0.3, 0.7, 1.0, 2.0, 5.0)
               for t in (-4.0, -1.0, 0.5, 3.0)]
     assert len(points) == 20
-    rep = verify_scaling(lw15)
+    rep = verify_scaling(admit(lw15))
     assert rep.grid_descriptor == "factors [0.5, 2.0, 10.0], 20 points"
     for c in (0.5, 2.0, 10.0):
         scaled = scale_solution(lw15, c)
         for zeta in points[::5]:
-            assert c * curvature_closed_form(scaled, zeta) == pytest.approx(
-                curvature_closed_form(lw15, zeta), abs=1e-10)
+            assert c * HeightRecord.at(scaled, zeta).kappa == pytest.approx(
+                HeightRecord.at(lw15, zeta).kappa, abs=1e-10)
     worst = rep.empirical_constant
     report(9, rep.passed and worst <= 1e-10,
            f"c*kappa_scaled = kappa to {worst:.3e} (tol 1e-10) for c in {{0.5, 2, 10}}; "

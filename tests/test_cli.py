@@ -641,10 +641,11 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("exponent", ["400", "1e300"])
     @pytest.mark.parametrize("check", ["lemma2", "thm1", "thm2", "poisson", "scaling", "disk",
-                                       "all"])
+                                       "superharmonic", "msr", "all"])
     def test_overflowing_pair(self, tmp_path, capsys, exponent, check):
         # h' overflows on the sample points: one line naming the overflow, not
-        # numpy warnings and a "critical point" that is not one
+        # numpy warnings and a "critical point" that is not one.  The grid
+        # checks too: the pair is refused before any field is reconstructed.
         config = tmp_path / "run.ini"
         config.write_text("[pair]\nkind = custom\nk0 = 2\n"
                           f"h = power-affine offset=1 exponent={exponent}\ng_anchor = 1:0\n")
@@ -656,12 +657,14 @@ class TestMalformedInput:
         assert not (tmp_path / "out").exists()
 
     def test_critical_point_on_grid(self, tmp_path, capsys):
-        # h' = zeta - 10 vanishes at zeta = 10, the sample grid's sigma = 10, tau = 0
+        # h' = zeta - 10 vanishes at zeta = 10, the sample grid's sigma = 10,
+        # tau = 0; the grid checks name it too, before reconstructing a field
         config = tmp_path / "flip.ini"
         config.write_text(SIGN_FLIP_CONFIG)
-        status = run("verify", "lemma2", "--config", str(config), "--out", str(tmp_path / "out"))
-        assert status == 2
-        assert "critical point" in one_line_error(capsys)
+        for check in ("lemma2", "superharmonic"):
+            status = run("verify", check, "--config", str(config), "--out", str(tmp_path / "out"))
+            assert status == 2
+            assert "critical point" in one_line_error(capsys)
 
     def test_unsettled_quadrature(self, tmp_path, capsys):
         config = tmp_path / "near_singular.ini"

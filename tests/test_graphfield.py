@@ -271,8 +271,8 @@ class TestStencilOperators:
         pre = preimages(lw15, field64)
         near = out.mask & (np.abs(field64.values - 2.0) < 2.0 * field64.spacing)
         assert near.sum() > 100
-        from mingraphs import curvature_closed_form
-        kappa_param = np.array([curvature_closed_form(lw15, z) for z in pre[near]])
+        from mingraphs import HeightRecord
+        kappa_param = np.array([HeightRecord.at(lw15, z).kappa for z in pre[near]])
         diff = np.abs(out.values[near] - kappa_param)
         assert np.max(diff) <= 5e-3
         assert np.all(np.sign(out.values[near]) == np.sign(kappa_param))

@@ -10,19 +10,17 @@ from hypothesis import strategies as st
 
 from mingraphs import (
     ConvergenceError,
+    HeightRecord,
     LevelCurve,
     LevelCurveSpec,
     ParameterError,
     SingularityError,
     boundary_trace,
-    curvature_closed_form,
     curvature_generic,
-    curvature_h_image,
     eval_surface,
     lw_family,
     sample_level_curve,
     sigma_for_level,
-    tau_partials,
 )
 from mingraphs import levels, serialize
 from mingraphs.cli import main
@@ -52,16 +50,17 @@ class TestSigmaForLevel:
 
 class TestTauPartials:
     def test_planar(self, planar22):
-        assert tau_partials(planar22, 0.7 + 2.0j) == pytest.approx((0.0, 2.5, 0.0, 0.0))
+        partials = HeightRecord.at(planar22, 0.7 + 2.0j).tau_partials
+        assert partials == pytest.approx((0.0, 2.5, 0.0, 0.0))
 
     def test_lw15_real_axis(self, lw15):
-        x_tau, y_tau, _, _ = tau_partials(lw15, 1.0 + 0j)
+        x_tau, y_tau, _, _ = HeightRecord.at(lw15, 1.0 + 0j).tau_partials
         hp = 1.5 * 2.0**0.5
         assert x_tau == pytest.approx(0.0, abs=1e-15)
         assert y_tau == pytest.approx(hp + 1.0 / hp, rel=1e-13)
 
     def test_lw15_boundary_positive(self, lw15):
-        _, y_tau, _, _ = tau_partials(lw15, 1j)
+        _, y_tau, _, _ = HeightRecord.at(lw15, 1j).tau_partials
         hp = lw15.h.jet(1j).d1
         expected = (abs(hp) ** 2 + 1.0) * np.real(hp) / abs(hp) ** 2
         assert y_tau == pytest.approx(expected, rel=1e-13)
@@ -70,14 +69,14 @@ class TestTauPartials:
 
     def test_conjugate_form_agrees(self, lw15):
         for zeta in (0.3 + 0j, 1.0 + 2.0j, 5.0 - 7.0j):
-            x_tau, y_tau, _, _ = tau_partials(lw15, zeta)
+            x_tau, y_tau, _, _ = HeightRecord.at(lw15, zeta).tau_partials
             alt_x, alt_y = tau_partials_conjugate_form(lw15, zeta)
             assert x_tau == pytest.approx(alt_x, rel=1e-12, abs=1e-14)
             assert y_tau == pytest.approx(alt_y, rel=1e-12, abs=1e-14)
 
     def test_against_finite_differences(self, lw15):
         for zeta in (1.0 + 0j, 0.5 + 1.5j, 2.0 - 1.0j):
-            x_tau, y_tau, x_tautau, y_tautau = tau_partials(lw15, zeta)
+            x_tau, y_tau, x_tautau, y_tautau = HeightRecord.at(lw15, zeta).tau_partials
             step = 1e-5  # first differences: truncation and roundoff both tiny
             up = eval_surface(lw15, zeta + 1j * step)
             dn = eval_surface(lw15, zeta - 1j * step)
@@ -103,32 +102,32 @@ class TestCurvature:
             curvature_generic(0.0, 0.0, 1.0, 1.0)
 
     def test_closed_form_lw15(self, lw15):
-        assert curvature_closed_form(lw15, 1.0 + 0j) == pytest.approx(
+        assert HeightRecord.at(lw15, 1.0 + 0j).kappa == pytest.approx(
             KAPPA_LW15_AT_1, rel=1e-13
         )
 
     def test_closed_form_planar_zero(self, planar22):
         for zeta in (0.5 + 0j, 1.0 + 3.0j):
-            assert curvature_closed_form(planar22, zeta) == 0.0
+            assert HeightRecord.at(planar22, zeta).kappa == 0.0
 
     def test_generic_equals_closed(self, lw15):
         for zeta in (1.0 + 0j, 0.1 + 5.0j, 3.0 - 2.0j):
-            generic = curvature_generic(*tau_partials(lw15, zeta))
-            closed = curvature_closed_form(lw15, zeta)
+            generic = curvature_generic(*HeightRecord.at(lw15, zeta).tau_partials)
+            closed = HeightRecord.at(lw15, zeta).kappa
             assert generic == pytest.approx(closed, abs=1e-12)
 
     def test_h_image_lw15(self, lw15):
-        assert curvature_h_image(lw15, 1.0 + 0j) == pytest.approx(
+        assert HeightRecord.at(lw15, 1.0 + 0j).kappa1 == pytest.approx(
             0.25 / (1.5 * 2.0**0.5), rel=1e-13
         )
 
     def test_h_image_planar_zero(self, planar22):
-        assert curvature_h_image(planar22, 1.0 + 1.0j) == 0.0
+        assert HeightRecord.at(planar22, 1.0 + 1.0j).kappa1 == 0.0
 
     def test_sign_agreement_and_ratio(self, lw15):
         for zeta in (0.2 + 1.0j, 1.0 - 4.0j, 6.0 + 6.0j):
-            kappa = curvature_closed_form(lw15, zeta)
-            kappa1 = curvature_h_image(lw15, zeta)
+            kappa = HeightRecord.at(lw15, zeta).kappa
+            kappa1 = HeightRecord.at(lw15, zeta).kappa1
             assert np.sign(kappa) == np.sign(kappa1)
             mag2 = abs(lw15.h.jet(zeta).d1) ** 2
             assert kappa == pytest.approx(mag2 / (mag2 + lw15.k) * kappa1, rel=1e-12)
@@ -154,7 +153,7 @@ def test_closed_form_against_mpmath(gamma):
                 hp = p * base ** (p - 1)
                 hpp = p * (p - 1) * base ** (p - 2)
                 want = abs(hp) / (abs(hp) ** 2 + pair.k) * mpmath.re(hpp / hp)
-                rel = float(abs((curvature_closed_form(pair, zeta) - want) / want))
+                rel = float(abs((HeightRecord.at(pair, zeta).kappa - want) / want))
             assert rel <= 16 * eps * (1.0 + abs(zeta + 1) / (1.0 + sigma)), (sigma, tau, rel)
 
 
@@ -167,14 +166,14 @@ class TestFdOracle:
         assert curvature_fd_oracle(planar22, 1.0, 0.5, 1e-4) == pytest.approx(0.0, abs=1e-12)
 
     def test_second_order_in_step(self, lw15):
-        closed = curvature_closed_form(lw15, 1.0 + 0j)
+        closed = HeightRecord.at(lw15, 1.0 + 0j).kappa
         err_coarse = abs(curvature_fd_oracle(lw15, 1.0, 0.0, 1e-2) - closed)
         err_fine = abs(curvature_fd_oracle(lw15, 1.0, 0.0, 5e-3) - closed)
         assert err_coarse / err_fine == pytest.approx(4.0, rel=0.15)
 
     def test_gamma19_point(self):
         pair = lw_family(1.9)
-        closed = curvature_closed_form(pair, 2.0 + 0j)
+        closed = HeightRecord.at(pair, 2.0 + 0j).kappa
         hp_mag = 1.9 * 3.0**0.9
         assert closed == pytest.approx(hp_mag * 0.3 / (hp_mag**2 + 1.0), rel=1e-13)
         assert curvature_fd_oracle(pair, 2.0, 0.0, 1e-4) == pytest.approx(closed, abs=1e-8)
@@ -328,6 +327,6 @@ class TestExport:
 def test_curvature_route_identity_property(gamma, sigma, tau):
     pair = lw_family(gamma)
     zeta = complex(sigma, tau)
-    generic = curvature_generic(*tau_partials(pair, zeta))
-    closed = curvature_closed_form(pair, zeta)
+    generic = curvature_generic(*HeightRecord.at(pair, zeta).tau_partials)
+    closed = HeightRecord.at(pair, zeta).kappa
     assert abs(generic - closed) <= 1e-12

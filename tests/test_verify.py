@@ -12,6 +12,8 @@ from mingraphs import (
     AnalyticMap,
     BoundaryArgumentData,
     ConvergenceError,
+    HeightRecord,
+    LevelCurveSpec,
     ParameterError,
     PowerAffineMap,
     QuadratureError,
@@ -19,18 +21,20 @@ from mingraphs import (
     SingularityError,
     SumMap,
     WeierstrassPair,
-    curvature_closed_form,
+    admit,
     disk_transfer_check,
     estimate_asymptotic_angles,
     lw_family,
     poisson_kernels,
+    sample_level_curve,
+    sigma_for_level,
     verify_lemma2,
     verify_poisson,
     verify_scaling,
     verify_thm1,
     verify_thm2,
 )
-from mingraphs import verify
+from mingraphs import cli, verify
 
 GRID = verify.SAMPLE_GRID
 
@@ -83,14 +87,14 @@ class TestLemma2:
         assert 1.0 * abs(jet.d2 / jet.d1) == pytest.approx(0.25, rel=1e-13)
 
     def test_planar_zero(self, planar22):
-        report = verify_lemma2(planar22)
+        report = verify_lemma2(admit(planar22))
         assert report.passed and report.empirical_constant == 0.0
 
     def test_lw19_supremum_on_real_axis(self, monkeypatch):
         grid = SampleGrid(sigmas=np.linspace(0.5, 50.0, 25), taus=np.linspace(-50.0, 50.0, 21),
                           descriptor="sigma lin[0.5,50]x25, tau [-50,50]x21")
         monkeypatch.setattr(verify, "SAMPLE_GRID", grid)
-        report = verify_lemma2(lw_family(1.9))
+        report = verify_lemma2(admit(lw_family(1.9)))
         assert report.passed
         assert report.empirical_constant == pytest.approx(50.0 * 0.9 / 51.0, rel=1e-12)
         assert report.empirical_constant < 0.9
@@ -98,7 +102,7 @@ class TestLemma2:
 
     @pytest.mark.parametrize("gamma", [1.1, 1.5, 1.9])
     def test_family_bound(self, gamma):
-        report = verify_lemma2(lw_family(gamma))
+        report = verify_lemma2(admit(lw_family(gamma)))
         assert report.passed
         assert report.empirical_constant <= gamma - 1.0 + 1e-12
 
@@ -114,11 +118,11 @@ class TestDerivativeFloor:
 
     def test_lemma2_raises(self):
         with pytest.raises(SingularityError):
-            verify_lemma2(sign_flip_pair())
+            verify_lemma2(admit(sign_flip_pair()))
 
     def test_disk_raises(self):
         with pytest.raises(SingularityError):
-            disk_transfer_check(sign_flip_pair())
+            disk_transfer_check(admit(sign_flip_pair()))
 
 
 class TestThm1:
@@ -128,31 +132,31 @@ class TestThm1:
 
     def test_planar(self, planar22, monkeypatch):
         monkeypatch.setattr(verify, "THM1_LEVELS", (0.5, 1.0, 2.0))
-        report = verify_thm1(planar22)
+        report = verify_thm1(admit(planar22))
         assert report.passed and report.empirical_constant == 0.0
 
     def test_lw15_chain(self, lw15, five_levels):
-        report = verify_thm1(lw15)
+        report = verify_thm1(admit(lw15))
         assert report.passed
         # C=2, tau=0 sits on the sampled set: C*kappa there is a lower bound
-        assert report.empirical_constant >= 2.0 * curvature_closed_form(lw15, 1.0 + 0j) - 1e-12
+        assert report.empirical_constant >= 2.0 * HeightRecord.at(lw15, 1.0 + 0j).kappa - 1e-12
         assert "chain bound" in report.notes
 
     def test_no_growth_across_levels(self, lw15, five_levels):
-        report = verify_thm1(lw15)
-        a_emp = verify_lemma2(lw15).empirical_constant
+        report = verify_thm1(admit(lw15))
+        a_emp = verify_lemma2(admit(lw15)).empirical_constant
         assert report.empirical_constant <= 2.0 * a_emp + 1e-9
 
 
 class TestThm2:
     def test_lw15_passes(self, lw15):
-        report = verify_thm2(lw15)
+        report = verify_thm2(admit(lw15))
         assert report.passed
         assert report.empirical_constant > 0.0
         assert report.notes == "all sub-checks passed"
 
     def test_planar_fails_strict_positivity(self, planar22):
-        report = verify_thm2(planar22)
+        report = verify_thm2(admit(planar22))
         assert not report.passed
         assert "(d)" in report.notes
         assert "planar" in report.notes
@@ -162,7 +166,7 @@ class TestThm2:
         grid = SampleGrid(sigmas=np.linspace(1.0, 10.0, 10), taus=np.linspace(2.0, 10.0, 9),
                           descriptor="sigma [1,10], tau [2,10]")
         monkeypatch.setattr(verify, "SAMPLE_GRID", grid)
-        report = verify_thm2(sign_flip_pair())
+        report = verify_thm2(admit(sign_flip_pair()))
         assert not report.passed
         assert "(b)" in report.notes  # Re h' <= 0 named with its point
         assert "(a)" in report.notes  # boundary y_tau < 0 as well
@@ -260,8 +264,10 @@ class TestPoisson:
                 return lw15.h.jet(zeta)
 
         pair = replace(lw15, h=BoundaryCalls())
-        report = verify_poisson(pair, BoundaryArgumentData.from_pair(pair))
-        assert report.to_json() == verify_poisson(lw15).to_json()
+        admitted = admit(pair)
+        BoundaryCalls.shapes.clear()  # admit's row at sigma = 0; the check's calls follow
+        report = verify_poisson(admitted, BoundaryArgumentData.from_pair(pair))
+        assert report.to_json() == verify_poisson(admit(lw15)).to_json()
         construction, *rules = BoundaryCalls.shapes
         assert construction == verify.PSI_SAMPLES.shape == (399,)
         assert 2 <= len(rules) <= 7
@@ -274,7 +280,8 @@ class TestPoisson:
             poisson_kernels(data, 1.0 + 0j)
 
     def test_wrong_pair_data_fails(self):
-        report = verify_poisson(lw_family(1.9), BoundaryArgumentData.from_pair(lw_family(1.5)))
+        wrong = BoundaryArgumentData.from_pair(lw_family(1.5))
+        report = verify_poisson(admit(lw_family(1.9)), wrong)
         assert not report.passed
         assert report.empirical_constant > 1e-4
         # a deviation above the quadrature estimate keeps its location
@@ -289,14 +296,14 @@ class TestPoisson:
 
     def test_report(self, lw15, monkeypatch):
         monkeypatch.setattr(verify, "POISSON_POINTS", (0.5 + 0j, 1.0 + 2.0j, 2.0 - 1.0j))
-        report = verify_poisson(lw15)
+        report = verify_poisson(admit(lw15))
         assert report.passed
         assert report.grid_descriptor.startswith("3 interior points")
         assert report.empirical_constant <= 1e-4
 
     @pytest.mark.parametrize("gamma", [1.001, 1.5, 1.999])
     def test_report_accuracy(self, gamma):
-        report = verify_poisson(lw_family(gamma))
+        report = verify_poisson(admit(lw_family(gamma)))
         assert report.passed
         assert report.empirical_constant <= 1e-12
         assert "n-vs-2n" in report.notes
@@ -308,29 +315,41 @@ class TestPoisson:
 class TestScaling:
     def test_identity_factor(self, lw15, monkeypatch):
         monkeypatch.setattr(verify, "SCALE_FACTORS", (1.0,))
-        report = verify_scaling(lw15)
+        report = verify_scaling(admit(lw15))
         assert report.passed and report.empirical_constant == 0.0
         assert report.grid_descriptor == "factors [1.0], 20 points"
+
+    @pytest.mark.parametrize("gamma", [1.23, 1.5, 1.77])
+    def test_one_array_evaluation_matches_pointwise(self, gamma):
+        # verify_scaling evaluates h once on all SCALING_POINTS; each kappa
+        # agrees with a scalar evaluation at its point to a few ulps (numpy's
+        # scalar and array complex powers can round differently).
+        from mingraphs import scale_solution
+        for c in (1.0, *verify.SCALE_FACTORS):
+            pair = scale_solution(lw_family(gamma), c)
+            together = HeightRecord.at(pair, np.array(verify.SCALING_POINTS)).kappa
+            apart = [HeightRecord.at(pair, zeta).kappa for zeta in verify.SCALING_POINTS]
+            np.testing.assert_allclose(together, apart, rtol=8 * np.finfo(float).eps, atol=0.0)
 
     def test_doubling_halves_curvature(self, lw15):
         from mingraphs import scale_solution
         scaled = scale_solution(lw15, 2.0)
-        kappa_scaled = curvature_closed_form(scaled, 1.0 + 0j)
+        kappa_scaled = HeightRecord.at(scaled, 1.0 + 0j).kappa
         assert kappa_scaled == pytest.approx(
-            curvature_closed_form(lw15, 1.0 + 0j) / 2.0, rel=1e-12
+            HeightRecord.at(lw15, 1.0 + 0j).kappa / 2.0, rel=1e-12
         )
-        report = verify_scaling(lw15)
+        report = verify_scaling(admit(lw15))
         assert report.passed and "c=2: " in report.notes
 
     def test_planar_trivial(self, planar22):
-        report = verify_scaling(planar22)
+        report = verify_scaling(admit(planar22))
         assert report.passed and report.empirical_constant == pytest.approx(0.0, abs=1e-15)
 
     def test_wrong_scaling_fails(self, lw15, monkeypatch):
         # negative control: a solution scaled by 1.01*c breaks c*kappa_scaled = kappa
         scale = verify.scale_solution
         monkeypatch.setattr(verify, "scale_solution", lambda pair, c: scale(pair, 1.01 * c))
-        report = verify_scaling(lw15)
+        report = verify_scaling(admit(lw15))
         assert not report.passed and report.empirical_constant > 1e3 * verify.SCALING_TOL
 
 
@@ -338,17 +357,17 @@ class TestDiskTransfer:
     def test_center_of_disk(self, lw15, monkeypatch):
         grid = SampleGrid(sigmas=np.array([1.0]), taus=np.array([0.0]), descriptor="zeta=1")
         monkeypatch.setattr(verify, "SAMPLE_GRID", grid)
-        report = disk_transfer_check(lw15)
+        report = disk_transfer_check(admit(lw15))
         # w = 0 there: A1 = |H''/H'| = |(h''/h')*(zeta+1)^2/2 + (zeta+1)| = 2.5
         assert report.passed
         assert report.empirical_constant == pytest.approx(2.5, rel=1e-12)
 
     def test_planar_finite(self, planar22):
-        report = disk_transfer_check(planar22)
+        report = disk_transfer_check(admit(planar22))
         assert report.passed and np.isfinite(report.empirical_constant)
 
     def test_lw15_chain_consistent(self, lw15):
-        report = disk_transfer_check(lw15)
+        report = disk_transfer_check(admit(lw15))
         assert report.passed
         assert "holds" in report.notes
 
@@ -380,7 +399,7 @@ class TestAsymptoticAngles:
 
 class TestReportSerialization:
     def test_fixed_field_order(self, planar22):
-        report = verify_lemma2(planar22)
+        report = verify_lemma2(admit(planar22))
         parsed = json.loads(report.to_json())
         assert list(parsed.keys()) == [
             "check_name", "passed", "empirical_constant", "extremal_point",
@@ -390,6 +409,36 @@ class TestReportSerialization:
         assert isinstance(parsed["extremal_point"], list)
 
     def test_determinism(self, lw15):
-        a = verify_thm2(lw15).to_json()
-        b = verify_thm2(lw15).to_json()
+        a = verify_thm2(admit(lw15)).to_json()
+        b = verify_thm2(admit(lw15)).to_json()
         assert a == b
+
+
+def test_h_evaluated_once_per_point_set(lw15, tmp_path, monkeypatch):
+    # `verify all` evaluates h once on SAMPLE_GRID and once on its boundary
+    # row, which every sampled check then reads; a level curve evaluates h
+    # once for all of its columns.
+    class Calls(AnalyticMap):
+        points = []
+
+        def jet(self, zeta):
+            self.points.append(np.array(zeta, dtype=complex))
+            return lw15.h.jet(zeta)
+
+    pair = replace(lw15, h=Calls())
+    monkeypatch.setattr(cli, "build_pair", lambda spec: pair)
+    Calls.points.clear()
+    assert cli.main(["verify", "all", "--out", str(tmp_path / "out"),
+                     "--grid=0.5,3,-2,2,0.125"]) == 0
+
+    def count(want):
+        return sum(got.shape == want.shape and np.array_equal(got, want) for got in Calls.points)
+
+    assert verify.SAMPLE_GRID.points().shape == (24, 21)
+    assert count(verify.SAMPLE_GRID.points()) == 1
+    assert count(0.0 + 1j * verify.SAMPLE_GRID.taus) == 1
+    for c in (0.0, 1.0, 2.0):
+        Calls.points.clear()
+        curve = sample_level_curve(pair, LevelCurveSpec(c, -20.0, 20.0, 401))
+        assert [got.shape for got in Calls.points] == [(401,)]
+        assert np.array_equal(Calls.points[0], sigma_for_level(pair, c) + 1j * curve.tau)
