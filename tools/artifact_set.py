@@ -41,7 +41,9 @@ planar negative control ``verify thm2``, which fails by design;
 ``verify thm1 --gamma 2``, which the CLI refuses; ``verify superharmonic``
 on h = (zeta+1)**400, whose h' overflows float64 on the sample grid; and
 ``verify all`` on h = (zeta+1)**3.5 with its closed-form g, whose boundary
-argument leaves [-pi/2, pi/2].  Every command runs, and the set covers exit
+argument leaves [-pi/2, pi/2]; and ``levelcurves`` (csv, json, svg) on
+h = (zeta+1)**1.3 + 0.5*(zeta+2)**1.8 with g anchored at zeta = 1, the one
+command whose h is a sum of maps.  Every command runs, and the set covers exit
 statuses 0, 1 (``verify all`` near the ends of the family fails ``msr``, and
 planar ``thm2`` fails) and 2.
 
@@ -80,6 +82,13 @@ NON_INJECTIVE_CONFIG = (
     "[pair]\nkind = custom\nk0 = 2\nh = power-affine offset=1 exponent=3.5\n"
     "g = power-affine offset=1 exponent=-1.5 coeff=0.19047619047619047\n"
 )
+#: h = (zeta+1)**1.3 + 0.5*(zeta+2)**1.8, a sum whose terms have different
+#: exponents, with g anchored at zeta = 1.
+SUM_MAP_CONFIG = (
+    "[pair]\nkind = custom\nk0 = 2\n"
+    "h = power-affine offset=1 exponent=1.3 + power-affine offset=2 exponent=1.8 coeff=0.5\n"
+    "g_anchor = 1:0\n"
+)
 CONFIG_NAME = "pair.ini"
 
 
@@ -116,6 +125,9 @@ def _commands() -> list[tuple[str, list[str], str | None]]:
                 ["verify", "superharmonic", "--config", CONFIG_NAME], OVERFLOW_CONFIG))
     out.append(("non_injective_verify_all", ["verify", "all", "--config", CONFIG_NAME],
                 NON_INJECTIVE_CONFIG))
+    out.append(("sum_map_levelcurves",
+                ["levelcurves", "--config", CONFIG_NAME, "--format", "csv,json,svg"],
+                SUM_MAP_CONFIG))
     return out
 
 
