@@ -15,8 +15,7 @@ _EXPORTS = {
         "log_derivative",
     ),
     "errors": (
-        "ConvergenceError", "DomainError", "EmptyInteriorError", "ParameterError",
-        "QuadratureError", "SingularityError",
+        "DomainError", "EmptyInteriorError", "ParameterError", "QuadratureError", "SingularityError",
     ),
     "graphfield": (
         "F_operator", "ResidualReport", "ScalarField2D", "laplacian",

@@ -106,10 +106,12 @@ def _check_constants(kind: str, **constants) -> None:
 
 
 def _power_jet(offset: complex, p: float, zeta) -> Jet2:
-    """Deferred jet of (zeta + offset)**p; checks zeta and the branch domain."""
-    zeta = np.asarray(zeta, dtype=complex)[()]
+    """Deferred jet of (zeta + offset)**p; checks zeta and the branch domain.
+    A scalar zeta is powered as a 0-d array, so it gets the bits an array would."""
+    zeta = np.asarray(zeta, dtype=complex)
     _check_finite(zeta)
-    base = zeta + offset  # a new array: later changes to zeta do not reach the parts
+    base = zeta.copy()  # a new array: later changes to zeta do not reach the parts
+    base += offset  # in place, so a 0-d base stays an array
     if not (base.real > 0.0).all():
         raise DomainError(
             f"(zeta + {offset}) leaves the right half-plane; principal branch undefined"
@@ -238,6 +240,10 @@ class AnalyticMap:
     def jet(self, zeta) -> Jet2:
         raise NotImplementedError
 
+    def leading(self) -> tuple[float, complex]:
+        """(p, c) with m'(zeta) = c * zeta**(p - 1) * (1 + o(1)) as |zeta| -> inf."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class AffineMap(AnalyticMap):
@@ -256,6 +262,9 @@ class AffineMap(AnalyticMap):
             self.slope * zeta + self.intercept, self.slope * np.ones_like(zeta),
             np.zeros_like(zeta),
         )
+
+    def leading(self) -> tuple[float, complex]:
+        return 1.0, complex(self.slope)
 
 
 @dataclass(frozen=True)
@@ -277,6 +286,10 @@ class PowerAffineMap(AnalyticMap):
             return base
         return _scaled(complex(self.coeff), base)
 
+    def leading(self) -> tuple[float, complex]:
+        p = float(self.exponent)
+        return p, complex(self.coeff) * p
+
 
 @dataclass(frozen=True)
 class ScaledMap(AnalyticMap):
@@ -290,6 +303,10 @@ class ScaledMap(AnalyticMap):
 
     def jet(self, zeta) -> Jet2:
         return _scaled(complex(self.factor), self.inner.jet(zeta))
+
+    def leading(self) -> tuple[float, complex]:
+        p, c = self.inner.leading()
+        return p, complex(self.factor) * c
 
 
 @dataclass(frozen=True)
@@ -305,3 +322,15 @@ class SumMap(AnalyticMap):
             lambda: sum(j.d1 for j in jets),
             lambda: sum(j.d2 for j in jets),
         )
+
+    def leading(self) -> tuple[float, complex]:
+        """The largest exponent among parts with c != 0, c summed over it; a sum
+        of 0 is refused, as the limit then rests on the terms this form drops."""
+        sums: dict[float, complex] = {}
+        for p, c in (part.leading() for part in self.parts):
+            if c != 0:
+                sums[p] = sums.get(p, 0j) + c
+        p = max(sums, default=1.0)
+        if sums.get(p, 0j) == 0:
+            raise DomainError(f"leading terms cancel at exponent {p:g}: lower terms set the limit")
+        return p, sums[p]

@@ -36,20 +36,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import build_pair, load_config, parse_value
-from .errors import (
-    ConvergenceError,
-    EmptyInteriorError,
-    ParameterError,
-    QuadratureError,
-    SingularityError,
-)
+from .errors import EmptyInteriorError, ParameterError, QuadratureError, SingularityError
 from .serialize import atomic_write, fmt_float
 
 if TYPE_CHECKING:
     from .verify import VerificationReport
 
 #: ValueError covers ParameterError and DomainError.
-_ERRORS = (SingularityError, QuadratureError, ConvergenceError, EmptyInteriorError, ValueError)
+_ERRORS = (SingularityError, QuadratureError, EmptyInteriorError, ValueError)
 
 VERIFY_CHECKS = (
     "thm1", "thm2", "lemma2", "poisson", "scaling", "disk", "superharmonic", "msr",
@@ -237,7 +231,13 @@ def cmd_verify(args) -> int:
     which = list(VERIFY_CHECKS) if args.check == "all" else [args.check]
     pair = build_pair(args.pair)
 
+    graph_checks = [name for name in ("superharmonic", "msr") if name in which]
     try:
+        if graph_checks:  # a grid over the node cap, msr's h/2 one too, is refused first
+            from .graphfield import grid_shape
+
+            x0, x1, y0, y1, h = args.grid
+            grid_shape(((x0, x1), (y0, y1)), h / 2.0 if "msr" in graph_checks else h)
         # admit runs before every check: an overflow while sampling the pair stops
         # the command here with one line, not a numpy warning and a later,
         # misleading error.  Newton outside D only has to fail: grid checks run unguarded.
@@ -245,7 +245,6 @@ def cmd_verify(args) -> int:
             admitted = verify.admit(pair)
             reports = [getattr(verify, func)(admitted)
                        for name, func in SAMPLED_CHECKS.items() if name in which]
-        graph_checks = [name for name in ("superharmonic", "msr") if name in which]
         if graph_checks:
             reports.extend(_graph_reports(pair, args.grid, graph_checks))
     except FloatingPointError as exc:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  The boundary's angles at infinity
+are exact (in verify), so no exception reports a limit that did not settle."""
 
 
 class DomainError(ValueError):
@@ -19,7 +20,3 @@ class QuadratureError(RuntimeError):
 
 class EmptyInteriorError(RuntimeError):
     """A stencil operation found no interior nodes to work on."""
-
-
-class ConvergenceError(RuntimeError):
-    """A limit estimate (the asymptotic boundary angles) did not settle."""

@@ -48,7 +48,7 @@ if TYPE_CHECKING:
 
 Window = tuple[tuple[float, float], tuple[float, float]]
 
-#: reconstruct_u refuses larger grids before it allocates anything.  A
+#: reconstruct_u, and `verify` before any check, refuse larger grids.  A
 #: `reconstruct` run peaks at about 190 bytes per node (60 MiB at h = 1/128,
 #: 150 MiB at h = 1/256 on the default window), so the cap is about 3 GiB.
 MAX_GRID_NODES = 2**24
@@ -175,6 +175,16 @@ def _axis_size(rng: tuple[float, float], spacing: float) -> int:
     if not np.isfinite(steps):
         raise ParameterError(f"grid spacing {spacing} is too small for the window")
     return int(round(steps)) + 1
+
+
+def grid_shape(window: Window, spacing: float) -> tuple[int, int]:
+    """(nx, ny) of the window's grid; a grid over MAX_GRID_NODES is refused."""
+    nx, ny = _axis_size(window[0], spacing), _axis_size(window[1], spacing)
+    if nx * ny > MAX_GRID_NODES:
+        raise ParameterError(
+            f"grid of {nx} x {ny} = {nx * ny} nodes exceeds the limit of {MAX_GRID_NODES}"
+        )
+    return nx, ny
 
 
 def _axis(rng: tuple[float, float], spacing: float) -> np.ndarray:
@@ -324,11 +334,7 @@ def reconstruct_u(pair: WeierstrassPair, window: Window, spacing: float) -> Scal
     (in particular nodes outside the image domain) are masked out; the
     attached stats count the nodes attempted, solved and failed.
     """
-    nx, ny = _axis_size(window[0], spacing), _axis_size(window[1], spacing)
-    if nx * ny > MAX_GRID_NODES:
-        raise ParameterError(
-            f"grid of {nx} x {ny} = {nx * ny} nodes exceeds the limit of {MAX_GRID_NODES}"
-        )
+    nx, ny = grid_shape(window, spacing)
     xs = _axis(window[0], spacing)
     ys = _axis(window[1], spacing)
     zeta, ok = _march(pair, xs, ys)

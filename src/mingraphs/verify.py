@@ -12,13 +12,14 @@ verify nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .analytic import gauss_legendre
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .levels import HeightRecord, sigma_for_level
 from .serialize import to_json
 from .weierstrass import WeierstrassPair, scale_solution
@@ -445,37 +446,17 @@ def disk_transfer_check(admitted: Admitted) -> VerificationReport:
     )
 
 
-#: estimate_asymptotic_angles probes at these increasing |tau| and needs its
-#: last two raw estimates to agree within ANGLES_TOL.
-ANGLE_PROBES = (1e2, 1e3, 1e4)
-ANGLES_TOL = 1e-3
-
-
 def estimate_asymptotic_angles(pair: WeierstrassPair) -> tuple[float, float]:
-    """Extrapolated tangent angles of the boundary curve as tau -> +/-inf.
+    """Tangent angles (plus, minus) of the boundary curve as tau -> +/-inf,
+    unrotated and in atan2's range; for lw(gamma), gamma*pi/2 and
+    (2-gamma)*pi/2.
 
-    Probes phi = atan2(y_tau, x_tau) at sigma = 0 at the ANGLE_PROBES,
-    requires the last two raw estimates to agree within ``ANGLES_TOL``, and
-    Richardson-extrapolates assuming a 1/tau tail.  Returns the two limits
-    (plus, minus) as measured, unrotated; for lw(gamma) they are gamma*pi/2
-    and (2-gamma)*pi/2.
+    On sigma = 0 the tangent is i*h'*(1 + k/|h'|^2), so phi = arg(i*h').
+    With h'(zeta) = c*zeta**(p-1)*(1 + o(1)) (``AnalyticMap.leading``) and
+    arg(i*tau) = +/-pi/2, the limits are arg(i*c) +/- (p-1)*pi/2: exact,
+    with no evaluation of h.  The name is from when the limits were
+    extrapolated from probes; ``perfbench/tracer.py`` wraps it by that name.
     """
-
-    def phi_at(tau: float) -> float:
-        x_tau, y_tau, _, _ = HeightRecord.at(pair, 1j * tau).tau_partials
-        return float(np.arctan2(y_tau, x_tau))
-
-    def limit(signed: tuple[float, ...], side: str) -> float:
-        values = [phi_at(t) for t in signed]
-        gap = abs(values[-1] - values[-2])
-        if gap > ANGLES_TOL:
-            raise ConvergenceError(
-                f"asymptotic angle not settled toward {side} infinity: "
-                f"last probes differ by {gap:.3e} (tol {ANGLES_TOL:g})"
-            )
-        t1, t2 = abs(signed[-2]), abs(signed[-1])
-        return values[-1] + (values[-1] - values[-2]) * t1 / (t2 - t1)
-
-    angle_plus = limit(ANGLE_PROBES, "+")
-    angle_minus = limit(tuple(-t for t in ANGLE_PROBES), "-")
-    return angle_plus, angle_minus
+    p, c = pair.h.leading()
+    arg, turn = math.atan2(c.real, -c.imag), (p - 1.0) * math.pi / 2.0  # arg(i*c)
+    return math.remainder(arg + turn, 2.0 * math.pi), math.remainder(arg - turn, 2.0 * math.pi)

@@ -2,9 +2,10 @@
 
 Each recomputes a quantity the package evaluates in closed form by another
 route (finite differences of the surface map, the conjugate form of the
-tau-partials, the height as an integral of sqrt(h'g'), the Jacobian of f),
-so a test can compare the two.  Two builders make grid fields for tests: a
-synthetic field from a formula, and a field read back from ``field.grid``.
+tau-partials, the boundary's tangent angle at a finite tau, the height as an
+integral of sqrt(h'g'), the Jacobian of f), so a test can compare the two.
+Two builders make grid fields for tests: a synthetic field from a formula,
+and a field read back from ``field.grid``.
 """
 
 from __future__ import annotations
@@ -12,10 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from mingraphs.analytic import DERIVATIVE_FLOOR
-from mingraphs.errors import ConvergenceError, DomainError, ParameterError, SingularityError
+from mingraphs.errors import DomainError, ParameterError, SingularityError
 from mingraphs.graphfield import ScalarField2D, Window, _axis
-from mingraphs.levels import curvature_generic
+from mingraphs.levels import HeightRecord, curvature_generic
 from mingraphs.weierstrass import WeierstrassPair, _segment_integral, eval_surface, g_prime
+
+
+class OracleToleranceError(RuntimeError):
+    """An oracle's own error estimate exceeds the tolerance a test asked for."""
 
 
 def tau_partials_conjugate_form(pair: WeierstrassPair, zeta):
@@ -39,7 +44,7 @@ def curvature_fd_oracle(
     forms second-order central first/second differences, and applies the
     generic curvature formula.  The same stations also yield the double-step
     estimate; the Richardson gap |kappa(step) - kappa(2*step)|/3 serves as a
-    truncation-error estimate and trips ConvergenceError when ``tol`` is set
+    truncation-error estimate and trips OracleToleranceError when ``tol`` is set
     and exceeded.
     """
     if step <= 0.0:
@@ -62,11 +67,19 @@ def curvature_fd_oracle(
     kappa_double = estimate(0, 4, 2.0 * step)
     err_est = abs(kappa - kappa_double) / 3.0
     if tol is not None and err_est > tol:
-        raise ConvergenceError(
+        raise OracleToleranceError(
             f"FD oracle truncation estimate {err_est:.3e} above tolerance {tol:.3e}; "
             "reduce the step"
         )
     return kappa
+
+
+def boundary_angle(pair: WeierstrassPair, taus) -> np.ndarray:
+    """Tangent angle phi = atan2(y_tau, x_tau) of the boundary curve sigma = 0
+    at each tau, from the level parametrization's tau-partials.  As |tau|
+    grows it tends to ``verify.estimate_asymptotic_angles``."""
+    x_tau, y_tau, _, _ = HeightRecord.at(pair, 1j * np.asarray(taus, dtype=float)).tau_partials
+    return np.arctan2(y_tau, x_tau)
 
 
 def height_via_integral(pair: WeierstrassPair, zeta: complex) -> float:

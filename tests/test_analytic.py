@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from mingraphs import (
     AffineMap,
+    AnalyticMap,
     DomainError,
     Jet2,
     ParameterError,
@@ -64,6 +65,62 @@ class TestPowAffine:
                 dv = np.abs(np.diff(jets.v))
                 step_bound = np.abs(jets.d1)[:-1] * (taus[1] - taus[0])
                 assert np.all(dv <= 1.5 * step_bound + 1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 1.23, 1.77, 0.5, -0.5, 2.0])
+    def test_a_point_alone_has_its_bits_in_a_batch(self, p):
+        # numpy rounds np.complex128 ** p apart from an array power; a point
+        # evaluated alone must still match its entry of a batched evaluation
+        # (at p = 1.5, 7 of these 20 d1 once differed in the last bits).
+        zetas = np.array([complex(s, t) for s in (0.3, 0.7, 1.0, 2.0, 5.0)
+                          for t in (-4.0, -1.0, 0.5, 3.0)])
+        amap = PowerAffineMap(offset=1.0, exponent=p, coeff=0.5 - 2.0j)
+        together = amap.jet(zetas)
+        for i, zeta in enumerate(zetas):
+            alone = amap.jet(complex(zeta))
+            for part in ("v", "d1", "d2"):
+                got = getattr(alone, part)
+                assert isinstance(got, np.complex128), part
+                assert got == getattr(together, part)[i], (zeta, part)
+
+
+class TestLeading:
+    """m'(zeta) = c * zeta**(p - 1) * (1 + o(1)) as |zeta| -> infinity."""
+
+    def test_catalog_terms(self):
+        assert AffineMap(2.0 - 1.0j, 5.0).leading() == (1.0, 2.0 - 1.0j)
+        assert PowerAffineMap(1.0, 1.5, coeff=2.0j).leading() == (1.5, 3.0j)
+        assert ScaledMap(-2.0, PowerAffineMap(3.0, 0.5)).leading() == (0.5, -1.0)
+
+    def test_sum_takes_the_largest_exponent(self):
+        parts = (PowerAffineMap(1.0, 1.3), PowerAffineMap(2.0, 1.8, coeff=0.5), AffineMap(4.0))
+        assert SumMap(parts).leading() == (1.8, 0.9)
+
+    def test_sum_adds_equal_exponents_and_drops_zero_terms(self):
+        parts = (PowerAffineMap(1.0, 1.5), PowerAffineMap(2.0, 1.5, coeff=1.0j),
+                 AffineMap(0.0, 7.0), PowerAffineMap(1.0, 0.0, coeff=3.0))
+        assert SumMap(parts).leading() == (1.5, 1.5 + 1.5j)
+
+    @pytest.mark.parametrize("parts", [
+        (PowerAffineMap(1.0, 1.5), PowerAffineMap(2.0, 1.5, coeff=-1.0)),
+        (AffineMap(0.0, 1.0), AffineMap(0.0, 2.0)),
+    ], ids=["cancel", "constant"])
+    def test_sum_refuses_a_vanishing_leading_coefficient(self, parts):
+        with pytest.raises(DomainError, match="leading terms cancel") as refused:
+            SumMap(parts).leading()
+        assert "\n" not in str(refused.value)
+
+    def test_base_class_raises(self):
+        with pytest.raises(NotImplementedError):
+            AnalyticMap().leading()
+
+    @pytest.mark.parametrize("amap", [
+        PowerAffineMap(1.0, 1.5, coeff=2.0j), ScaledMap(-2.0, PowerAffineMap(3.0, 0.5)),
+        SumMap((PowerAffineMap(1.0, 1.3), PowerAffineMap(2.0, 1.8, coeff=0.5))),
+    ], ids=["power", "scaled", "sum"])
+    def test_matches_the_derivative_far_out(self, amap):
+        p, c = amap.leading()
+        for zeta in (1e12j, 1e12 + 0j, 3e11 - 1e12j):
+            assert amap.jet(zeta).d1 == pytest.approx(c * zeta ** (p - 1.0), rel=1e-5)
 
 
 class TestAffine:

@@ -119,7 +119,7 @@ class TestConfig:
         assert set(tolerances) == {
             "verify.THM1_TOL", "verify.LEMMA2_FAMILY_TOL", "verify.POISSON_VALUE_TOL",
             "verify.POISSON_AGREEMENT_TOL", "verify.SCALING_TOL", "verify.DISK_TOL",
-            "verify.ANGLES_TOL", "graphfield.MSR_EXACT_TOL",
+            "graphfield.MSR_EXACT_TOL",
         }
         for constant, (value, *_) in tolerances.items():
             module, name = constant.split(".")
@@ -246,7 +246,7 @@ class TestVerifyCommand:
             "superharmonicity": (0.0, 0.0),
             "msr_residual": (graphfield.MSR_EXACT_TOL, 1e-10),
         }
-        assert (verify.POISSON_AGREEMENT_TOL, verify.ANGLES_TOL) == (2e-4, 1e-3)
+        assert verify.POISSON_AGREEMENT_TOL == 2e-4
         out = tmp_path / "out"
         assert run("verify", "all", "--gamma", "1.5", "--out", str(out),
                    "--grid", "0.5,3,-2,2,0.0625") == 0
@@ -471,6 +471,25 @@ class TestMalformedInput:
         assert run(*argv, "--out", str(out)) == 2
         assert one_line_error(capsys) == f"error: cannot write into --out {out}: Not a directory\n"
         assert [path.name for path in tmp_path.iterdir()] == ["afile"]
+
+    @pytest.mark.parametrize("check", ["msr", "all"])
+    def test_over_cap_fine_grid_refused_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                        check):
+        # msr's h/2 grid is over graphfield.MAX_GRID_NODES (its h grid is not):
+        # one line, before h is sampled or any node is inverted.
+        from mingraphs import graphfield, verify
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work ran before the grid was refused")
+
+        monkeypatch.setattr(graphfield, "reconstruct_u", must_not_run)
+        monkeypatch.setattr(verify, "admit", must_not_run)
+        assert run("verify", check, "--gamma", "1.5", "--out", str(tmp_path / "out"),
+                   "--grid=0,1,0,1,0.0003") == 2
+        assert one_line_error(capsys) == (
+            "verify failed while evaluating: grid of 6668 x 6668 = 44462224 nodes "
+            f"exceeds the limit of {graphfield.MAX_GRID_NODES}\n")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("out, reason", [
         ("afile", "File exists"), ("afile/sub/deeper", "Not a directory"),

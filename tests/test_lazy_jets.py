@@ -130,8 +130,10 @@ def power_count(monkeypatch):
 
 
 class TestPowerCount:
-    def test_newton_node_iteration_takes_three_powers(self, power_count):
-        pair = lw_family(1.5)
+    # lw15, a session fixture, is built before the counter starts: building a
+    # pair with closed-form g probes g'h' = -k, powers these tests do not count.
+    def test_newton_node_iteration_takes_three_powers(self, lw15, power_count):
+        pair = lw15
         xs = np.linspace(0.6, 2.9, 7)
         targets = (xs[None, :] + 1j * np.linspace(-1.9, 1.9, 9)[:, None]).ravel()
         _newton_batch(pair, targets, np.full(targets.size, 1.0 + 0.5j), 1e-12, max_iter=1)
@@ -144,8 +146,8 @@ class TestPowerCount:
         assert _CountingNumpy.jet_points > 0
         assert power_count.points == _CountingNumpy.jet_points  # h' only
 
-    def test_counter_sees_every_part(self, power_count):
-        jet = lw_family(1.5).h.jet(np.array([1.0 + 1.0j, 2.0 - 0.5j]))
+    def test_counter_sees_every_part(self, lw15, power_count):
+        jet = lw15.h.jet(np.array([1.0 + 1.0j, 2.0 - 0.5j]))
         assert power_count.calls == 0
         parts = [jet.v, jet.d1, jet.d2, jet.v, jet.d1, jet.d2]
         assert power_count.calls == 3 and power_count.points == 6

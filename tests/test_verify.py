@@ -11,7 +11,7 @@ from mingraphs import (
     AffineMap,
     AnalyticMap,
     BoundaryArgumentData,
-    ConvergenceError,
+    DomainError,
     HeightRecord,
     LevelCurveSpec,
     ParameterError,
@@ -34,7 +34,8 @@ from mingraphs import (
     verify_thm1,
     verify_thm2,
 )
-from mingraphs import cli, verify
+from mingraphs import analytic, cli, verify
+from oracles import boundary_angle
 
 GRID = verify.SAMPLE_GRID
 
@@ -78,7 +79,6 @@ class TestSampleGrid:
         # both ends are exact: the critical-point test in test_cli relies on zeta = 10
         assert (GRID.sigmas[0], GRID.sigmas[-1], GRID.taus[10]) == (0.02, 10.0, 0.0)
         assert len(verify.POISSON_POINTS) == 20
-        assert verify.ANGLE_PROBES == (1e2, 1e3, 1e4)
 
 
 class TestLemma2:
@@ -322,14 +322,13 @@ class TestScaling:
     @pytest.mark.parametrize("gamma", [1.23, 1.5, 1.77])
     def test_one_array_evaluation_matches_pointwise(self, gamma):
         # verify_scaling evaluates h once on all SCALING_POINTS; each kappa
-        # agrees with a scalar evaluation at its point to a few ulps (numpy's
-        # scalar and array complex powers can round differently).
+        # has the bits of a scalar evaluation at its point.
         from mingraphs import scale_solution
         for c in (1.0, *verify.SCALE_FACTORS):
             pair = scale_solution(lw_family(gamma), c)
             together = HeightRecord.at(pair, np.array(verify.SCALING_POINTS)).kappa
             apart = [HeightRecord.at(pair, zeta).kappa for zeta in verify.SCALING_POINTS]
-            np.testing.assert_allclose(together, apart, rtol=8 * np.finfo(float).eps, atol=0.0)
+            np.testing.assert_array_equal(together, apart)
 
     def test_doubling_halves_curvature(self, lw15):
         from mingraphs import scale_solution
@@ -372,29 +371,68 @@ class TestDiskTransfer:
         assert "holds" in report.notes
 
 
+def anchored_sum(*parts) -> WeierstrassPair:
+    return WeierstrassPair(h=SumMap(parts), k0=2.0, g_anchor=(1.0 + 0j, 0j))
+
+
+def power(offset: float, exponent: float, coeff: complex = 1.0) -> PowerAffineMap:
+    return PowerAffineMap(offset=offset, exponent=exponent, coeff=coeff)
+
+
+#: Pairs whose boundary angle phi(tau) tends to its limit like |tau|**-q, with
+#: q = min(1, p_d - p_next) from the largest and the next exponent of h:
+#: (pair, q, the |tau| where the rate is measured).  "1+1.2" and "1.5+1.6" are
+#: pre-asymptotic below |tau| = 1e10: (zeta+1)**1.6 overtakes 10*(zeta+1)**1.5
+#: only near |tau| = 6e11.  The image domain of "non-concave" is not concave.
+TAIL_PAIRS = {
+    "1.3+1.8": (anchored_sum(power(1.0, 1.3), power(2.0, 1.8, 0.5)), 0.5, (1e2, 1e4, 1e6)),
+    "1+1.2": (anchored_sum(AffineMap(1.0), power(1.0, 1.2)), 0.2, (1e20, 1e40, 1e60)),
+    "1.5+1.6": (anchored_sum(power(1.0, 1.5), power(1.0, 1.6, 0.1)), 0.1, (1e20, 1e40, 1e60)),
+    "non-concave": (anchored_sum(AffineMap(2.0), power(1.0, 0.6, -0.3)), 0.4, (1e2, 1e4, 1e6)),
+    "lw1.5": (lw_family(1.5), 1.0, (1e2, 1e4, 1e6)),
+}
+
+
 class TestAsymptoticAngles:
+    @pytest.mark.parametrize("gamma", [1.001, 1.01, 1.1, 1.23, 1.5, 1.77, 1.9, 1.99, 1.999])
+    def test_lw_closed_form(self, gamma):
+        # The boundary arc of lw(gamma) leaves at gamma*pi/2 toward +infinity
+        # and at (2-gamma)*pi/2 toward -infinity, unrotated.
+        plus, minus = estimate_asymptotic_angles(lw_family(gamma))
+        assert abs(plus - gamma * np.pi / 2) <= 4.5e-16
+        assert abs(minus - (2.0 - gamma) * np.pi / 2) <= 4.5e-16
+
     def test_planar_vertical(self, planar22):
-        plus, minus = estimate_asymptotic_angles(planar22)
-        assert plus == pytest.approx(np.pi / 2, abs=1e-12)
-        assert minus == pytest.approx(np.pi / 2, abs=1e-12)
+        assert estimate_asymptotic_angles(planar22) == (np.pi / 2, np.pi / 2)
 
     def test_lw15(self, lw15):
         plus, minus = estimate_asymptotic_angles(lw15)
         assert plus == pytest.approx(3 * np.pi / 4, abs=1e-6)
         assert minus == pytest.approx(np.pi / 4, abs=1e-6)
 
-    @pytest.mark.parametrize("gamma", [1.01, 1.1, 1.5, 1.9, 1.99])
-    def test_lw_closed_form(self, gamma):
-        # The boundary arc of lw(gamma) leaves at gamma*pi/2 toward +infinity
-        # and at (2-gamma)*pi/2 toward -infinity, unrotated.
-        plus, minus = estimate_asymptotic_angles(lw_family(gamma))
-        assert abs(plus - gamma * np.pi / 2) <= 1e-9
-        assert abs(minus - (2.0 - gamma) * np.pi / 2) <= 1e-9
+    def test_no_jet_evaluated(self, monkeypatch):
+        def must_not_run(self, zeta):
+            raise AssertionError("a jet was evaluated")
 
-    def test_nonconvergence_flagged(self, monkeypatch):
-        monkeypatch.setattr(verify, "ANGLE_PROBES", (1.0, 2.0))
-        with pytest.raises(ConvergenceError):
-            estimate_asymptotic_angles(lw_family(1.9))
+        for cls in (analytic.AffineMap, analytic.PowerAffineMap, analytic.SumMap):
+            monkeypatch.setattr(cls, "jet", must_not_run)
+        for pair, _, _ in TAIL_PAIRS.values():
+            estimate_asymptotic_angles(pair)
+
+    @pytest.mark.parametrize("name", TAIL_PAIRS)
+    def test_probe_converges_at_the_leading_order_rate(self, name):
+        # The log-log slope of |phi(tau) - phi_limit| on each side is -q.
+        pair, q, taus = TAIL_PAIRS[name]
+        for sign, limit in zip((1.0, -1.0), estimate_asymptotic_angles(pair)):
+            error = np.abs(boundary_angle(pair, sign * np.array(taus)) - limit)
+            slopes = np.diff(np.log(error)) / np.diff(np.log(taus))
+            assert np.all(np.abs(slopes + q) <= 0.03), (sign, slopes)
+
+    def test_cancelling_leading_terms_refused(self):
+        pair = anchored_sum(power(1.0, 1.5), power(2.0, 1.5, -1.0))
+        with pytest.raises(DomainError, match="leading terms cancel at exponent 1.5") as refused:
+            estimate_asymptotic_angles(pair)
+        assert "\n" not in str(refused.value)
 
 
 class TestReportSerialization:
