@@ -21,7 +21,7 @@ SMALL = ["levelcurves", "--gamma", "1.5", "--levels", "1", "--tau=-1,1,5", "--fo
 
 def test_command_set():
     names = [name for name, _, _ in artifact_set.COMMANDS]
-    assert len(names) == 28 and len(set(names)) == 28
+    assert len(names) == 29 and len(set(names)) == 29
     assert {"reconstruct_masked_g1.5_h64", "reconstruct_edge_g1.5_h32"} <= set(names)
     assert {args[0] for _, args, _ in artifact_set.COMMANDS} == {
         "reconstruct", "verify", "levelcurves", "sweep-gamma"}
@@ -34,6 +34,7 @@ def test_command_set():
         (["verify", "superharmonic"], artifact_set.OVERFLOW_CONFIG),
         (["verify", "all"], artifact_set.NON_INJECTIVE_CONFIG),
         (["levelcurves", "--config"], artifact_set.SUM_MAP_CONFIG),
+        (["reconstruct", "--config"], artifact_set.HUGE_EXPONENT_CONFIG),
     ]
 
 

@@ -43,7 +43,8 @@ on h = (zeta+1)**400, whose h' overflows float64 on the sample grid; and
 ``verify all`` on h = (zeta+1)**3.5 with its closed-form g, whose boundary
 argument leaves [-pi/2, pi/2]; and ``levelcurves`` (csv, json, svg) on
 h = (zeta+1)**1.3 + 0.5*(zeta+2)**1.8 with g anchored at zeta = 1, the one
-command whose h is a sum of maps.  Every command runs, and the set covers exit
+command whose h is a sum of maps; and ``reconstruct`` on h = (zeta+1)**1e300,
+whose jet overflows float64 while the grid is seeded.  Every command runs, and the set covers exit
 statuses 0, 1 (``verify all`` near the ends of the family fails ``msr``, and
 planar ``thm2`` fails) and 2.
 
@@ -89,6 +90,11 @@ SUM_MAP_CONFIG = (
     "h = power-affine offset=1 exponent=1.3 + power-affine offset=2 exponent=1.8 coeff=0.5\n"
     "g_anchor = 1:0\n"
 )
+#: h = (zeta+1)**1e300 overflows float64 wherever |zeta+1| > 1.
+HUGE_EXPONENT_CONFIG = (
+    "[pair]\nkind = custom\nk0 = 2\nh = power-affine offset=1 exponent=1e300\n"
+    "g_anchor = 1:0\n"
+)
 CONFIG_NAME = "pair.ini"
 
 
@@ -128,6 +134,8 @@ def _commands() -> list[tuple[str, list[str], str | None]]:
     out.append(("sum_map_levelcurves",
                 ["levelcurves", "--config", CONFIG_NAME, "--format", "csv,json,svg"],
                 SUM_MAP_CONFIG))
+    out.append(("overflow_reconstruct",
+                ["reconstruct", "--config", CONFIG_NAME, "--format", "csv"], HUGE_EXPONENT_CONFIG))
     return out
 
 
