@@ -21,7 +21,10 @@ that the OS refuses to write into exits 2 with one line, before any work
 
 Each command imports the modules it runs inside its own function, so a
 process loads neither ``verify`` for ``levelcurves`` nor ``graphfield`` for
-a check that reconstructs no field.
+a check that reconstructs no field.  ``main`` runs every command inside one
+``np.errstate`` that raises on float64 overflow and invalid values, so a pair
+that float64 cannot carry stops with one line, not numpy warnings and a later
+error (``verify.run`` and ``levels.sample_level_curve`` name it).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import errno
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,22 +41,15 @@ from .config import build_pair, load_config, parse_value
 from .errors import EmptyInteriorError, ParameterError, QuadratureError, SingularityError
 from .serialize import atomic_write, fmt_float
 
-if TYPE_CHECKING:
-    from .verify import VerificationReport
-
 #: ValueError covers ParameterError and DomainError.
 _ERRORS = (SingularityError, QuadratureError, EmptyInteriorError, ValueError)
 
-VERIFY_CHECKS = (
-    "thm1", "thm2", "lemma2", "poisson", "scaling", "disk", "superharmonic", "msr",
-)
-
-#: The checks that sample the pair, in the order ``verify all`` runs them:
-#: check -> the name of its function in ``verify``, which takes the pair as
-#: ``verify.admit`` returns it.  The function is looked up when the command runs.
-SAMPLED_CHECKS = {
+#: Each check, in the order ``verify all`` runs them: check -> the name of
+#: its function in ``verify``, which ``verify.run`` looks up when it runs.
+VERIFY_CHECKS = {
     "lemma2": "verify_lemma2", "thm1": "verify_thm1", "thm2": "verify_thm2",
     "poisson": "verify_poisson", "scaling": "verify_scaling", "disk": "disk_transfer_check",
+    "superharmonic": "verify_superharmonic", "msr": "verify_msr",
 }
 
 
@@ -208,49 +203,13 @@ def cmd_levelcurves(args) -> int:
     return 0
 
 
-def _graph_reports(pair, grid, which: list[str]) -> list[VerificationReport]:
-    from . import graphfield
-
-    x0, x1, y0, y1, h = grid
-    window = ((x0, x1), (y0, y1))
-    reports = []
-    field = graphfield.reconstruct_u(pair, window, h)
-    if "superharmonic" in which:
-        reports.append(graphfield.superharmonic_report(
-            field, descriptor=f"window {grid[:4]}, h={h:g}"))
-    if "msr" in which:
-        fine = graphfield.reconstruct_u(pair, window, h / 2.0)
-        reports.append(graphfield.msr_report(
-            field, fine, descriptor=f"window {grid[:4]}, h={h:g} and {h / 2:g}"))
-    return reports
-
-
 def cmd_verify(args) -> int:
     from . import verify
 
     which = list(VERIFY_CHECKS) if args.check == "all" else [args.check]
     pair = build_pair(args.pair)
-
-    graph_checks = [name for name in ("superharmonic", "msr") if name in which]
     try:
-        if graph_checks:  # a grid over the node cap, msr's h/2 one too, is refused first
-            from .graphfield import grid_shape
-
-            x0, x1, y0, y1, h = args.grid
-            grid_shape(((x0, x1), (y0, y1)), h / 2.0 if "msr" in graph_checks else h)
-        # admit runs before every check: an overflow while sampling the pair stops
-        # the command here with one line, not a numpy warning and a later,
-        # misleading error.  Newton outside D only has to fail: grid checks run unguarded.
-        with np.errstate(over="raise", invalid="raise"):
-            admitted = verify.admit(pair)
-            reports = [getattr(verify, func)(admitted)
-                       for name, func in SAMPLED_CHECKS.items() if name in which]
-        if graph_checks:
-            reports.extend(_graph_reports(pair, args.grid, graph_checks))
-    except FloatingPointError as exc:
-        print(f"verify failed while evaluating: the pair overflows float64 ({exc})",
-              file=sys.stderr)
-        return 2
+        reports = verify.run(pair, [VERIFY_CHECKS[name] for name in which], args.grid)
     except _ERRORS as exc:
         print(f"verify failed while evaluating: {exc}", file=sys.stderr)
         return 2
@@ -268,7 +227,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep_gamma(args) -> int:
-    from .verify import admit, estimate_asymptotic_angles, verify_lemma2, verify_thm1, verify_thm2
+    from .verify import estimate_asymptotic_angles, run
     from .weierstrass import lw_family
 
     bad = [fmt_float(gamma) for gamma in args.gammas if not np.isfinite(gamma)]
@@ -277,12 +236,13 @@ def cmd_sweep_gamma(args) -> int:
     header = ("gamma,A_emp,K_emp,min_kappa,angle_plus,angle_minus,"
               "lemma2_pass,thm1_pass,thm2_pass,error")
     rows = [header]
+    checks = [VERIFY_CHECKS[name] for name in ("lemma2", "thm1", "thm2")]
     any_bad = False
     for gamma in args.gammas:
         try:
-            admitted = admit(lw_family(gamma))
-            reports = [check(admitted) for check in (verify_lemma2, verify_thm1, verify_thm2)]
-            angles = estimate_asymptotic_angles(admitted.pair)
+            pair = lw_family(gamma)
+            reports = run(pair, checks)
+            angles = estimate_asymptotic_angles(pair)
             numbers = [gamma, *(report.empirical_constant for report in reports), *angles]
             passes = [str(int(report.passed)) for report in reports]
             rows.append(",".join([*map(fmt_float, numbers), *passes, ""]))
@@ -356,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--config", "--gamma", "--levels", "--tau", "--format")
     p_verify = command("verify", "run verification checks", cmd_verify,
                        "--config", "--gamma", "--grid")
-    p_verify.add_argument("check", choices=VERIFY_CHECKS + ("all",))
+    p_verify.add_argument("check", choices=(*VERIFY_CHECKS, "all"))
     command("sweep-gamma", "summary table over the catalog family", cmd_sweep_gamma, "--gammas")
     p_reconstruct = command("reconstruct", "invert the map over a grid window", cmd_reconstruct,
                             "--config", "--gamma", "--grid")
@@ -370,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _parse_flags(args)
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise"):
+            _parse_flags(args)
+            return args.func(args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,9 @@ each march step solves the pair of columns mid+d and mid-d in one Newton
 batch; a row whose neighbor in the previous column failed takes a cloud
 seed.  ``preimages`` runs the same march, so it returns the preimage behind
 each value.  Every node follows its own iteration, so the batching does
-not change a bit of the result.
+not change a bit of the result.  The march ignores the float64 errors that
+``cli.main`` raises: Newton diverges at nodes outside the image domain, which
+only have to fail.  The checks on these fields live in ``verify``.
 
 Stencil conventions (all centered, second order):
   * a node is *interior* iff its full 3x3 neighborhood is masked-in;
@@ -35,16 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EmptyInteriorError, ParameterError
 from .serialize import fmt_float
 from .weierstrass import WeierstrassPair, g_value
-
-if TYPE_CHECKING:
-    from .verify import VerificationReport
 
 Window = tuple[tuple[float, float], tuple[float, float]]
 
@@ -65,7 +63,7 @@ NEAREST_BLOCK = 2**15
 #: levelset_curvature_field masks nodes with |grad u| below this.
 GRAD_FLOOR = 1e-8
 
-#: msr_report passes a field whose max-norm residual falls by a factor in
+#: verify.verify_msr passes a field whose max-norm residual falls by a factor in
 #: this range when the spacing halves (second-order convergence), or is at
 #: most MSR_EXACT_TOL at both spacings (a discrete-exact field).
 MSR_RATIO_RANGE = (3.0, 5.0)
@@ -201,8 +199,8 @@ def _newton_batch(pair, targets, guesses, tol: float, max_iter: int):
     Iterates are projected to sigma >= 0 (the search domain); rows whose
     update degenerates are frozen as failed.  The live rows are kept as
     compacted arrays (index, iterate, target, tolerance bound).  Each node
-    follows its own iteration, whatever else is in the batch.  Returns
-    (zeta, ok).
+    follows its own iteration, whatever else is in the batch (under
+    ``_march``'s errstate).  Returns (zeta, ok).
     """
     t = np.asarray(targets, dtype=complex)
     z = np.array(guesses, dtype=complex)
@@ -232,8 +230,7 @@ def _newton_batch(pair, targets, guesses, tol: float, max_iter: int):
             a = jet.d1
         b = -k / np.conj(a)  # conj(g') with g' = -k/h'
         denom = np.abs(a) ** 2 - np.abs(b) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            delta = (b * np.conj(r) - np.conj(a) * r) / denom
+        delta = (b * np.conj(r) - np.conj(a) * r) / denom
         bad = ~np.isfinite(delta)
         za = za + np.where(bad, 0.0, delta)
         za = np.maximum(za.real, 0.0) + 1j * za.imag
@@ -305,25 +302,27 @@ def _march(pair: WeierstrassPair, xs: np.ndarray, ys: np.ndarray) -> tuple[np.nd
     middle.  Column mid+d is seeded only from mid+d-1 and column mid-d only
     from mid-d+1, so both directions share one Newton batch per step; a row
     whose neighbor failed takes a nearest-cloud seed.  The cloud covers the
-    grid's own extent, so the grid alone fixes every bit of the result.
+    grid's own extent, so the grid alone fixes every bit of the result.  An
+    iterate that overflows or degenerates is a node that fails, not an error.
     """
     nx, ny = xs.size, ys.size
     targets = xs[None, :] + 1j * ys[:, None]
     zeta = np.full((ny, nx), np.nan, dtype=complex)
     ok = np.zeros((ny, nx), dtype=bool)
-    cloud_z, cloud_f = _forward_cloud(pair, ((xs[0], xs[-1]), (ys[0], ys[-1])))
-    mid = nx // 2
-    for d in range(max(mid + 1, nx - mid)):
-        cols = [i for i in ((mid + d, mid - d) if d else (mid,)) if 0 <= i < nx]
-        # the middle column is its own neighbor, not yet solved
-        prev = [i - int(np.sign(i - mid)) for i in cols]
-        t = targets[:, cols].T
-        guesses = np.where(ok[:, prev], zeta[:, prev], np.nan + 0j).T
-        missing = ~np.isfinite(guesses)
-        if missing.any():
-            guesses[missing] = cloud_z[_nearest(cloud_f, t[missing])]
-        z, good = _newton_batch(pair, t.ravel(), guesses.ravel(), NEWTON_TOL, NEWTON_MAX_ITER)
-        zeta[:, cols], ok[:, cols] = z.reshape(t.shape).T, good.reshape(t.shape).T
+    with np.errstate(all="ignore"):
+        cloud_z, cloud_f = _forward_cloud(pair, ((xs[0], xs[-1]), (ys[0], ys[-1])))
+        mid = nx // 2
+        for d in range(max(mid + 1, nx - mid)):
+            cols = [i for i in ((mid + d, mid - d) if d else (mid,)) if 0 <= i < nx]
+            # the middle column is its own neighbor, not yet solved
+            prev = [i - int(np.sign(i - mid)) for i in cols]
+            t = targets[:, cols].T
+            guesses = np.where(ok[:, prev], zeta[:, prev], np.nan + 0j).T
+            missing = ~np.isfinite(guesses)
+            if missing.any():
+                guesses[missing] = cloud_z[_nearest(cloud_f, t[missing])]
+            z, good = _newton_batch(pair, t.ravel(), guesses.ravel(), NEWTON_TOL, NEWTON_MAX_ITER)
+            zeta[:, cols], ok[:, cols] = z.reshape(t.shape).T, good.reshape(t.shape).T
     return zeta, ok
 
 
@@ -476,66 +475,3 @@ def nondivergence_gap(field: ScalarField2D) -> float:
     lap = uxx + uyy
     gap = np.abs(lap + _f_term(ux, uy, uxx, uyy, uxy)) / (1.0 + ux * ux + uy * uy) ** 1.5
     return float(np.max(gap[interior[1:-1, 1:-1]]))
-
-
-# ---------------------------------------------------------------------------
-# Report builders used by the CLI verify command; they import verify
-# themselves, so ``reconstruct`` does not load it
-# ---------------------------------------------------------------------------
-
-def superharmonic_report(field: ScalarField2D, descriptor: str = "") -> VerificationReport:
-    """Pass iff the discrete Laplacian is strictly negative at every interior node."""
-    from .verify import VerificationReport
-
-    lap = laplacian(field)
-    vals = lap.values[lap.mask]
-    worst = float(np.max(vals))
-    j, i = np.unravel_index(int(np.argmax(np.where(lap.mask, lap.values, -np.inf))),
-                            lap.values.shape)
-    return VerificationReport(
-        check_name="superharmonicity",
-        passed=bool(np.all(vals < 0.0)),
-        empirical_constant=worst,
-        extremal_point=lap.node_xy(j, i),
-        tolerance=0.0,
-        grid_descriptor=descriptor or f"h={field.spacing:g}, {int(lap.mask.sum())} interior nodes",
-        notes=f"max laplacian over interior = {worst:.6e} (must be < 0)",
-    )
-
-
-def msr_report(
-    coarse: ScalarField2D,
-    fine: ScalarField2D,
-    descriptor: str = "",
-) -> VerificationReport:
-    """PDE residual check across one grid refinement.
-
-    Fields that are discrete-exact (both residuals at most ``MSR_EXACT_TOL``) pass
-    outright; otherwise the max-norm residual ratio must fall in
-    ``MSR_RATIO_RANGE`` (second-order convergence).
-    """
-    from .verify import VerificationReport
-
-    rep_c = msr_residual(coarse)
-    rep_f = msr_residual(fine)
-    gap = nondivergence_gap(fine)
-    if rep_c.max_abs_residual <= MSR_EXACT_TOL and rep_f.max_abs_residual <= MSR_EXACT_TOL:
-        passed, ratio = True, float("nan")
-        note = "discrete-exact field (residual at rounding level at both spacings)"
-    else:
-        ratio = rep_c.max_abs_residual / rep_f.max_abs_residual
-        passed = MSR_RATIO_RANGE[0] <= ratio <= MSR_RATIO_RANGE[1]
-        note = (
-            f"max residual {rep_c.max_abs_residual:.3e} (h={rep_c.spacing:g}) -> "
-            f"{rep_f.max_abs_residual:.3e} (h={rep_f.spacing:g}), ratio {ratio:.3f}"
-        )
-    note += f"; diagnostic |lap u + F|/(1+|grad u|^2)^1.5 max = {gap:.3e}"
-    return VerificationReport(
-        check_name="msr_residual",
-        passed=bool(passed),
-        empirical_constant=float(rep_f.max_abs_residual),
-        extremal_point=None,
-        tolerance=MSR_EXACT_TOL,
-        grid_descriptor=descriptor or f"h={rep_c.spacing:g} vs h={rep_f.spacing:g}",
-        notes=note,
-    )

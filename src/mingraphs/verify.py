@@ -1,19 +1,22 @@
 """Quantitative pass/fail checks for the curvature bound, concavity
 propagation, the log-derivative estimate, the boundary Poisson-kernel
-machinery, the disk transfer, and the scaling law.
+machinery, the disk transfer, the scaling law, and, on u reconstructed over
+a grid window, superharmonicity and the minimal surface equation.
 
 None of these prove anything: each check sweeps a declared grid, reports the
 empirical constant it found (a supremum over that grid, never a hard-coded
 universal constant), and passes or fails against an explicit tolerance.
 Negative controls (the planar solution, a synthetic map whose Re h' changes
 sign) are expected to fail the concavity check; verifiers that cannot fail
-verify nothing.
+verify nothing.  ``run`` is the one pass that ``verify`` and ``sweep-gamma``
+make; the grid checks import ``graphfield`` only when they run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -62,18 +65,47 @@ SAMPLE_GRID = SampleGrid.rectangular(0.02, 10.0, 24, 10.0, 21)
 
 @dataclass(frozen=True, eq=False)
 class Admitted:
-    """What every sampled check takes: the pair, h on SAMPLE_GRID and on its boundary."""
+    """What every check takes: the pair, h on SAMPLE_GRID and on its
+    boundary, and the window (x0, x1, y0, y1, h) that the grid checks
+    reconstruct u on."""
 
     pair: WeierstrassPair
     grid: HeightRecord
     boundary: HeightRecord
+    window: tuple | None = None
+
+    @cached_property
+    def field(self):
+        """u on the window at spacing h, reconstructed on first read."""
+        from . import graphfield
+
+        x0, x1, y0, y1, h = self.window
+        return graphfield.reconstruct_u(self.pair, ((x0, x1), (y0, y1)), h)
 
 
-def admit(pair: WeierstrassPair) -> Admitted:
+def admit(pair: WeierstrassPair, window: tuple | None = None) -> Admitted:
     """Evaluate h once on SAMPLE_GRID and once on its boundary; a point where
     h' is at the derivative floor or not finite refuses the pair."""
     return Admitted(pair, HeightRecord.at(pair, SAMPLE_GRID.points()),
-                    HeightRecord.at(pair, 0.0 + 1j * SAMPLE_GRID.taus))
+                    HeightRecord.at(pair, 0.0 + 1j * SAMPLE_GRID.taus), window)
+
+
+def run(pair: WeierstrassPair, checks: list[str],
+        window: tuple | None = None) -> list[VerificationReport]:
+    """Refuse an over-cap grid (msr's h/2 one too) before any work, admit the
+    pair, then run the checks named in ``checks`` (functions of this module,
+    looked up as they run) in order.  A float64 overflow that the caller's
+    ``np.errstate`` raises (``cli.main`` does) becomes one DomainError line."""
+    if "verify_superharmonic" in checks or "verify_msr" in checks:
+        from .graphfield import grid_shape
+
+        x0, x1, y0, y1, h = window
+        grid_shape(((x0, x1), (y0, y1)), h / 2.0 if "verify_msr" in checks else h)
+    try:
+        admitted = admit(pair, window)
+        return [globals()[name](admitted) for name in checks]
+    except FloatingPointError as exc:
+        raise DomainError(f"the pair overflows float64 ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -443,6 +475,61 @@ def disk_transfer_check(admitted: Admitted) -> VerificationReport:
             f"A1_emp = sup (1-|w|)|H''/H'| = {a1_emp:.12g}; "
             f"inequality chain {'holds' if pointwise_ok else 'VIOLATED'} pointwise"
         ),
+    )
+
+
+def verify_superharmonic(admitted: Admitted) -> VerificationReport:
+    """Pass iff the discrete Laplacian of the reconstructed u is strictly
+    negative at every interior node of the window."""
+    from . import graphfield
+
+    lap = graphfield.laplacian(admitted.field)
+    vals = lap.values[lap.mask]
+    worst = float(np.max(vals))
+    j, i = np.unravel_index(int(np.argmax(np.where(lap.mask, lap.values, -np.inf))),
+                            lap.values.shape)
+    window = admitted.window
+    return VerificationReport(
+        check_name="superharmonicity",
+        passed=bool(np.all(vals < 0.0)),
+        empirical_constant=worst,
+        extremal_point=lap.node_xy(j, i),
+        tolerance=0.0,
+        grid_descriptor=f"window {window[:4]}, h={window[4]:g}",
+        notes=f"max laplacian over interior = {worst:.6e} (must be < 0)",
+    )
+
+
+def verify_msr(admitted: Admitted) -> VerificationReport:
+    """PDE residual of the reconstructed u from h to h/2: a discrete-exact
+    field (both residuals at most ``graphfield.MSR_EXACT_TOL``) passes, else
+    the max-norm residual ratio must lie in ``graphfield.MSR_RATIO_RANGE``."""
+    from . import graphfield
+
+    x0, x1, y0, y1, h = admitted.window
+    rep_c = graphfield.msr_residual(admitted.field)
+    fine = graphfield.reconstruct_u(admitted.pair, ((x0, x1), (y0, y1)), h / 2.0)
+    rep_f = graphfield.msr_residual(fine)
+    gap = graphfield.nondivergence_gap(fine)
+    tol, (lo, hi) = graphfield.MSR_EXACT_TOL, graphfield.MSR_RATIO_RANGE
+    if rep_c.max_abs_residual <= tol and rep_f.max_abs_residual <= tol:
+        passed, note = True, "discrete-exact field (residual at rounding level at both spacings)"
+    else:
+        ratio = rep_c.max_abs_residual / rep_f.max_abs_residual
+        passed = lo <= ratio <= hi
+        note = (
+            f"max residual {rep_c.max_abs_residual:.3e} (h={rep_c.spacing:g}) -> "
+            f"{rep_f.max_abs_residual:.3e} (h={rep_f.spacing:g}), ratio {ratio:.3f}"
+        )
+    note += f"; diagnostic |lap u + F|/(1+|grad u|^2)^1.5 max = {gap:.3e}"
+    return VerificationReport(
+        check_name="msr_residual",
+        passed=bool(passed),
+        empirical_constant=float(rep_f.max_abs_residual),
+        extremal_point=None,
+        tolerance=tol,
+        grid_descriptor=f"window {admitted.window[:4]}, h={h:g} and {h / 2:g}",
+        notes=note,
     )
 
 

@@ -67,10 +67,16 @@ class WeierstrassPair:
     def __post_init__(self):
         if not (np.isfinite(self.k0) and self.k0 > 0.0):
             raise ParameterError(f"k0 must be positive, got {self.k0}")
+        if not 0.0 < self.k < np.inf:  # k0**2/4 overflows or underflows
+            raise ParameterError(f"k0 = {self.k0} makes k = k0**2/4 = {self.k}, not in (0, inf)")
         if (self.g is None) == (self.g_anchor is None):
             raise ParameterError("exactly one of g (closed form) or g_anchor is required")
-        if self.g_anchor is not None and complex(self.g_anchor[0]).real < 0.0:
-            raise ParameterError("g anchor must lie in the closed half-plane")
+        if self.g_anchor is not None:
+            zeta_a, value_a = map(complex, self.g_anchor)
+            if not (np.isfinite(zeta_a) and np.isfinite(value_a)):
+                raise ParameterError(f"g_anchor must be finite, got {zeta_a}:{value_a}")
+            if zeta_a.real < 0.0:
+                raise ParameterError("g anchor must lie in the closed half-plane")
         if self.g is not None:
             self._probe_dilatation()
 

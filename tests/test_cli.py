@@ -255,6 +255,25 @@ class TestVerifyCommand:
             assert report["tolerance"] == constant == value, name
         assert len(list(out.iterdir())) == len(fixed)
 
+    @pytest.mark.parametrize("check, spacings", [
+        ("all", [0.0625, 0.03125]), ("superharmonic", [0.0625]), ("msr", [0.0625, 0.03125]),
+        ("thm1", []),
+    ], ids=["all", "superharmonic", "msr", "thm1"])
+    def test_one_coarse_field_per_command(self, tmp_path, monkeypatch, check, spacings):
+        # superharmonic and msr share the field at h; msr adds its h/2 one
+        from mingraphs import graphfield
+
+        reconstruct, seen = graphfield.reconstruct_u, []
+
+        def spy(pair, window, spacing):
+            seen.append(spacing)
+            return reconstruct(pair, window, spacing)
+
+        monkeypatch.setattr(graphfield, "reconstruct_u", spy)
+        assert run("verify", check, "--gamma", "1.5", "--out", str(tmp_path / "out"),
+                   "--grid", "0.5,3,-2,2,0.0625") == 0
+        assert seen == spacings
+
     def test_sample_grid_cannot_be_shrunk(self, tmp_path, capsys):
         # the fixed grid finds the non-concave boundary; a [verify] section that
         # sampled six points away from it once turned all eight checks into PASS
@@ -381,6 +400,14 @@ def one_line_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     return err
+
+
+#: (check, exponent of h = (zeta+1)**exponent) whose run meets an overflow.
+OVERFLOWING = [
+    *itertools.product(["lemma2", "thm1", "thm2", "poisson", "scaling", "disk",
+                        "superharmonic", "msr", "all"], ["400", "1e300"]),
+    ("reconstruct", "1e300"),
+]
 
 
 class TestMalformedInput:
@@ -658,21 +685,47 @@ class TestMalformedInput:
             assert entry in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("exponent", ["400", "1e300"])
-    @pytest.mark.parametrize("check", ["lemma2", "thm1", "thm2", "poisson", "scaling", "disk",
-                                       "superharmonic", "msr", "all"])
+    @pytest.mark.parametrize("check, exponent", OVERFLOWING, ids=map("-".join, OVERFLOWING))
     def test_overflowing_pair(self, tmp_path, capsys, exponent, check):
         # h' overflows on the sample points: one line naming the overflow, not
         # numpy warnings and a "critical point" that is not one.  The grid
         # checks too: the pair is refused before any field is reconstructed.
+        # reconstruct: the march ignores the overflow, and anchored g refuses
+        # h' (at exponent 400 the default window's nodes do not overflow).
         config = tmp_path / "run.ini"
         config.write_text("[pair]\nkind = custom\nk0 = 2\n"
                           f"h = power-affine offset=1 exponent={exponent}\ng_anchor = 1:0\n")
+        argv, named = ["verify", check], "verify failed while evaluating: the pair"
+        if check == "reconstruct":
+            argv, named = [check], "reconstruct failed: |h'| is not finite: the representation"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
-            status = run("verify", check, "--config", str(config), "--out", str(tmp_path / "out"))
+            status = run(*argv, "--config", str(config), "--out", str(tmp_path / "out"))
         assert status == 2
-        assert "the pair overflows float64" in one_line_error(capsys)
+        assert one_line_error(capsys).startswith(f"{named} overflows float64")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("constants, named", [
+        ("k0 = 1e200\ng_anchor = 1:0\n", "k0 = 1e+200 makes k = k0**2/4 = inf, not in (0, inf)"),
+        ("k0 = 1e-200\ng_anchor = 1:0\n", "k0 = 1e-200 makes k = k0**2/4 = 0.0, not in (0, inf)"),
+        ("k0 = 2\ng_anchor = 1:inf\n", "g_anchor must be finite, got (1+0j):(inf+0j)"),
+        ("k0 = 2\ng_anchor = nan:0\n", "g_anchor must be finite, got (nan+0j):0j"),
+    ], ids=["k-overflows", "k-underflows", "anchor-value-inf", "anchor-point-nan"])
+    @pytest.mark.parametrize("argv", [["verify", "thm1"], ["verify", "superharmonic"],
+                                      ["levelcurves"], ["reconstruct"]],
+                             ids=["thm1", "superharmonic", "levelcurves", "reconstruct"])
+    def test_pair_constant_float64_cannot_carry(self, tmp_path, capsys, constants, named, argv):
+        # Refused when the pair is built, naming the key, before anything is
+        # evaluated: not a PASS on a chain bound of 0 or inf, numpy warnings,
+        # rows of x = inf, or a later error that names no key.
+        config = tmp_path / "run.ini"
+        config.write_text("[pair]\nkind = custom\nh = power-affine offset=1 exponent=1.5\n"
+                          + constants)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            status = run(*argv, "--config", str(config), "--out", str(tmp_path / "out"))
+        assert status == 2
+        assert one_line_error(capsys) == f"error: {named}\n"
         assert not (tmp_path / "out").exists()
 
     def test_critical_point_on_grid(self, tmp_path, capsys):

@@ -37,10 +37,9 @@ from mingraphs.graphfield import (
     _forward_cloud,
     _nearest,
     _newton_batch,
-    msr_report,
-    superharmonic_report,
 )
 from mingraphs.serialize import fmt_float
+from mingraphs.verify import admit, verify_msr, verify_superharmonic
 from mingraphs.weierstrass import g_value
 from oracles import field_from_function, field_from_grid_text
 
@@ -279,16 +278,21 @@ class TestStencilOperators:
 
 
 class TestReports:
-    def test_superharmonic_report(self, field32, planar_field):
-        rep = superharmonic_report(field32)
+    """The grid checks on the field that the admitted window reconstructs."""
+
+    LW_WINDOW = (*WINDOW[0], *WINDOW[1], 1.0 / 32.0)
+    PLANAR_WINDOW = (0.0, 3.0, -2.0, 2.0, 0.25)
+
+    def test_superharmonic_report(self, lw15):
+        rep = verify_superharmonic(admit(lw15, self.LW_WINDOW))
         assert rep.passed and rep.empirical_constant < 0.0
-        rep_planar = superharmonic_report(planar_field)
+        rep_planar = verify_superharmonic(admit(planar_pair(2.5), self.PLANAR_WINDOW))
         assert not rep_planar.passed  # laplacian ~ 0, not strictly negative
 
-    def test_msr_report(self, field32, field64, planar_field):
-        rep = msr_report(field32, field64)
+    def test_msr_report(self, lw15):
+        rep = verify_msr(admit(lw15, self.LW_WINDOW))
         assert rep.passed and "ratio" in rep.notes
-        rep_planar = msr_report(planar_field, planar_field)
+        rep_planar = verify_msr(admit(planar_pair(2.5), self.PLANAR_WINDOW))
         assert rep_planar.passed and "discrete-exact" in rep_planar.notes
 
 

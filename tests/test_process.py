@@ -154,3 +154,9 @@ def test_tracer_wraps_what_the_commands_run(tmp_path):
     assert 0 < solved
     assert (counters["graphfield.nodes_solved"], counters["graphfield.nodes_attempted"]) == (
         solved, attempted)
+
+    # the default window at h = 1/32 (superharmonic and msr share it) and at
+    # h/2 (msr's refinement): 10,449 + 41,377 nodes
+    _, counters = _traced(tmp_path, ["verify", "all", "--gamma", "1.5"])
+    assert counters["verify.reports"] == 8
+    assert counters["graphfield.nodes_attempted"] == 10_449 + 41_377
