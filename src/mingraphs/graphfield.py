@@ -10,17 +10,28 @@ f by a Newton iteration whose exact 2x2 Jacobian comes from h' and
 g' = -k/h' (Wirtinger derivatives f_zeta = h', f_zetabar = conj(g')), so an
 update solves a*d + b*conj(d) = -r with a = h', b = conj(g').  Univalence
 (|h'| > |g'|) keeps the Jacobian determinant positive, so a converged
-iterate is the preimage.  Each node is inverted once.  The middle column
-takes its seeds from the brute-force nearest point of a coarse
-forward-evaluated cloud, then columns march outward, each row seeded by
-its neighbor's preimage.  The two directions are independent chains, so
-each march step solves the pair of columns mid+d and mid-d in one Newton
-batch; a row whose neighbor in the previous column failed takes a cloud
-seed.  ``preimages`` runs the same march, so it returns the preimage behind
-each value.  Every node follows its own iteration, so the batching does
-not change a bit of the result.  The march ignores the float64 errors that
-``cli.main`` raises: Newton diverges at nodes outside the image domain, which
-only have to fail.  The checks on these fields live in ``verify``.
+iterate is the preimage.  Newton stops within NEWTON_TOL; each converged
+node then takes one more step, with h' of its previous iterate, which
+polishes it to rounding without another complex power.
+
+Each node is inverted once, by levels.  The coarse lattice, every S-th row
+and column (S = 2**L, the largest power of two up to 2**MAX_LEVELS that
+divides both nx - 1 and ny - 1), is marched: its middle column takes its
+seeds from the brute-force nearest point of a coarse forward-evaluated
+cloud, then columns march outward, each row seeded by its neighbor's
+preimage, the two directions in one Newton batch per step.  Each finer
+level, at half the spacing s, is solved in two passes over the whole
+lattice: first the new columns on the solved rows, then the new rows.  A
+new node is seeded by quintic interpolation from its solved neighbors at
++-s, +-3s and +-5s, else by cubic from those at +-s and +-3s, else linearly
+from those at +-s, else from one of them, else from the nearest cloud
+point.  A pass goes to Newton in blocks of at most NEWTON_BLOCK nodes, so
+its temporaries stay small.  ``preimages`` runs the same march,
+so it returns the preimage behind each value.  Every node follows its own
+iteration, so neither the blocks nor the rest of a batch change a bit of
+its result.  The march ignores the float64 errors that ``cli.main`` raises:
+Newton diverges at nodes outside the image domain, which only have to fail.
+The checks on these fields live in ``verify``.
 
 Stencil conventions (all centered, second order):
   * a node is *interior* iff its full 3x3 neighborhood is masked-in;
@@ -56,6 +67,14 @@ MAX_GRID_NODES = 2**24
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
+#: _march first solves the coarse lattice of every S-th row and column, with
+#: S at most 2**MAX_LEVELS (``_lattice_step``).
+MAX_LEVELS = 3
+
+#: _fill_odd_columns hands Newton at most this many nodes at a time (one
+#: lattice row, where a row is longer): 64 KiB per complex temporary.
+NEWTON_BLOCK = 2**12
+
 #: _nearest compares a block of targets with the whole cloud at a time, in
 #: about this many distances: 256 KiB per float64 temporary.
 NEAREST_BLOCK = 2**15
@@ -72,9 +91,13 @@ MSR_EXACT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ReconstructionStats:
+    """Nodes attempted, solved and failed, and Newton's residual evaluations
+    summed over nodes (a deterministic count of the inversion's work)."""
+
     attempted: int
     solved: int
     failed: int
+    evaluations: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,34 +216,52 @@ def _f_values(pair: WeierstrassPair, zetas: np.ndarray) -> np.ndarray:
     return pair.h.jet(zetas).v + np.conj(g_value(pair, zetas))
 
 
+def _newton_step(a, r, k: float):
+    """The update d that solves a*d + b*conj(d) = -r, with a = h' and
+    b = conj(g') = -k/conj(h')."""
+    b = -k / np.conj(a)
+    return (b * np.conj(r) - np.conj(a) * r) / (np.abs(a) ** 2 - np.abs(b) ** 2)
+
+
+def _into_half_plane(z):
+    return np.maximum(z.real, 0.0) + 1j * z.imag
+
+
 def _newton_batch(pair, targets, guesses, tol: float, max_iter: int):
     """Vectorized Newton inversion of f over the closed half-plane.
 
     Iterates are projected to sigma >= 0 (the search domain); rows whose
     update degenerates are frozen as failed.  The live rows are kept as
-    compacted arrays (index, iterate, target, tolerance bound).  Each node
-    follows its own iteration, whatever else is in the batch (under
-    ``_march``'s errstate).  Returns (zeta, ok).
+    compacted arrays (index, iterate, target, tolerance bound, h' at the
+    previous iterate).  A converged row takes one more step, its polish, with
+    h' of its previous iterate (of its first, where it converged at once), so
+    the polish costs no complex power: from within NEWTON_TOL it lands at
+    rounding.  Each node follows its own iteration, whatever else is in the
+    batch (under ``_march``'s errstate).  Returns (zeta, ok, evaluations), the
+    last the number of residuals evaluated, summed over rows.
     """
     t = np.asarray(targets, dtype=complex)
     z = np.array(guesses, dtype=complex)
-    z = np.where(np.isfinite(z), z, 1.0 + 0.0j)
-    z = np.maximum(z.real, 0.0) + 1j * z.imag
+    z = _into_half_plane(np.where(np.isfinite(z), z, 1.0 + 0.0j))
     ok = np.zeros(t.shape, dtype=bool)
     idx = np.arange(t.size)
     za, ta = z.ravel(), t.ravel()
     bound = tol * (1.0 + np.abs(ta))
     k = pair.k
+    evaluations = 0
+    prev = None
     for _ in range(max_iter):
         if not idx.size:
             break
+        evaluations += idx.size
         jet = pair.h.jet(za)
         r = jet.v + np.conj(g_value(pair, za)) - ta
         conv = np.abs(r) <= bound
         if conv.any():
-            done = idx[conv]
-            z.flat[done] = za[conv]
-            ok.flat[done] = True
+            step = _newton_step((jet.d1 if prev is None else prev)[conv], r[conv], k)
+            z.flat[idx[conv]] = _into_half_plane(
+                za[conv] + np.where(np.isfinite(step), step, 0.0))
+            ok.flat[idx[conv]] = True
             keep = ~conv
             idx, za, ta, bound, r = idx[keep], za[keep], ta[keep], bound[keep], r[keep]
             if not idx.size:
@@ -228,18 +269,16 @@ def _newton_batch(pair, targets, guesses, tol: float, max_iter: int):
             a = jet.d1[keep]
         else:
             a = jet.d1
-        b = -k / np.conj(a)  # conj(g') with g' = -k/h'
-        denom = np.abs(a) ** 2 - np.abs(b) ** 2
-        delta = (b * np.conj(r) - np.conj(a) * r) / denom
+        delta = _newton_step(a, r, k)
         bad = ~np.isfinite(delta)
-        za = za + np.where(bad, 0.0, delta)
-        za = np.maximum(za.real, 0.0) + 1j * za.imag
+        za = _into_half_plane(za + np.where(bad, 0.0, delta))
+        prev = a
         if bad.any():
             z.flat[idx[bad]] = za[bad]
             keep = ~bad
-            idx, za, ta, bound = idx[keep], za[keep], ta[keep], bound[keep]
+            idx, za, ta, bound, prev = idx[keep], za[keep], ta[keep], bound[keep], prev[keep]
     z.flat[idx] = za
-    return z, ok
+    return z, ok, evaluations
 
 
 def _forward_cloud(pair: WeierstrassPair, window: Window) -> tuple[np.ndarray, np.ndarray]:
@@ -293,37 +332,118 @@ def _nearest(cloud: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _march(pair: WeierstrassPair, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Invert f once at every node of the grid xs x ys; returns (zeta, ok) of
-    shape (ny, nx).
+def _cloud_seeds(cloud: tuple[np.ndarray, np.ndarray], targets: np.ndarray) -> np.ndarray:
+    """The preimage of the nearest cloud point to each target."""
+    cloud_z, cloud_f = cloud
+    return cloud_z[_nearest(cloud_f, targets)]
+
+
+def _lattice_step(nx: int, ny: int) -> int:
+    """S = 2**L, the largest power of two up to 2**MAX_LEVELS that divides
+    both nx - 1 and ny - 1: the coarse lattice is every S-th row and column."""
+    step = 2**MAX_LEVELS
+    while (nx - 1) % step or (ny - 1) % step:
+        step //= 2
+    return step
+
+
+def _march_columns(pair, targets, zeta, ok, cloud) -> int:
+    """Solve a lattice column by column, writing into zeta and ok; returns the
+    residual evaluations.
 
     The middle column is solved from nearest-cloud seeds, then columns march
     outward, each row seeded by the preimage of its neighbor toward the
     middle.  Column mid+d is seeded only from mid+d-1 and column mid-d only
     from mid-d+1, so both directions share one Newton batch per step; a row
-    whose neighbor failed takes a nearest-cloud seed.  The cloud covers the
-    grid's own extent, so the grid alone fixes every bit of the result.  An
-    iterate that overflows or degenerates is a node that fails, not an error.
+    whose neighbor failed takes a nearest-cloud seed.
+    """
+    nx = targets.shape[1]
+    mid = nx // 2
+    evaluations = 0
+    for d in range(max(mid + 1, nx - mid)):
+        cols = [i for i in ((mid + d, mid - d) if d else (mid,)) if 0 <= i < nx]
+        # the middle column is its own neighbor, not yet solved
+        prev = [i - int(np.sign(i - mid)) for i in cols]
+        t = targets[:, cols].T
+        guesses = np.where(ok[:, prev], zeta[:, prev], np.nan + 0j).T
+        missing = ~np.isfinite(guesses)
+        if missing.any():
+            guesses[missing] = _cloud_seeds(cloud, t[missing])
+        z, good, n = _newton_batch(pair, t.ravel(), guesses.ravel(), NEWTON_TOL, NEWTON_MAX_ITER)
+        zeta[:, cols], ok[:, cols] = z.reshape(t.shape).T, good.reshape(t.shape).T
+        evaluations += n
+    return evaluations
+
+
+def _fill_odd_columns(pair, targets, zeta, ok, cloud) -> int:
+    """Solve the odd columns of a lattice whose even columns are solved,
+    writing into zeta and ok; returns the residual evaluations.
+
+    Each node is seeded by quintic interpolation from the solved nodes one,
+    three and five columns away on either side, else by cubic from those one
+    and three away, else linearly from the two next to it, else from the one
+    of them that is solved (left first), else from the nearest cloud point.
+    Quintic seeds on the finest levels are within rounding, so most nodes
+    converge at their first residual.  The rows go to Newton in blocks of at most
+    NEWTON_BLOCK nodes, so the temporaries do not grow with the grid.
+    """
+    rows, half = zeta.shape[0], zeta.shape[1] // 2
+    evaluations = 0
+    if not half:
+        return evaluations
+    block_rows = max(1, NEWTON_BLOCK // half)
+    for start in range(0, rows, block_rows):
+        block = slice(start, start + block_rows)
+        known = np.where(ok[block, ::2], zeta[block, ::2], np.nan + 0j)
+        gap = np.full((known.shape[0], 2), np.nan + 0j)
+        padded = np.hstack((gap, known, gap))
+        # sums of the solved neighbors at +-s, +-3s and +-5s of each odd column
+        near, mid, far = (padded[:, 2 - d:2 - d + half] + padded[:, 3 + d:3 + d + half]
+                          for d in (0, 1, 2))
+        guesses = (150.0 * near - 25.0 * mid + 3.0 * far) / 256.0
+        for fallback in ((9.0 * near - mid) / 16.0, 0.5 * near, known[:, :-1], known[:, 1:]):
+            guesses = np.where(np.isfinite(guesses), guesses, fallback)
+        t = targets[block, 1::2]
+        missing = ~np.isfinite(guesses)
+        if missing.any():
+            guesses[missing] = _cloud_seeds(cloud, t[missing])
+        z, good, n = _newton_batch(pair, t.ravel(), guesses.ravel(), NEWTON_TOL, NEWTON_MAX_ITER)
+        zeta[block, 1::2], ok[block, 1::2] = z.reshape(t.shape), good.reshape(t.shape)
+        evaluations += n
+    return evaluations
+
+
+def _march(pair: WeierstrassPair, xs: np.ndarray,
+           ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Invert f once at every node of the grid xs x ys; returns (zeta, ok) of
+    shape (ny, nx) and the number of residuals evaluated.
+
+    ``_march_columns`` solves the coarse lattice (``_lattice_step``).  Each
+    finer level, at half the spacing s, takes two whole-lattice passes of
+    ``_fill_odd_columns``: the new columns on the solved rows, then the new
+    rows on every column of the level.  The cloud covers the grid's own
+    extent, so the grid alone fixes every bit of the result.  An iterate
+    that overflows or degenerates is a node that fails, not an error.
     """
     nx, ny = xs.size, ys.size
     targets = xs[None, :] + 1j * ys[:, None]
     zeta = np.full((ny, nx), np.nan, dtype=complex)
     ok = np.zeros((ny, nx), dtype=bool)
+    step = _lattice_step(nx, ny)
     with np.errstate(all="ignore"):
-        cloud_z, cloud_f = _forward_cloud(pair, ((xs[0], xs[-1]), (ys[0], ys[-1])))
-        mid = nx // 2
-        for d in range(max(mid + 1, nx - mid)):
-            cols = [i for i in ((mid + d, mid - d) if d else (mid,)) if 0 <= i < nx]
-            # the middle column is its own neighbor, not yet solved
-            prev = [i - int(np.sign(i - mid)) for i in cols]
-            t = targets[:, cols].T
-            guesses = np.where(ok[:, prev], zeta[:, prev], np.nan + 0j).T
-            missing = ~np.isfinite(guesses)
-            if missing.any():
-                guesses[missing] = cloud_z[_nearest(cloud_f, t[missing])]
-            z, good = _newton_batch(pair, t.ravel(), guesses.ravel(), NEWTON_TOL, NEWTON_MAX_ITER)
-            zeta[:, cols], ok[:, cols] = z.reshape(t.shape).T, good.reshape(t.shape).T
-    return zeta, ok
+        cloud = _forward_cloud(pair, ((xs[0], xs[-1]), (ys[0], ys[-1])))
+        lattice = np.s_[::step, ::step]
+        evaluations = _march_columns(pair, targets[lattice], zeta[lattice], ok[lattice], cloud)
+        while step > 1:
+            step //= 2
+            # slices are views, so the passes write into zeta and ok: first the
+            # solved rows at the new column spacing, then every column of the
+            # level, transposed so that its new rows are odd columns
+            rows, level = np.s_[::2 * step, ::step], np.s_[::step, ::step]
+            evaluations += _fill_odd_columns(pair, targets[rows], zeta[rows], ok[rows], cloud)
+            evaluations += _fill_odd_columns(pair, targets[level].T, zeta[level].T,
+                                             ok[level].T, cloud)
+    return zeta, ok, evaluations
 
 
 def reconstruct_u(pair: WeierstrassPair, window: Window, spacing: float) -> ScalarField2D:
@@ -336,10 +456,11 @@ def reconstruct_u(pair: WeierstrassPair, window: Window, spacing: float) -> Scal
     nx, ny = grid_shape(window, spacing)
     xs = _axis(window[0], spacing)
     ys = _axis(window[1], spacing)
-    zeta, ok = _march(pair, xs, ys)
+    zeta, ok, evaluations = _march(pair, xs, ys)
     values = np.where(ok, pair.k0 * zeta.real, np.nan)
     stats = ReconstructionStats(
         attempted=nx * ny, solved=int(ok.sum()), failed=int(nx * ny - ok.sum()),
+        evaluations=evaluations,
     )
     return ScalarField2D(
         origin=(float(xs[0]), float(ys[0])), spacing=float(spacing),
@@ -351,7 +472,7 @@ def preimages(pair: WeierstrassPair, field: ScalarField2D) -> np.ndarray:
     """Preimage grid zeta = f^{-1}(x, y) for the masked nodes of a field
     (NaN elsewhere), from the march that ``reconstruct_u`` runs: on a field it
     built, k0*Re(zeta) is the field's value, bit for bit."""
-    zeta, ok = _march(pair, field.xs(), field.ys())
+    zeta, ok, _ = _march(pair, field.xs(), field.ys())
     return np.where(field.mask & ok, zeta, np.nan)
 
 
@@ -391,18 +512,19 @@ def msr_residual(field: ScalarField2D) -> ResidualReport:
     interior = _interior_or_raise(field)
     u, h = field.values, field.spacing
     s = _core_shifts(u)
+
+    def flux(normal, tangential):
+        return normal / np.sqrt(1.0 + normal * normal + tangential * tangential)
+
     with np.errstate(invalid="ignore"):
-        ux_e = (s["E"] - s["C"]) / h
-        uy_e = (s["N"] + s["NE"] - s["S"] - s["SE"]) / (4 * h)
-        ux_w = (s["C"] - s["W"]) / h
-        uy_w = (s["NW"] + s["N"] - s["SW"] - s["S"]) / (4 * h)
-        uy_n = (s["N"] - s["C"]) / h
-        ux_n = (s["E"] + s["NE"] - s["W"] - s["NW"]) / (4 * h)
-        uy_s = (s["C"] - s["S"]) / h
-        ux_s = (s["SE"] + s["E"] - s["SW"] - s["W"]) / (4 * h)
-        flux = lambda ux, uy: ux / np.sqrt(1.0 + ux * ux + uy * uy)
-        res = (flux(ux_e, uy_e) - flux(ux_w, uy_w)) / h \
-            + (flux(uy_n, ux_n) - flux(uy_s, ux_s)) / h
+        # the x faces, then the y faces, so one pair of face gradients is live
+        # at a time
+        res = (flux((s["E"] - s["C"]) / h, (s["N"] + s["NE"] - s["S"] - s["SE"]) / (4 * h))
+               - flux((s["C"] - s["W"]) / h,
+                      (s["NW"] + s["N"] - s["SW"] - s["S"]) / (4 * h))) / h
+        res += (flux((s["N"] - s["C"]) / h, (s["E"] + s["NE"] - s["W"] - s["NW"]) / (4 * h))
+                - flux((s["C"] - s["S"]) / h,
+                       (s["SE"] + s["E"] - s["SW"] - s["W"]) / (4 * h))) / h
     vals = res[interior[1:-1, 1:-1]]
     return ResidualReport(
         spacing=field.spacing,

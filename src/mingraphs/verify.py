@@ -500,34 +500,45 @@ def verify_superharmonic(admitted: Admitted) -> VerificationReport:
     )
 
 
+def msr_verdict(coarse, fine) -> tuple[bool, str, "graphfield.ResidualReport"]:
+    """The msr rule on a field and the same window at half its spacing: a
+    discrete-exact pair (both residuals at most ``graphfield.MSR_EXACT_TOL``)
+    passes, else the max-norm residual ratio must lie in
+    ``graphfield.MSR_RATIO_RANGE``.  Returns the verdict, its note and the
+    fine field's report, whose ``convergence_order`` the ratio fills."""
+    from . import graphfield
+
+    rep_c, rep_f = graphfield.msr_residual(coarse), graphfield.msr_residual(fine)
+    tol, (lo, hi) = graphfield.MSR_EXACT_TOL, graphfield.MSR_RATIO_RANGE
+    if rep_c.max_abs_residual <= tol and rep_f.max_abs_residual <= tol:
+        return True, "discrete-exact field (residual at rounding level at both spacings)", rep_f
+    ratio = rep_c.max_abs_residual / rep_f.max_abs_residual
+    rep_f.convergence_order = graphfield.residual_convergence_order(rep_c, rep_f)
+    note = (
+        f"max residual {rep_c.max_abs_residual:.3e} (h={rep_c.spacing:g}) -> "
+        f"{rep_f.max_abs_residual:.3e} (h={rep_f.spacing:g}), ratio {ratio:.3f}, "
+        f"observed order {rep_f.convergence_order:.2f}"
+    )
+    return lo <= ratio <= hi, note, rep_f
+
+
 def verify_msr(admitted: Admitted) -> VerificationReport:
-    """PDE residual of the reconstructed u from h to h/2: a discrete-exact
-    field (both residuals at most ``graphfield.MSR_EXACT_TOL``) passes, else
-    the max-norm residual ratio must lie in ``graphfield.MSR_RATIO_RANGE``."""
+    """PDE residual of the reconstructed u from h to h/2, judged by
+    ``msr_verdict``."""
     from . import graphfield
 
     x0, x1, y0, y1, h = admitted.window
-    rep_c = graphfield.msr_residual(admitted.field)
+    coarse = admitted.field
     fine = graphfield.reconstruct_u(admitted.pair, ((x0, x1), (y0, y1)), h / 2.0)
-    rep_f = graphfield.msr_residual(fine)
+    passed, note, rep_f = msr_verdict(coarse, fine)
     gap = graphfield.nondivergence_gap(fine)
-    tol, (lo, hi) = graphfield.MSR_EXACT_TOL, graphfield.MSR_RATIO_RANGE
-    if rep_c.max_abs_residual <= tol and rep_f.max_abs_residual <= tol:
-        passed, note = True, "discrete-exact field (residual at rounding level at both spacings)"
-    else:
-        ratio = rep_c.max_abs_residual / rep_f.max_abs_residual
-        passed = lo <= ratio <= hi
-        note = (
-            f"max residual {rep_c.max_abs_residual:.3e} (h={rep_c.spacing:g}) -> "
-            f"{rep_f.max_abs_residual:.3e} (h={rep_f.spacing:g}), ratio {ratio:.3f}"
-        )
     note += f"; diagnostic |lap u + F|/(1+|grad u|^2)^1.5 max = {gap:.3e}"
     return VerificationReport(
         check_name="msr_residual",
         passed=bool(passed),
         empirical_constant=float(rep_f.max_abs_residual),
         extremal_point=None,
-        tolerance=tol,
+        tolerance=graphfield.MSR_EXACT_TOL,
         grid_descriptor=f"window {admitted.window[:4]}, h={h:g} and {h / 2:g}",
         notes=note,
     )

@@ -31,7 +31,6 @@ from mingraphs.config import build_pair
 from mingraphs.graphfield import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
-    ReconstructionStats,
     _axis,
     _axis_size,
     _forward_cloud,
@@ -39,7 +38,7 @@ from mingraphs.graphfield import (
     _newton_batch,
 )
 from mingraphs.serialize import fmt_float
-from mingraphs.verify import admit, verify_msr, verify_superharmonic
+from mingraphs.verify import admit, msr_verdict, verify_msr, verify_superharmonic
 from mingraphs.weierstrass import g_value
 from oracles import field_from_function, field_from_grid_text
 
@@ -101,8 +100,8 @@ def test_cli_never_imports_scipy(tmp_path):
 def _invert_one(pair, target, initial):
     """Newton inversion of f at one node, with the tolerance and iteration
     cap that reconstruct_u and preimages use."""
-    z, ok = _newton_batch(pair, np.array([target]), np.array([initial]),
-                          NEWTON_TOL, NEWTON_MAX_ITER)
+    z, ok, _ = _newton_batch(pair, np.array([target]), np.array([initial]),
+                             NEWTON_TOL, NEWTON_MAX_ITER)
     assert z.shape == ok.shape == (1,)
     return complex(z[0]), bool(ok[0])
 
@@ -294,6 +293,37 @@ class TestReports:
         assert rep.passed and "ratio" in rep.notes
         rep_planar = verify_msr(admit(planar_pair(2.5), self.PLANAR_WINDOW))
         assert rep_planar.passed and "discrete-exact" in rep_planar.notes
+
+    def test_msr_passes_near_gamma_one(self):
+        # the column march stopped Newton at 1e-12, and the residual of that
+        # noise, amplified by 1/h^2, gave ratio 1.935 here (FAIL)
+        rep = verify_msr(admit(lw_family(1.004), (0.5, 3.0, -2.0, 2.0, 1.0 / 32.0)))
+        ratio = float(rep.notes.split("ratio ")[1].split(",")[0])
+        assert rep.passed and 3.6 < ratio < 3.7
+
+    def test_msr_verdict_fills_order(self, field32, field64):
+        passed, note, fine = msr_verdict(field32, field64)
+        assert passed and fine.spacing == field64.spacing
+        assert fine.convergence_order == pytest.approx(1.95, abs=0.01)
+        assert f"observed order {fine.convergence_order:.2f}" in note
+
+    def test_msr_verdict_fails_paraboloid(self):
+        # not a minimal graph: the residual is O(1) at both spacings
+        window = ((-1.0, 1.0), (-1.0, 1.0))
+        coarse, fine = (field_from_function(lambda x, y: x**2 + y**2, window, h)
+                        for h in (1.0 / 32.0, 1.0 / 64.0))
+        passed, note, rep = msr_verdict(coarse, fine)
+        assert not passed and "ratio" in note
+        assert abs(rep.convergence_order) < 0.1
+
+    def test_msr_verdict_fails_noisy_solution(self, field32, field64):
+        # lw(1.5) plus noise of amplitude h/1000: the residual of the noise
+        # grows like 1/h, so halving h halves the ratio instead of quartering
+        gen = np.random.default_rng(5)
+        noisy = [replace(f, values=f.values + 1e-3 * f.spacing * gen.uniform(-1.0, 1.0, f.values.shape))
+                 for f in (field32, field64)]
+        passed, note, rep = msr_verdict(*noisy)
+        assert not passed and rep.convergence_order < 0.0
 
 
 class TestSerialization:
@@ -489,7 +519,9 @@ def _reference_newton_batch(pair, targets, guesses, tol, max_iter):
 
 def _reference_reconstruct_u(pair, window, spacing, newton_tol=1e-12, max_iter=50):
     """One Newton batch per column: each direction marches on its own from
-    the seed column, and each column repairs its rows in a Python loop."""
+    the seed column, and each column repairs its rows in a Python loop, with
+    no polish.  Returns the preimages, the mask and (attempted, solved,
+    failed)."""
     nx, ny = _axis_size(window[0], spacing), _axis_size(window[1], spacing)
     xs, ys = _axis(window[0], spacing), _axis(window[1], spacing)
     targets = xs[None, :] + 1j * ys[:, None]
@@ -535,10 +567,29 @@ def _reference_reconstruct_u(pair, window, spacing, newton_tol=1e-12, max_iter=5
             if missing.any():
                 guesses[missing] = cloud_guesses(i, missing)
             zeta[:, i], ok[:, i] = solve_column(i, guesses)
-    values = np.where(ok, pair.k0 * zeta.real, np.nan)
-    stats = ReconstructionStats(attempted=nx * ny, solved=int(ok.sum()),
-                                failed=int(nx * ny - ok.sum()))
-    return values, ok, stats
+    return zeta, ok, (nx * ny, int(ok.sum()), int(nx * ny - ok.sum()))
+
+
+def _one_newton_step(pair, zeta, targets):
+    """One full Newton step of f(zeta) = t from each zeta, with h' at zeta,
+    projected to sigma >= 0."""
+    jet = pair.h.jet(zeta)
+    r = jet.v + np.conj(g_value(pair, zeta)) - targets
+    a = jet.d1
+    b = -pair.k / np.conj(a)
+    step = (b * np.conj(r) - np.conj(a) * r) / (np.abs(a) ** 2 - np.abs(b) ** 2)
+    z = zeta + step
+    return np.maximum(z.real, 0.0) + 1j * z.imag
+
+
+def _rounding_scale(pair, zeta, targets):
+    """What float64 rounding leaves in f(zeta) - t at the best float zeta, per
+    unit roundoff: the sum h + conj(g) - t, and the preimage's own rounding,
+    |zeta + 1| times |h'| + |g'|."""
+    jet = pair.h.jet(zeta)
+    d1 = np.abs(jet.d1)
+    return (1.0 + np.abs(targets) + np.abs(jet.v) + np.abs(g_value(pair, zeta))
+            + np.abs(zeta + 1.0) * (d1 + pair.k / d1))
 
 
 ANCHOR_ZERO_SPEC = {
@@ -566,26 +617,68 @@ def _count_newton_targets(monkeypatch) -> list[int]:
     return sizes
 
 
-class TestBatchedMarch:
-    """One march from the middle column, both directions in one Newton batch
-    per step, with the same bits as a search for the first column with a
-    solved node followed by one batch per column."""
+MARCH_CASES = pytest.mark.parametrize("pair, window, spacing", [
+    (lw_family(1.003), WINDOW, 1.0 / 32.0),
+    (lw_family(1.5), WINDOW, 1.0 / 32.0),
+    (lw_family(1.996), WINDOW, 1.0 / 32.0),
+    (lw_family(1.5), MASKED_WINDOW, 1.0 / 32.0),
+    (lw_family(1.5), EDGE_SEED_WINDOW, 1.0 / 16.0),
+    (build_pair(ANCHOR_ZERO_SPEC), WINDOW, 1.0 / 8.0),
+    (planar_pair(2.0, 2.0), PLANAR_MISS_WINDOW, 1.0 / 16.0),
+], ids=["lw1.003", "lw1.5", "lw1.996", "masked", "edge-seed", "anchor-zero", "planar-miss"])
 
-    @pytest.mark.parametrize("pair, window, spacing", [
-        (lw_family(1.003), WINDOW, 1.0 / 32.0),
-        (lw_family(1.5), WINDOW, 1.0 / 32.0),
-        (lw_family(1.996), WINDOW, 1.0 / 32.0),
-        (lw_family(1.5), MASKED_WINDOW, 1.0 / 32.0),
-        (lw_family(1.5), EDGE_SEED_WINDOW, 1.0 / 16.0),
-        (build_pair(ANCHOR_ZERO_SPEC), WINDOW, 1.0 / 8.0),
-        (planar_pair(2.0, 2.0), PLANAR_MISS_WINDOW, 1.0 / 16.0),
-    ], ids=["lw1.003", "lw1.5", "lw1.996", "masked", "edge-seed", "anchor-zero", "planar-miss"])
+#: A polished preimage leaves |f(zeta) - t| <= ROUNDING_ULPS * eps times
+#: ``_rounding_scale``, and differs from another one by at most that over the
+#: smallest singular value of f's Jacobian, |h'| - |g'|.  Both ratios are at
+#: most 2.2 on MARCH_CASES.  A plain eps*(1 + |t|) bound cannot hold at the
+#: ends of the family: at lw(1.003), u reaches 212 and zeta's own rounding
+#: alone leaves |f(zeta) - t| at 130 eps*(1 + |t|), in exact arithmetic.
+ROUNDING_ULPS = 16
+
+EPS = np.finfo(float).eps
+
+
+class TestBatchedMarch:
+    """The march by levels (a coarse lattice marched column by column, then
+    each finer level in whole-lattice Newton batches, every converged node
+    polished once) against the column march it replaced: the same mask and
+    counts, and values within rounding of that march's preimages after one
+    more Newton step."""
+
+    @MARCH_CASES
     def test_same_bits_as_one_batch_per_column(self, pair, window, spacing):
-        values, mask, stats = _reference_reconstruct_u(pair, window, spacing)
+        """The mask and the node counts keep the column march's bits."""
+        _, mask, counts = _reference_reconstruct_u(pair, window, spacing)
         field = reconstruct_u(pair, window, spacing)
         assert field.mask.tobytes() == mask.tobytes()
-        assert field.values.tobytes() == values.tobytes()
-        assert field.stats == stats
+        assert (field.stats.attempted, field.stats.solved, field.stats.failed) == counts
+
+    @MARCH_CASES
+    def test_values_within_rounding_of_one_more_step(self, pair, window, spacing):
+        zeta, mask, _ = _reference_reconstruct_u(pair, window, spacing)
+        field = reconstruct_u(pair, window, spacing)
+        targets = field.xs()[None, :] + 1j * field.ys()[:, None]
+        zeta, targets = zeta[mask], targets[mask]
+        want = pair.k0 * _one_newton_step(pair, zeta, targets).real
+        d1 = np.abs(pair.h.jet(zeta).d1)
+        budget = pair.k0 * _rounding_scale(pair, zeta, targets) / (d1 - pair.k / d1)
+        assert np.all(np.abs(field.values[mask] - want) <= ROUNDING_ULPS * EPS * budget)
+
+    @MARCH_CASES
+    def test_residual_at_rounding(self, pair, window, spacing):
+        field = reconstruct_u(pair, window, spacing)
+        zeta = preimages(pair, field)[field.mask]
+        targets = (field.xs()[None, :] + 1j * field.ys()[:, None])[field.mask]
+        residual = np.abs(pair.h.jet(zeta).v + np.conj(g_value(pair, zeta)) - targets)
+        assert np.all(residual <= ROUNDING_ULPS * EPS * _rounding_scale(pair, zeta, targets))
+
+    def test_polish_reaches_rounding_where_newton_stops_short(self, field32, lw15):
+        # at lw(1.5) the rounding scale is within 40 of 1 + |t|: the polish takes
+        # every node from Newton's 1e-12 stop to a few units of roundoff
+        zeta = preimages(lw15, field32)[field32.mask]
+        targets = (field32.xs()[None, :] + 1j * field32.ys()[:, None])[field32.mask]
+        residual = np.abs(lw15.h.jet(zeta).v + np.conj(g_value(lw15, zeta)) - targets)
+        assert np.max(residual / (1.0 + np.abs(targets))) <= ROUNDING_ULPS * EPS
 
     def test_masked_window_runs_cloud_fallback(self, lw15, monkeypatch):
         newton_sizes, nearest_sizes = _count_newton_targets(monkeypatch), []
@@ -597,11 +690,12 @@ class TestBatchedMarch:
 
         monkeypatch.setattr(graphfield, "_nearest", counting_nearest)
         field = reconstruct_u(lw15, MASKED_WINDOW, 1.0 / 32.0)
-        ny = field.ny
         assert 0 < field.stats.failed < field.stats.attempted
-        assert len(nearest_sizes) > 1  # rows without a solved neighbor took cloud seeds
-        assert max(newton_sizes) == 2 * ny  # both directions in one batch
-        assert set(newton_sizes) <= {ny, 2 * ny}  # whole columns only, no row retries
+        assert len(nearest_sizes) > 1  # nodes without a solved neighbor took cloud seeds
+        # the coarse lattice (every 8th row and column) marches two columns at a
+        # time; each level pass hands Newton at most a block's worth of rows
+        assert newton_sizes[0] == (field.ny - 1) // 8 + 1
+        assert max(newton_sizes) <= graphfield.NEWTON_BLOCK
 
     def test_edge_seed_window(self, lw15):
         field = reconstruct_u(lw15, EDGE_SEED_WINDOW, 1.0 / 16.0)
@@ -611,10 +705,15 @@ class TestBatchedMarch:
     def test_one_newton_batch_per_march_step(self, lw15, monkeypatch):
         calls = _count_newton_targets(monkeypatch)
         field = reconstruct_u(lw15, WINDOW, 1.0 / 32.0)
-        assert field.nx == 81 and field.stats.failed == 0
-        # the middle column, then 40 steps of two columns each; one batch per column is 81
-        assert len(calls) == 41
-        assert calls == [field.ny] + [2 * field.ny] * 40
+        assert (field.nx, field.ny) == (81, 129) and field.stats.failed == 0
+        # the 11 x 17 lattice: its middle column, then 5 steps of two columns;
+        # then levels s = 4, 2, 1, two passes each, the last in blocks of whole
+        # rows of at most NEWTON_BLOCK = 4096 nodes (64 nodes a row); the
+        # column march took 41 batches
+        assert graphfield.NEWTON_BLOCK == 4096
+        assert calls == [17] + [34] * 5 + [17 * 10, 21 * 16, 33 * 20, 41 * 32, 65 * 40] \
+            + [64 * 64, 17 * 64]
+        assert sum(calls) == field.nx * field.ny
 
     @pytest.mark.parametrize("window, spacing", [
         (EDGE_SEED_WINDOW, 1.0 / 16.0), (MASKED_WINDOW, 1.0 / 32.0),
@@ -626,6 +725,14 @@ class TestBatchedMarch:
         assert field.stats.failed > 0
         assert sum(sizes) == field.nx * field.ny
 
+    def test_blocks_change_no_bit(self, lw15, monkeypatch):
+        whole = reconstruct_u(lw15, MASKED_WINDOW, 1.0 / 32.0)
+        monkeypatch.setattr(graphfield, "NEWTON_BLOCK", 100)
+        blocks = reconstruct_u(lw15, MASKED_WINDOW, 1.0 / 32.0)
+        assert blocks.mask.tobytes() == whole.mask.tobytes()
+        assert blocks.values.tobytes() == whole.values.tobytes()
+        assert blocks.stats == whole.stats
+
     @pytest.mark.parametrize("name", ["field32", "masked_field"])
     def test_preimages_behind_each_value(self, lw15, name, request):
         field = request.getfixturevalue(name)  # WINDOW and MASKED_WINDOW at h = 1/32
@@ -633,6 +740,22 @@ class TestBatchedMarch:
         assert np.isnan(pre[~field.mask]).all()
         u = lw15.k0 * pre.real
         assert u[field.mask].tobytes() == field.values[field.mask].tobytes()
+
+    @pytest.mark.parametrize("spacing, per_node", [(1.0 / 32.0, 1.9), (1.0 / 64.0, 1.4)],
+                             ids=["h32", "h64"])
+    def test_evaluations_per_node(self, lw15, spacing, per_node, monkeypatch):
+        sizes = []
+        newton = graphfield._newton_batch
+
+        def counting(pair, targets, *args):
+            z, ok, evaluations = newton(pair, targets, *args)
+            sizes.append(evaluations)
+            return z, ok, evaluations
+
+        monkeypatch.setattr(graphfield, "_newton_batch", counting)
+        field = reconstruct_u(lw15, WINDOW, spacing)
+        assert field.stats.evaluations == sum(sizes)
+        assert field.stats.evaluations <= per_node * field.stats.attempted
 
 
 def test_interior_mask_erosion():
