@@ -72,8 +72,8 @@ NEWTON_MAX_ITER = 50
 MAX_LEVELS = 3
 
 #: _fill_odd_columns hands Newton at most this many nodes at a time (one
-#: lattice row, where a row is longer): 64 KiB per complex temporary.
-NEWTON_BLOCK = 2**12
+#: lattice row, where a row is longer): 32 KiB per complex temporary.
+NEWTON_BLOCK = 2**11
 
 #: _nearest compares a block of targets with the whole cloud at a time, in
 #: about this many distances: 256 KiB per float64 temporary.

@@ -707,12 +707,12 @@ class TestBatchedMarch:
         field = reconstruct_u(lw15, WINDOW, 1.0 / 32.0)
         assert (field.nx, field.ny) == (81, 129) and field.stats.failed == 0
         # the 11 x 17 lattice: its middle column, then 5 steps of two columns;
-        # then levels s = 4, 2, 1, two passes each, the last in blocks of whole
-        # rows of at most NEWTON_BLOCK = 4096 nodes (64 nodes a row); the
-        # column march took 41 batches
-        assert graphfield.NEWTON_BLOCK == 4096
-        assert calls == [17] + [34] * 5 + [17 * 10, 21 * 16, 33 * 20, 41 * 32, 65 * 40] \
-            + [64 * 64, 17 * 64]
+        # then levels s = 4, 2, 1, two passes each, whose last two go to Newton
+        # in blocks of whole rows of at most NEWTON_BLOCK = 2048 nodes (40 and
+        # 64 nodes a row); the column march took 41 batches
+        assert graphfield.NEWTON_BLOCK == 2048
+        assert calls == [17] + [34] * 5 + [17 * 10, 21 * 16, 33 * 20, 41 * 32] \
+            + [51 * 40, 14 * 40] + [32 * 64] * 2 + [17 * 64]
         assert sum(calls) == field.nx * field.ny
 
     @pytest.mark.parametrize("window, spacing", [
