@@ -383,9 +383,10 @@ def _fill_odd_columns(pair, targets, zeta, ok, cloud) -> int:
     three and five columns away on either side, else by cubic from those one
     and three away, else linearly from the two next to it, else from the one
     of them that is solved (left first), else from the nearest cloud point.
-    Quintic seeds on the finest levels are within rounding, so most nodes
-    converge at their first residual.  The rows go to Newton in blocks of at most
-    NEWTON_BLOCK nodes, so the temporaries do not grow with the grid.
+    On the finest levels a quintic seed is already within NEWTON_TOL, so
+    most nodes converge at their first residual.  The rows go to Newton in
+    blocks of at most NEWTON_BLOCK nodes, so the temporaries do not grow
+    with the grid.
     """
     rows, half = zeta.shape[0], zeta.shape[1] // 2
     evaluations = 0

@@ -317,10 +317,11 @@ class TestReports:
         assert abs(rep.convergence_order) < 0.1
 
     def test_msr_verdict_fails_noisy_solution(self, field32, field64):
-        # lw(1.5) plus noise of amplitude h/1000: the residual of the noise
-        # grows like 1/h, so halving h halves the ratio instead of quartering
+        # lw(1.5) plus noise of amplitude h/1000: the noise's residual grows
+        # like 1/h, so halving h doubles the residual where it should quarter
         gen = np.random.default_rng(5)
-        noisy = [replace(f, values=f.values + 1e-3 * f.spacing * gen.uniform(-1.0, 1.0, f.values.shape))
+        noisy = [replace(f, values=f.values + 1e-3 * f.spacing
+                         * gen.uniform(-1.0, 1.0, f.values.shape))
                  for f in (field32, field64)]
         passed, note, rep = msr_verdict(*noisy)
         assert not passed and rep.convergence_order < 0.0
