@@ -26,10 +26,10 @@ new node is seeded by quintic interpolation from its solved neighbors at
 +-s, +-3s and +-5s, else by cubic from those at +-s and +-3s, else linearly
 from those at +-s, else from one of them, else from the nearest cloud
 point.  A pass goes to Newton in blocks of at most NEWTON_BLOCK nodes, so
-its temporaries stay small.  ``preimages`` runs the same march,
-so it returns the preimage behind each value.  Every node follows its own
-iteration, so neither the blocks nor the rest of a batch change a bit of
-its result.  The march ignores the float64 errors that ``cli.main`` raises:
+its temporaries stay small.  A field keeps its preimages, and one at half
+its spacing may take them as its coarse lattice.  Every node follows its
+own iteration, so neither the blocks nor the rest of a batch change a bit
+of its result.  The march ignores float64 errors that ``cli.main`` raises:
 Newton diverges at nodes outside the image domain, which only have to fail.
 The checks on these fields live in ``verify``.
 
@@ -106,8 +106,9 @@ class ScalarField2D:
 
     ``values`` and ``mask`` have shape (ny, nx); row j sits at
     y = origin[1] + j*spacing, column i at x = origin[0] + i*spacing.
-    Masked-in nodes always carry finite values.  The arrays are not changed
-    after construction: the writers cache the formatted values.
+    Masked-in nodes carry finite values and, where ``reconstruct_u`` built
+    the field, their preimages in ``zeta``.  The arrays are not changed after
+    construction: the writers cache the formatted values.
     """
 
     origin: tuple[float, float]
@@ -116,6 +117,7 @@ class ScalarField2D:
     ny: int
     values: np.ndarray
     mask: np.ndarray
+    zeta: np.ndarray | None = None
     stats: ReconstructionStats | None = None
 
     def __post_init__(self):
@@ -414,13 +416,14 @@ def _fill_odd_columns(pair, targets, zeta, ok, cloud) -> int:
     return evaluations
 
 
-def _march(pair: WeierstrassPair, xs: np.ndarray,
-           ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _march(pair: WeierstrassPair, xs: np.ndarray, ys: np.ndarray,
+           coarse: ScalarField2D | None = None) -> tuple[np.ndarray, np.ndarray, int]:
     """Invert f once at every node of the grid xs x ys; returns (zeta, ok) of
     shape (ny, nx) and the number of residuals evaluated.
 
-    ``_march_columns`` solves the coarse lattice (``_lattice_step``).  Each
-    finer level, at half the spacing s, takes two whole-lattice passes of
+    ``_march_columns`` solves the coarse lattice (``_lattice_step``), or
+    ``coarse``, the field at twice the spacing, hands it over.  Each finer
+    level, at half the spacing s, takes two whole-lattice passes of
     ``_fill_odd_columns``: the new columns on the solved rows, then the new
     rows on every column of the level.  The cloud covers the grid's own
     extent, so the grid alone fixes every bit of the result.  An iterate
@@ -430,11 +433,16 @@ def _march(pair: WeierstrassPair, xs: np.ndarray,
     targets = xs[None, :] + 1j * ys[:, None]
     zeta = np.full((ny, nx), np.nan, dtype=complex)
     ok = np.zeros((ny, nx), dtype=bool)
-    step = _lattice_step(nx, ny)
+    step = _lattice_step(nx, ny) if coarse is None else 2
     with np.errstate(all="ignore"):
         cloud = _forward_cloud(pair, ((xs[0], xs[-1]), (ys[0], ys[-1])))
         lattice = np.s_[::step, ::step]
-        evaluations = _march_columns(pair, targets[lattice], zeta[lattice], ok[lattice], cloud)
+        if coarse is None:
+            evaluations = _march_columns(pair, targets[lattice], zeta[lattice], ok[lattice], cloud)
+        else:  # its nodes are the even ones, bit for bit, and maybe a row or column more
+            cut = np.s_[:(ny + 1) // 2, :(nx + 1) // 2]
+            zeta[lattice], ok[lattice] = coarse.zeta[cut], coarse.mask[cut]
+            evaluations = 0
         while step > 1:
             step //= 2
             # slices are views, so the passes write into zeta and ok: first the
@@ -447,34 +455,36 @@ def _march(pair: WeierstrassPair, xs: np.ndarray,
     return zeta, ok, evaluations
 
 
-def reconstruct_u(pair: WeierstrassPair, window: Window, spacing: float) -> ScalarField2D:
+def reconstruct_u(pair: WeierstrassPair, window: Window, spacing: float,
+                  coarse: ScalarField2D | None = None) -> ScalarField2D:
     """Invert f on every grid node of the window and set u = k0*sigma.
 
-    Each node is inverted once, by ``_march``.  Nodes whose inversion fails
-    (in particular nodes outside the image domain) are masked out; the
-    attached stats count the nodes attempted, solved and failed.
+    Each node is inverted once, by ``_march``, or taken from ``coarse``, a
+    field built here at twice the spacing.  Failed nodes (outside the image
+    domain, in particular) are masked out; the stats count them.
     """
     nx, ny = grid_shape(window, spacing)
     xs = _axis(window[0], spacing)
     ys = _axis(window[1], spacing)
-    zeta, ok, evaluations = _march(pair, xs, ys)
-    values = np.where(ok, pair.k0 * zeta.real, np.nan)
+    if coarse is not None and (coarse.origin, coarse.spacing) != ((xs[0], ys[0]), 2.0 * spacing):
+        raise ParameterError("coarse field must lie on the same window at twice the spacing")
+    zeta, ok, evaluations = _march(pair, xs, ys, coarse)
+    zeta[~ok] = np.nan
+    values = pair.k0 * zeta.real
     stats = ReconstructionStats(
         attempted=nx * ny, solved=int(ok.sum()), failed=int(nx * ny - ok.sum()),
         evaluations=evaluations,
     )
     return ScalarField2D(
         origin=(float(xs[0]), float(ys[0])), spacing=float(spacing),
-        nx=nx, ny=ny, values=values, mask=ok, stats=stats,
+        nx=nx, ny=ny, values=values, mask=ok, zeta=zeta, stats=stats,
     )
 
 
 def preimages(pair: WeierstrassPair, field: ScalarField2D) -> np.ndarray:
-    """Preimage grid zeta = f^{-1}(x, y) for the masked nodes of a field
-    (NaN elsewhere), from the march that ``reconstruct_u`` runs: on a field it
-    built, k0*Re(zeta) is the field's value, bit for bit."""
-    zeta, ok, _ = _march(pair, field.xs(), field.ys())
-    return np.where(field.mask & ok, zeta, np.nan)
+    """Preimage grid zeta = f^{-1}(x, y) of a field that ``reconstruct_u``
+    built (NaN where the mask is out): k0*Re(zeta) is its value, bit for bit."""
+    return field.zeta
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +510,7 @@ def _derived_field(field: ScalarField2D, core_values: np.ndarray,
                    mask: np.ndarray) -> ScalarField2D:
     values = np.full_like(field.values, np.nan)
     values[1:-1, 1:-1] = np.where(mask[1:-1, 1:-1], core_values, np.nan)
-    return replace(field, values=values, mask=mask, stats=None)
+    return replace(field, values=values, mask=mask, zeta=None, stats=None)
 
 
 def msr_residual(field: ScalarField2D) -> ResidualReport:

@@ -524,12 +524,12 @@ def msr_verdict(coarse, fine) -> tuple[bool, str, "graphfield.ResidualReport"]:
 
 def verify_msr(admitted: Admitted) -> VerificationReport:
     """PDE residual of the reconstructed u from h to h/2, judged by
-    ``msr_verdict``."""
+    ``msr_verdict``; the h/2 field inverts only the nodes the h one lacks."""
     from . import graphfield
 
     x0, x1, y0, y1, h = admitted.window
     coarse = admitted.field
-    fine = graphfield.reconstruct_u(admitted.pair, ((x0, x1), (y0, y1)), h / 2.0)
+    fine = graphfield.reconstruct_u(admitted.pair, ((x0, x1), (y0, y1)), h / 2.0, coarse)
     passed, note, rep_f = msr_verdict(coarse, fine)
     gap = graphfield.nondivergence_gap(fine)
     note += f"; diagnostic |lap u + F|/(1+|grad u|^2)^1.5 max = {gap:.3e}"

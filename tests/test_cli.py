@@ -260,19 +260,22 @@ class TestVerifyCommand:
         ("thm1", []),
     ], ids=["all", "superharmonic", "msr", "thm1"])
     def test_one_coarse_field_per_command(self, tmp_path, monkeypatch, check, spacings):
-        # superharmonic and msr share the field at h; msr adds its h/2 one
+        # superharmonic and msr share the field at h; msr refines it to h/2
         from mingraphs import graphfield
 
-        reconstruct, seen = graphfield.reconstruct_u, []
+        reconstruct, seen, fields = graphfield.reconstruct_u, [], []
 
-        def spy(pair, window, spacing):
-            seen.append(spacing)
-            return reconstruct(pair, window, spacing)
+        def spy(pair, window, spacing, coarse=None):
+            seen.append((spacing, coarse))
+            fields.append(reconstruct(pair, window, spacing, coarse))
+            return fields[-1]
 
         monkeypatch.setattr(graphfield, "reconstruct_u", spy)
         assert run("verify", check, "--gamma", "1.5", "--out", str(tmp_path / "out"),
                    "--grid", "0.5,3,-2,2,0.0625") == 0
-        assert seen == spacings
+        assert [spacing for spacing, _ in seen] == spacings
+        # the h/2 call is handed the very field that the h call returned
+        assert [coarse for _, coarse in seen] == [None, *fields][:len(spacings)]
 
     def test_sample_grid_cannot_be_shrunk(self, tmp_path, capsys):
         # the fixed grid finds the non-concave boundary; a [verify] section that

@@ -1,5 +1,6 @@
 """Grid reconstruction, PDE residual, stencil operators, serialization."""
 
+import functools
 import subprocess
 import sys
 import tracemalloc
@@ -99,7 +100,7 @@ def test_cli_never_imports_scipy(tmp_path):
 
 def _invert_one(pair, target, initial):
     """Newton inversion of f at one node, with the tolerance and iteration
-    cap that reconstruct_u and preimages use."""
+    cap that reconstruct_u uses."""
     z, ok, _ = _newton_batch(pair, np.array([target]), np.array([initial]),
                              NEWTON_TOL, NEWTON_MAX_ITER)
     assert z.shape == ok.shape == (1,)
@@ -618,15 +619,36 @@ def _count_newton_targets(monkeypatch) -> list[int]:
     return sizes
 
 
-MARCH_CASES = pytest.mark.parametrize("pair, window, spacing", [
-    (lw_family(1.003), WINDOW, 1.0 / 32.0),
-    (lw_family(1.5), WINDOW, 1.0 / 32.0),
-    (lw_family(1.996), WINDOW, 1.0 / 32.0),
-    (lw_family(1.5), MASKED_WINDOW, 1.0 / 32.0),
-    (lw_family(1.5), EDGE_SEED_WINDOW, 1.0 / 16.0),
-    (build_pair(ANCHOR_ZERO_SPEC), WINDOW, 1.0 / 8.0),
-    (planar_pair(2.0, 2.0), PLANAR_MISS_WINDOW, 1.0 / 16.0),
-], ids=["lw1.003", "lw1.5", "lw1.996", "masked", "edge-seed", "anchor-zero", "planar-miss"])
+_MARCHES = {
+    "lw1.003": (lw_family(1.003), WINDOW, 1.0 / 32.0),
+    "lw1.5": (lw_family(1.5), WINDOW, 1.0 / 32.0),
+    "lw1.996": (lw_family(1.996), WINDOW, 1.0 / 32.0),
+    "masked": (lw_family(1.5), MASKED_WINDOW, 1.0 / 32.0),
+    "edge-seed": (lw_family(1.5), EDGE_SEED_WINDOW, 1.0 / 16.0),
+    "anchor-zero": (build_pair(ANCHOR_ZERO_SPEC), WINDOW, 1.0 / 8.0),
+    "planar-miss": (planar_pair(2.0, 2.0), PLANAR_MISS_WINDOW, 1.0 / 16.0),
+}
+#: The marches whose field, refined to half the spacing, is checked too: the
+#: column march at h/2 costs 1.3-1.7 s on the masked and planar-miss windows.
+_REFINED = ["lw1.003", "lw1.5", "lw1.996", "edge-seed", "anchor-zero"]
+#: Each march from scratch, then each of _REFINED at h/2, refining its field
+#: at h.
+MARCH_CASES = pytest.mark.parametrize("name, refined", [
+    *((name, False) for name in _MARCHES), *((name, True) for name in _REFINED),
+], ids=[*_MARCHES, *(f"{name}-refined" for name in _REFINED)])
+
+
+@functools.cache
+def _march_case(name, refined):
+    """A case of MARCH_CASES, built once for the tests that share it: the pair,
+    the field that the march by levels builds, and the column march's
+    (zeta, mask, counts) on the same grid."""
+    pair, window, spacing = _MARCHES[name]
+    coarse = None
+    if refined:
+        coarse, spacing = reconstruct_u(pair, window, spacing), spacing / 2.0
+    field = reconstruct_u(pair, window, spacing, coarse)
+    return pair, field, _reference_reconstruct_u(pair, window, spacing)
 
 #: A polished preimage leaves |f(zeta) - t| <= ROUNDING_ULPS * eps times
 #: ``_rounding_scale``, and differs from another one by at most that over the
@@ -647,17 +669,15 @@ class TestBatchedMarch:
     more Newton step."""
 
     @MARCH_CASES
-    def test_same_bits_as_one_batch_per_column(self, pair, window, spacing):
+    def test_same_bits_as_one_batch_per_column(self, name, refined):
         """The mask and the node counts keep the column march's bits."""
-        _, mask, counts = _reference_reconstruct_u(pair, window, spacing)
-        field = reconstruct_u(pair, window, spacing)
+        _, field, (_, mask, counts) = _march_case(name, refined)
         assert field.mask.tobytes() == mask.tobytes()
         assert (field.stats.attempted, field.stats.solved, field.stats.failed) == counts
 
     @MARCH_CASES
-    def test_values_within_rounding_of_one_more_step(self, pair, window, spacing):
-        zeta, mask, _ = _reference_reconstruct_u(pair, window, spacing)
-        field = reconstruct_u(pair, window, spacing)
+    def test_values_within_rounding_of_one_more_step(self, name, refined):
+        pair, field, (zeta, mask, _) = _march_case(name, refined)
         targets = field.xs()[None, :] + 1j * field.ys()[:, None]
         zeta, targets = zeta[mask], targets[mask]
         want = pair.k0 * _one_newton_step(pair, zeta, targets).real
@@ -666,12 +686,27 @@ class TestBatchedMarch:
         assert np.all(np.abs(field.values[mask] - want) <= ROUNDING_ULPS * EPS * budget)
 
     @MARCH_CASES
-    def test_residual_at_rounding(self, pair, window, spacing):
-        field = reconstruct_u(pair, window, spacing)
+    def test_residual_at_rounding(self, name, refined):
+        pair, field, _ = _march_case(name, refined)
         zeta = preimages(pair, field)[field.mask]
         targets = (field.xs()[None, :] + 1j * field.ys()[:, None])[field.mask]
         residual = np.abs(pair.h.jet(zeta).v + np.conj(g_value(pair, zeta)) - targets)
         assert np.all(residual <= ROUNDING_ULPS * EPS * _rounding_scale(pair, zeta, targets))
+
+    @pytest.mark.parametrize("name", _REFINED)
+    def test_refined_field_keeps_the_coarse_nodes(self, name):
+        pair, window, spacing = _MARCHES[name]
+        coarse = reconstruct_u(pair, window, spacing)
+        field = reconstruct_u(pair, window, spacing / 2.0, coarse)
+        assert field.zeta[::2, ::2].tobytes() == coarse.zeta.tobytes()
+        assert field.mask[::2, ::2].tobytes() == coarse.mask.tobytes()
+
+    def test_coarse_field_on_another_grid_is_refused(self, lw15, field32):
+        for spacing in (1.0 / 32.0, 1.0 / 128.0):
+            with pytest.raises(ParameterError, match="twice the spacing"):
+                reconstruct_u(lw15, WINDOW, spacing, field32)
+        with pytest.raises(ParameterError, match="twice the spacing"):
+            reconstruct_u(lw15, ((0.75, 3.0), (-2.0, 2.0)), 1.0 / 64.0, field32)
 
     def test_polish_reaches_rounding_where_newton_stops_short(self, field32, lw15):
         # at lw(1.5) the rounding scale is within 40 of 1 + |t|: the polish takes
@@ -741,10 +776,13 @@ class TestBatchedMarch:
         assert np.isnan(pre[~field.mask]).all()
         u = lw15.k0 * pre.real
         assert u[field.mask].tobytes() == field.values[field.mask].tobytes()
+        assert laplacian(field).zeta is None  # a derived field has no preimages
 
-    @pytest.mark.parametrize("spacing, per_node", [(1.0 / 32.0, 1.9), (1.0 / 64.0, 1.4)],
-                             ids=["h32", "h64"])
-    def test_evaluations_per_node(self, lw15, spacing, per_node, monkeypatch):
+    @pytest.mark.parametrize("spacing, per_node, refined", [
+        (1.0 / 32.0, 1.9, False), (1.0 / 64.0, 1.4, False), (1.0 / 64.0, 0.9, True),
+    ], ids=["h32", "h64", "h64-refined"])
+    def test_evaluations_per_node(self, lw15, field64, spacing, per_node, refined, monkeypatch):
+        coarse = reconstruct_u(lw15, WINDOW, 2.0 * spacing) if refined else None
         sizes = []
         newton = graphfield._newton_batch
 
@@ -754,9 +792,11 @@ class TestBatchedMarch:
             return z, ok, evaluations
 
         monkeypatch.setattr(graphfield, "_newton_batch", counting)
-        field = reconstruct_u(lw15, WINDOW, spacing)
+        field = reconstruct_u(lw15, WINDOW, spacing, coarse)
         assert field.stats.evaluations == sum(sizes)
         assert field.stats.evaluations <= per_node * field.stats.attempted
+        if refined:  # 34,552 residuals, against 54,511 from scratch
+            assert field.stats.evaluations <= 0.7 * field64.stats.evaluations
 
 
 def test_interior_mask_erosion():
