@@ -58,8 +58,8 @@ from .weierstrass import WeierstrassPair, g_value
 Window = tuple[tuple[float, float], tuple[float, float]]
 
 #: reconstruct_u, and `verify` before any check, refuse larger grids.  A
-#: `reconstruct` run peaks at about 190 bytes per node (60 MiB at h = 1/128,
-#: 150 MiB at h = 1/256 on the default window), so the cap is about 3 GiB.
+#: `reconstruct` run peaks at about 205 bytes per node (61 MiB at h = 1/128,
+#: 158 MiB at h = 1/256 on the default window), so the cap is about 3.2 GiB.
 MAX_GRID_NODES = 2**24
 
 #: Newton stops at |f(zeta) - t| <= NEWTON_TOL*(1 + |t|), or fails after
