@@ -106,9 +106,8 @@ class ScalarField2D:
 
     ``values`` and ``mask`` have shape (ny, nx); row j sits at
     y = origin[1] + j*spacing, column i at x = origin[0] + i*spacing.
-    Masked-in nodes carry finite values and, where ``reconstruct_u`` built
-    the field, their preimages in ``zeta``.  The arrays are not changed after
-    construction: the writers cache the formatted values.
+    Masked-in nodes carry finite values and, from ``reconstruct_u``, their
+    preimages in ``zeta``.  No array changes: the writers cache the text.
     """
 
     origin: tuple[float, float]
@@ -398,13 +397,14 @@ def _fill_odd_columns(pair, targets, zeta, ok, cloud) -> int:
     for start in range(0, rows, block_rows):
         block = slice(start, start + block_rows)
         known = np.where(ok[block, ::2], zeta[block, ::2], np.nan + 0j)
-        gap = np.full((known.shape[0], 2), np.nan + 0j)
+        gap = np.full((known.shape[0], 3), np.nan + 0j)
         padded = np.hstack((gap, known, gap))
+        side = padded[:, 3:4 + half]  # known, and a NaN column after an even lattice
         # sums of the solved neighbors at +-s, +-3s and +-5s of each odd column
-        near, mid, far = (padded[:, 2 - d:2 - d + half] + padded[:, 3 + d:3 + d + half]
+        near, mid, far = (padded[:, 3 - d:3 - d + half] + padded[:, 4 + d:4 + d + half]
                           for d in (0, 1, 2))
         guesses = (150.0 * near - 25.0 * mid + 3.0 * far) / 256.0
-        for fallback in ((9.0 * near - mid) / 16.0, 0.5 * near, known[:, :-1], known[:, 1:]):
+        for fallback in ((9.0 * near - mid) / 16.0, 0.5 * near, side[:, :-1], side[:, 1:]):
             guesses = np.where(np.isfinite(guesses), guesses, fallback)
         t = targets[block, 1::2]
         missing = ~np.isfinite(guesses)

@@ -701,6 +701,22 @@ class TestBatchedMarch:
         assert field.zeta[::2, ::2].tobytes() == coarse.zeta.tobytes()
         assert field.mask[::2, ::2].tobytes() == coarse.mask.tobytes()
 
+    @pytest.mark.parametrize("window", [
+        ((0.5, 3.03), (-2.0, 2.04)), ((0.5, 1.1625), (-0.5, 0.1625)),
+    ], ids=["even-rows", "wider-coarse"])
+    def test_refines_a_rounded_window(self, lw15, window):
+        # h = 1/16 and 1/32 give 41 x 66 and 82 x 130 nodes on the first window,
+        # 12 x 12 and 22 x 22 on the second: the h/2 rows end in an odd node
+        # with no right neighbor, and the h grid can reach one node past the
+        # h/2 grid's last even one
+        coarse = reconstruct_u(lw15, window, 1.0 / 16.0)
+        field = reconstruct_u(lw15, window, 1.0 / 32.0, coarse)
+        want = reconstruct_u(lw15, window, 1.0 / 32.0)
+        assert field.nx % 2 == 0 and field.mask.tobytes() == want.mask.tobytes()
+        even = field.zeta[::2, ::2]
+        assert even.tobytes() == coarse.zeta[:even.shape[0], :even.shape[1]].tobytes()
+        assert np.all(np.abs(field.values - want.values) <= 1e-14 * np.abs(want.values))
+
     def test_coarse_field_on_another_grid_is_refused(self, lw15, field32):
         for spacing in (1.0 / 32.0, 1.0 / 128.0):
             with pytest.raises(ParameterError, match="twice the spacing"):
