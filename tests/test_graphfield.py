@@ -641,14 +641,15 @@ MARCH_CASES = pytest.mark.parametrize("name, refined", [
 @functools.cache
 def _march_case(name, refined):
     """A case of MARCH_CASES, built once for the tests that share it: the pair,
-    the field that the march by levels builds, and the column march's
-    (zeta, mask, counts) on the same grid."""
+    the field at h that a refined case refines (else None), the field that the
+    march by levels builds, and the column march's (zeta, mask, counts) on
+    the same grid."""
     pair, window, spacing = _MARCHES[name]
     coarse = None
     if refined:
         coarse, spacing = reconstruct_u(pair, window, spacing), spacing / 2.0
     field = reconstruct_u(pair, window, spacing, coarse)
-    return pair, field, _reference_reconstruct_u(pair, window, spacing)
+    return pair, coarse, field, _reference_reconstruct_u(pair, window, spacing)
 
 #: A polished preimage leaves |f(zeta) - t| <= ROUNDING_ULPS * eps times
 #: ``_rounding_scale``, and differs from another one by at most that over the
@@ -670,14 +671,17 @@ class TestBatchedMarch:
 
     @MARCH_CASES
     def test_same_bits_as_one_batch_per_column(self, name, refined):
-        """The mask and the node counts keep the column march's bits."""
-        _, field, (_, mask, counts) = _march_case(name, refined)
+        """The mask and the node counts keep the column march's bits, and a
+        refined field's even nodes keep the h field's preimages."""
+        _, coarse, field, (_, mask, counts) = _march_case(name, refined)
         assert field.mask.tobytes() == mask.tobytes()
         assert (field.stats.attempted, field.stats.solved, field.stats.failed) == counts
+        if refined:
+            assert field.zeta[::2, ::2].tobytes() == coarse.zeta.tobytes()
 
     @MARCH_CASES
     def test_values_within_rounding_of_one_more_step(self, name, refined):
-        pair, field, (zeta, mask, _) = _march_case(name, refined)
+        pair, _, field, (zeta, mask, _) = _march_case(name, refined)
         targets = field.xs()[None, :] + 1j * field.ys()[:, None]
         zeta, targets = zeta[mask], targets[mask]
         want = pair.k0 * _one_newton_step(pair, zeta, targets).real
@@ -687,19 +691,11 @@ class TestBatchedMarch:
 
     @MARCH_CASES
     def test_residual_at_rounding(self, name, refined):
-        pair, field, _ = _march_case(name, refined)
+        pair, _, field, _ = _march_case(name, refined)
         zeta = preimages(pair, field)[field.mask]
         targets = (field.xs()[None, :] + 1j * field.ys()[:, None])[field.mask]
         residual = np.abs(pair.h.jet(zeta).v + np.conj(g_value(pair, zeta)) - targets)
         assert np.all(residual <= ROUNDING_ULPS * EPS * _rounding_scale(pair, zeta, targets))
-
-    @pytest.mark.parametrize("name", _REFINED)
-    def test_refined_field_keeps_the_coarse_nodes(self, name):
-        pair, window, spacing = _MARCHES[name]
-        coarse = reconstruct_u(pair, window, spacing)
-        field = reconstruct_u(pair, window, spacing / 2.0, coarse)
-        assert field.zeta[::2, ::2].tobytes() == coarse.zeta.tobytes()
-        assert field.mask[::2, ::2].tobytes() == coarse.mask.tobytes()
 
     @pytest.mark.parametrize("window", [
         ((0.5, 3.03), (-2.0, 2.04)), ((0.5, 1.1625), (-0.5, 0.1625)),
