@@ -44,9 +44,11 @@ on h = (zeta+1)**400, whose h' overflows float64 on the sample grid; and
 argument leaves [-pi/2, pi/2]; and ``levelcurves`` (csv, json, svg) on
 h = (zeta+1)**1.3 + 0.5*(zeta+2)**1.8 with g anchored at zeta = 1, the one
 command whose h is a sum of maps; and ``reconstruct`` on h = (zeta+1)**1e300,
-whose jet overflows float64 while the grid is seeded.  Every command runs, and the set covers exit
-statuses 0, 1 (``verify all`` near the ends of the family fails ``msr``, and
-planar ``thm2`` fails) and 2.
+whose jet overflows float64 while the grid is seeded; and ``reconstruct`` on
+the ragged window x in [0.5, 3.03] x y in [-2, 2.04] at h = 1/32, whose
+82 x 130 nodes leave nx - 1 and ny - 1 odd.  Every command runs, and the
+set covers exit statuses 0, 1 (``verify all`` near the ends of the family
+fails ``msr``, and planar ``thm2`` fails) and 2.
 
 Only the standard library is used, and numpy's version and CPU features
 for the ``machine`` record.
@@ -136,6 +138,9 @@ def _commands() -> list[tuple[str, list[str], str | None]]:
                 SUM_MAP_CONFIG))
     out.append(("overflow_reconstruct",
                 ["reconstruct", "--config", CONFIG_NAME, "--format", "csv"], HUGE_EXPONENT_CONFIG))
+    out.append(("reconstruct_ragged_g1.5_h32",
+                ["reconstruct", "--gamma", "1.5", "--format", "csv",
+                 "--grid=0.5,3.03,-2,2.04,0.03125"], None))
     return out
 
 
