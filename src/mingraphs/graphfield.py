@@ -15,13 +15,13 @@ node then takes one more step, with h' of its previous iterate, which
 polishes it to rounding without another complex power.
 
 Each node is inverted once, by levels.  The coarse lattice, every S-th row
-and column (S = 2**L, the largest power of two up to 2**MAX_LEVELS that
-divides both nx - 1 and ny - 1), is marched: its middle column takes its
-seeds from the brute-force nearest point of a coarse forward-evaluated
-cloud, then columns march outward, each row seeded by its neighbor's
-preimage, the two directions in one Newton batch per step.  Each finer
-level, at half the spacing s, is solved in two passes over the whole
-lattice: first the new columns on the solved rows, then the new rows.  A
+and column (S = 2**L, the largest power of two up to 2**MAX_LEVELS below
+both nx and ny), is marched: its middle column takes its seeds from the
+brute-force nearest point of a coarse forward-evaluated cloud, then columns
+march outward, each row seeded by its neighbor's preimage, the two
+directions in one Newton batch per step.  Each finer level, at half the
+spacing s, is solved in two passes over the whole lattice: first the new
+columns on the solved rows, then the new rows.  A
 new node is seeded by quintic interpolation from its solved neighbors at
 +-s, +-3s and +-5s, else by cubic from those at +-s and +-3s, else linearly
 from those at +-s, else from one of them, else from the nearest cloud
@@ -68,7 +68,7 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
 #: _march first solves the coarse lattice of every S-th row and column, with
-#: S at most 2**MAX_LEVELS (``_lattice_step``).
+#: S at most 2**MAX_LEVELS.
 MAX_LEVELS = 3
 
 #: _fill_odd_columns hands Newton at most this many nodes at a time (one
@@ -339,15 +339,6 @@ def _cloud_seeds(cloud: tuple[np.ndarray, np.ndarray], targets: np.ndarray) -> n
     return cloud_z[_nearest(cloud_f, targets)]
 
 
-def _lattice_step(nx: int, ny: int) -> int:
-    """S = 2**L, the largest power of two up to 2**MAX_LEVELS that divides
-    both nx - 1 and ny - 1: the coarse lattice is every S-th row and column."""
-    step = 2**MAX_LEVELS
-    while (nx - 1) % step or (ny - 1) % step:
-        step //= 2
-    return step
-
-
 def _march_columns(pair, targets, zeta, ok, cloud) -> int:
     """Solve a lattice column by column, writing into zeta and ok; returns the
     residual evaluations.
@@ -421,19 +412,24 @@ def _march(pair: WeierstrassPair, xs: np.ndarray, ys: np.ndarray,
     """Invert f once at every node of the grid xs x ys; returns (zeta, ok) of
     shape (ny, nx) and the number of residuals evaluated.
 
-    ``_march_columns`` solves the coarse lattice (``_lattice_step``), or
-    ``coarse``, the field at twice the spacing, hands it over.  Each finer
-    level, at half the spacing s, takes two whole-lattice passes of
+    ``_march_columns`` solves the coarse lattice of every S-th row and
+    column, S the largest power of two up to 2**MAX_LEVELS below both nx and
+    ny, or ``coarse``, the field at twice the spacing, hands it over.  Each
+    finer level, at half the spacing s, takes two whole-lattice passes of
     ``_fill_odd_columns``: the new columns on the solved rows, then the new
-    rows on every column of the level.  The cloud covers the grid's own
-    extent, so the grid alone fixes every bit of the result.  An iterate
-    that overflows or degenerates is a node that fails, not an error.
+    rows on every column of the level.  A level's last new row or column
+    may have no solved one beyond it, and takes one-sided seeds.  The cloud
+    covers the grid's own extent, so the grid alone fixes every bit of the
+    result.  An iterate that overflows or degenerates is a node that fails,
+    not an error.
     """
     nx, ny = xs.size, ys.size
     targets = xs[None, :] + 1j * ys[:, None]
     zeta = np.full((ny, nx), np.nan, dtype=complex)
     ok = np.zeros((ny, nx), dtype=bool)
-    step = _lattice_step(nx, ny) if coarse is None else 2
+    step = 2**MAX_LEVELS if coarse is None else 2
+    while coarse is None and step > 1 and step >= min(nx, ny):
+        step //= 2
     with np.errstate(all="ignore"):
         cloud = _forward_cloud(pair, ((xs[0], xs[-1]), (ys[0], ys[-1])))
         lattice = np.s_[::step, ::step]

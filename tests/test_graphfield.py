@@ -604,6 +604,8 @@ MASKED_WINDOW = ((-3.0, 3.0), (-2.0, 2.0))
 EDGE_SEED_WINDOW = ((-2.0, -0.25), (-0.5, 0.5))
 #: for the planar pair at h = 1/16 the middle column misses D
 PLANAR_MISS_WINDOW = ((-4.0, 0.0), (2.0, 5.0))
+#: 82 x 130 nodes at h = 1/32: neither nx - 1 nor ny - 1 is a multiple of 8
+RAGGED_WINDOW = ((0.5, 3.03), (-2.0, 2.04))
 
 
 def _count_newton_targets(monkeypatch) -> list[int]:
@@ -627,6 +629,8 @@ _MARCHES = {
     "edge-seed": (lw_family(1.5), EDGE_SEED_WINDOW, 1.0 / 16.0),
     "anchor-zero": (build_pair(ANCHOR_ZERO_SPEC), WINDOW, 1.0 / 8.0),
     "planar-miss": (planar_pair(2.0, 2.0), PLANAR_MISS_WINDOW, 1.0 / 16.0),
+    "ragged": (lw_family(1.5), RAGGED_WINDOW, 1.0 / 32.0),
+    "h0.05": (lw_family(1.5), WINDOW, 0.05),  # 51 x 81 nodes
 }
 #: The marches whose field, refined to half the spacing, is checked too: the
 #: column march at h/2 costs 1.3-1.7 s on the masked and planar-miss windows.
@@ -698,7 +702,7 @@ class TestBatchedMarch:
         assert np.all(residual <= ROUNDING_ULPS * EPS * _rounding_scale(pair, zeta, targets))
 
     @pytest.mark.parametrize("window", [
-        ((0.5, 3.03), (-2.0, 2.04)), ((0.5, 1.1625), (-0.5, 0.1625)),
+        RAGGED_WINDOW, ((0.5, 1.1625), (-0.5, 0.1625)),
     ], ids=["even-rows", "wider-coarse"])
     def test_refines_a_rounded_window(self, lw15, window):
         # h = 1/16 and 1/32 give 41 x 66 and 82 x 130 nodes on the first window,
@@ -790,11 +794,15 @@ class TestBatchedMarch:
         assert u[field.mask].tobytes() == field.values[field.mask].tobytes()
         assert laplacian(field).zeta is None  # a derived field has no preimages
 
-    @pytest.mark.parametrize("spacing, per_node, refined", [
-        (1.0 / 32.0, 1.9, False), (1.0 / 64.0, 1.4, False), (1.0 / 64.0, 0.9, True),
-    ], ids=["h32", "h64", "h64-refined"])
-    def test_evaluations_per_node(self, lw15, field64, spacing, per_node, refined, monkeypatch):
-        coarse = reconstruct_u(lw15, WINDOW, 2.0 * spacing) if refined else None
+    @pytest.mark.parametrize("window, spacing, per_node, refined", [
+        (WINDOW, 1.0 / 32.0, 1.9, False), (WINDOW, 1.0 / 64.0, 1.4, False),
+        (WINDOW, 1.0 / 64.0, 0.9, True), (RAGGED_WINDOW, 1.0 / 32.0, 2.0, False),
+    ], ids=["h32", "h64", "h64-refined", "ragged"])
+    def test_evaluations_per_node(self, lw15, field64, window, spacing, per_node, refined,
+                                  monkeypatch):
+        # the ragged grid takes the level march too: 1.85 residuals per node,
+        # where marching every column took 4.0
+        coarse = reconstruct_u(lw15, window, 2.0 * spacing) if refined else None
         sizes = []
         newton = graphfield._newton_batch
 
@@ -804,7 +812,7 @@ class TestBatchedMarch:
             return z, ok, evaluations
 
         monkeypatch.setattr(graphfield, "_newton_batch", counting)
-        field = reconstruct_u(lw15, WINDOW, spacing, coarse)
+        field = reconstruct_u(lw15, window, spacing, coarse)
         assert field.stats.evaluations == sum(sizes)
         assert field.stats.evaluations <= per_node * field.stats.attempted
         if refined:  # 34,552 residuals, against 54,511 from scratch
