@@ -58,8 +58,8 @@ from .weierstrass import WeierstrassPair, g_value
 Window = tuple[tuple[float, float], tuple[float, float]]
 
 #: reconstruct_u, and `verify` before any check, refuse larger grids.  A
-#: `reconstruct` run peaks at about 205 bytes per node (61 MiB at h = 1/128,
-#: 158 MiB at h = 1/256 on the default window), so the cap is about 3.2 GiB.
+#: `reconstruct` run peaks at about 140 bytes per node (52 MiB at h = 1/128,
+#: 117 MiB at h = 1/256 on the default window), so the cap is about 2.2 GiB.
 MAX_GRID_NODES = 2**24
 
 #: Newton stops at |f(zeta) - t| <= NEWTON_TOL*(1 + |t|), or fails after
@@ -148,19 +148,19 @@ class ScalarField2D:
         return out
 
     @cached_property
-    def _value_text(self) -> list[list[str]]:
-        """Each nodal value formatted once ("nan" where masked), row by row;
-        shared by both writers."""
-        rows = np.where(self.mask, self.values, np.nan)
-        return [[fmt_float(u) for u in row.tolist()] for row in rows]
+    def _value_text(self) -> list[str]:
+        """Each row's nodal values ("nan" where masked) formatted once, into
+        one space-separated string; shared by both writers.  printf's %.17g
+        is fmt_float's formatter, so the text is the same."""
+        fmt = " ".join(["%.17g"] * self.nx)
+        return [fmt % tuple(row) for row in np.where(self.mask, self.values, np.nan).tolist()]
 
     def to_grid_text(self) -> str:
         header = (
             f"{fmt_float(self.origin[0])} {fmt_float(self.origin[1])} "
             f"{fmt_float(self.spacing)} {self.nx} {self.ny}"
         )
-        rows = [" ".join(row) for row in self._value_text]
-        return header + "\n" + "\n".join(rows) + "\n"
+        return header + "\n" + "\n".join(self._value_text) + "\n"
 
     def to_csv(self) -> str:
         nx = self.nx
@@ -170,7 +170,7 @@ class ScalarField2D:
         rows = ["x,y,u,mask\n"]  # one string per grid row keeps few line objects alive
         for y, row, flags in zip(self.ys().tolist(), self._value_text, self.mask.tolist()):
             line[1::4] = [fmt_float(y) + ","] * nx
-            line[2::4] = row
+            line[2::4] = row.split(" ")
             line[3::4] = [ends[m] for m in flags]
             rows.append("".join(line))
         return "".join(rows)

@@ -430,11 +430,23 @@ def masked_field(lw15):
     return field
 
 
-@pytest.fixture(params=["hand_built", "edge_rows", "one_column", "masked", "solved"])
+def _bit_pattern_field() -> ScalarField2D:
+    """Random float64 bit patterns over every exponent, the non-finite ones
+    masked out."""
+    bits = np.random.default_rng(7).integers(0, 2**64, size=(60, 50), dtype=np.uint64)
+    values = bits.view(np.float64)
+    return ScalarField2D(origin=(-1.5, 2.25), spacing=0.125, nx=50, ny=60,
+                         values=values, mask=np.isfinite(values))
+
+
+@pytest.fixture(params=["hand_built", "edge_rows", "one_column", "bit_patterns", "masked",
+                        "solved"])
 def writer_field(request):
     """A field with no formatted values cached yet."""
     if request.param == "hand_built":
         return _hand_built_field()
+    if request.param == "bit_patterns":
+        return _bit_pattern_field()
     if request.param == "edge_rows":
         return _edge_rows_field()
     if request.param == "one_column":
@@ -464,6 +476,8 @@ class TestFieldWriters:
         )
 
     def test_one_format_call_per_float(self, writer_field, monkeypatch):
+        # each row of values is formatted by one printf, so fmt_float formats
+        # only the header's three floats and the axes
         calls = []
 
         def counting(x):
@@ -473,8 +487,7 @@ class TestFieldWriters:
         monkeypatch.setattr(graphfield, "fmt_float", counting)
         writer_field.to_grid_text()
         writer_field.to_csv()
-        nx, ny = writer_field.nx, writer_field.ny
-        assert len(calls) == nx * ny + nx + ny + 3
+        assert len(calls) == writer_field.nx + writer_field.ny + 3
 
 
 def _reference_newton_batch(pair, targets, guesses, tol, max_iter):
