@@ -34,7 +34,6 @@ acceptance rule and sample set are constants in ``verify`` and ``graphfield``
 
 from __future__ import annotations
 
-import configparser
 from pathlib import Path
 
 from .analytic import AffineMap, AnalyticMap, PowerAffineMap, SumMap
@@ -123,7 +122,7 @@ def build_pair(spec: dict) -> WeierstrassPair:
     raise ParameterError(f"unknown pair kind {kind!r}")
 
 
-def _check_known(parser: configparser.ConfigParser) -> None:
+def _check_known(parser) -> None:
     """Raise one ParameterError that names every unknown section and key."""
     unknown, known = [], {}
     defaults = [parser.default_section] if parser.defaults() else []
@@ -148,6 +147,8 @@ def _check_known(parser: configparser.ConfigParser) -> None:
 def load_config(path: str | Path) -> dict:
     """The [pair] section of the config file, as a ``build_pair`` spec
     (empty, so lw at its default gamma, when the file has no [pair])."""
+    import configparser  # here, so a run without --config does not load it
+
     parser = configparser.ConfigParser()
     try:
         if not parser.read(str(path)):

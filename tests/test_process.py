@@ -63,10 +63,12 @@ def test_command_loads_only_its_modules(tmp_path, argv):
         f"assert main({[*argv, '--out', 'out']!r}) == 0\n"
         "print(sorted(name for name in sys.modules\n"
         "             if name.partition('.')[0] == 'mingraphs' or name.startswith('numpy.polynomial')))\n"
+        "print('configparser' in sys.modules)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_env(False),
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip().splitlines()[-1] == repr(LOADED[argv])
+    # without --config, config.load_config never runs, nor loads configparser
+    assert done.stdout.strip().splitlines()[-2:] == [repr(LOADED[argv]), "False"]
 
 
 #: (CLI arguments, exit status): a pass, a designed failure and a refused input.
