@@ -21,17 +21,17 @@ brute-force nearest point of a coarse forward-evaluated cloud, then columns
 march outward, each row seeded by its neighbor's preimage, the two
 directions in one Newton batch per step.  Each finer level, at half the
 spacing s, is solved in two passes over the whole lattice: first the new
-columns on the solved rows, then the new rows.  A
-new node is seeded by quintic interpolation from its solved neighbors at
-+-s, +-3s and +-5s, else by cubic from those at +-s and +-3s, else linearly
-from those at +-s, else from one of them, else from the nearest cloud
-point.  A pass goes to Newton in blocks of at most NEWTON_BLOCK nodes, so
-its temporaries stay small.  A field keeps its preimages, and one at half
-its spacing may take them as its coarse lattice.  Every node follows its
-own iteration, so neither the blocks nor the rest of a batch change a bit
-of its result.  The march ignores float64 errors that ``cli.main`` raises:
-Newton diverges at nodes outside the image domain, which only have to fail.
-The checks on these fields live in ``verify``.
+columns on the solved rows, then the new rows.  A new node is seeded by
+quintic interpolation from its solved neighbors at +-s, +-3s and +-5s, else
+by cubic from those at +-s and +-3s, else linearly from those at +-s, else
+from one of them, else from the nearest cloud point.  A pass goes to Newton
+in blocks of at most NEWTON_BLOCK nodes, so its temporaries stay small.  A
+field keeps its preimages, and one at half its spacing may take them as its
+coarse lattice.  Every node follows its own iteration, so neither the blocks
+nor the rest of a batch change a bit of its result.  The march ignores
+float64 errors that ``cli.main`` raises: Newton diverges at nodes outside
+the image domain, which only have to fail.  The checks on these fields live
+in ``verify``.
 
 Stencil conventions (all centered, second order):
   * a node is *interior* iff its full 3x3 neighborhood is masked-in;
