@@ -21,9 +21,9 @@ SMALL = ["levelcurves", "--gamma", "1.5", "--levels", "1", "--tau=-1,1,5", "--fo
 
 def test_command_set():
     names = [name for name, _, _ in artifact_set.COMMANDS]
-    assert len(names) == 30 and len(set(names)) == 30
+    assert len(names) == 31 and len(set(names)) == 31
     assert {"reconstruct_masked_g1.5_h64", "reconstruct_edge_g1.5_h32",
-            "reconstruct_ragged_g1.5_h32"} <= set(names)
+            "reconstruct_ragged_g1.5_h32", "reconstruct_thin_g1.5_h20"} <= set(names)
     assert {args[0] for _, args, _ in artifact_set.COMMANDS} == {
         "reconstruct", "verify", "levelcurves", "sweep-gamma"}
     with_config = [(args[:2], config) for _, args, config in artifact_set.COMMANDS

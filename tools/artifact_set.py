@@ -46,7 +46,9 @@ h = (zeta+1)**1.3 + 0.5*(zeta+2)**1.8 with g anchored at zeta = 1, the one
 command whose h is a sum of maps; and ``reconstruct`` on h = (zeta+1)**1e300,
 whose jet overflows float64 while the grid is seeded; and ``reconstruct`` on
 the ragged window x in [0.5, 3.03] x y in [-2, 2.04] at h = 1/32, whose
-82 x 130 nodes leave nx - 1 and ny - 1 odd.  Every command runs, and the
+82 x 130 nodes leave nx - 1 and ny - 1 odd; and ``reconstruct`` on the
+thin window x in [0.5, 3] x y in [0, 0.01] at h = 0.05, a grid of 51 x 1
+nodes.  Every command runs, and the
 set covers exit statuses 0, 1 (``verify all`` near the ends of the family
 fails ``msr``, and planar ``thm2`` fails) and 2.
 
@@ -141,6 +143,9 @@ def _commands() -> list[tuple[str, list[str], str | None]]:
     out.append(("reconstruct_ragged_g1.5_h32",
                 ["reconstruct", "--gamma", "1.5", "--format", "csv",
                  "--grid=0.5,3.03,-2,2.04,0.03125"], None))
+    out.append(("reconstruct_thin_g1.5_h20",
+                ["reconstruct", "--gamma", "1.5", "--format", "csv",
+                 "--grid=0.5,3,0,0.01,0.05"], None))
     return out
 
 
