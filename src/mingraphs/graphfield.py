@@ -14,21 +14,22 @@ iterate is the preimage.  Newton stops within NEWTON_TOL; each converged
 node then takes one more step, with h' of its previous iterate, which
 polishes it to rounding without another complex power.
 
-Each node is inverted once, by levels.  The coarse lattice, every S-th row
-and column (S = 2**L, the largest power of two up to 2**MAX_LEVELS below
-both nx and ny), is marched: its middle column takes its seeds from the
-brute-force nearest point of a coarse forward-evaluated cloud, then columns
-march outward, each row seeded by its neighbor's preimage, the two
-directions in one Newton batch per step.  Each finer level, at half the
-spacing s, is solved in two passes over the whole lattice: first the new
-columns on the solved rows, then the new rows.  A new node is seeded by
-quintic interpolation from its solved neighbors at +-s, +-3s and +-5s, else
-by cubic from those at +-s and +-3s, else linearly from those at +-s, else
-from one of them, else from the nearest cloud point.  A pass goes to Newton
-in blocks of at most NEWTON_BLOCK nodes, so its temporaries stay small.  A
-field keeps its preimages, and one at half its spacing may take them as its
-coarse lattice.  Every node follows its own iteration, so neither the blocks
-nor the rest of a batch change a bit of its result.  The march ignores
+Each node is inverted once, by levels, coarse to fine.  The coarsest
+lattice, every S-th row and column with S the largest power of two below
+max(nx, ny), holds one to four nodes; they are solved in one Newton batch,
+each seeded by the brute-force nearest point of a coarse forward-evaluated
+cloud.  Each finer level, at half the spacing s, is solved in two passes
+over the whole lattice: first the new columns on the solved rows, then the
+new rows.  A new node is seeded by quintic interpolation from its solved
+neighbors at +-s, +-3s and +-5s, else by cubic from those at +-s and +-3s,
+else linearly from those at +-s, else from one of them, else from the
+nearest cloud point.  A pass goes to Newton in blocks of at most
+NEWTON_BLOCK nodes, so its temporaries stay small.  Every node follows its
+own iteration, so neither the blocks nor the rest of a batch change a bit
+of its result.  A field keeps its preimages, and one at half its spacing on
+the same extent may take them as its coarse lattice: its march repeats the
+coarser one on its even nodes, so the refined field is the field from
+scratch, bit for bit.  The march ignores
 float64 errors that ``cli.main`` raises: Newton diverges at nodes outside
 the image domain, which only have to fail.  The checks on these fields live
 in ``verify``.
@@ -66,10 +67,6 @@ MAX_GRID_NODES = 2**24
 #: NEWTON_MAX_ITER iterations.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
-
-#: _march first solves the coarse lattice of every S-th row and column, with
-#: S at most 2**MAX_LEVELS.
-MAX_LEVELS = 3
 
 #: _fill_odd_columns hands Newton at most this many nodes at a time (one
 #: lattice row, where a row is longer): 32 KiB per complex temporary.
@@ -339,34 +336,6 @@ def _cloud_seeds(cloud: tuple[np.ndarray, np.ndarray], targets: np.ndarray) -> n
     return cloud_z[_nearest(cloud_f, targets)]
 
 
-def _march_columns(pair, targets, zeta, ok, cloud) -> int:
-    """Solve a lattice column by column, writing into zeta and ok; returns the
-    residual evaluations.
-
-    The middle column is solved from nearest-cloud seeds, then columns march
-    outward, each row seeded by the preimage of its neighbor toward the
-    middle.  Column mid+d is seeded only from mid+d-1 and column mid-d only
-    from mid-d+1, so both directions share one Newton batch per step; a row
-    whose neighbor failed takes a nearest-cloud seed.
-    """
-    nx = targets.shape[1]
-    mid = nx // 2
-    evaluations = 0
-    for d in range(max(mid + 1, nx - mid)):
-        cols = [i for i in ((mid + d, mid - d) if d else (mid,)) if 0 <= i < nx]
-        # the middle column is its own neighbor, not yet solved
-        prev = [i - int(np.sign(i - mid)) for i in cols]
-        t = targets[:, cols].T
-        guesses = np.where(ok[:, prev], zeta[:, prev], np.nan + 0j).T
-        missing = ~np.isfinite(guesses)
-        if missing.any():
-            guesses[missing] = _cloud_seeds(cloud, t[missing])
-        z, good, n = _newton_batch(pair, t.ravel(), guesses.ravel(), NEWTON_TOL, NEWTON_MAX_ITER)
-        zeta[:, cols], ok[:, cols] = z.reshape(t.shape).T, good.reshape(t.shape).T
-        evaluations += n
-    return evaluations
-
-
 def _fill_odd_columns(pair, targets, zeta, ok, cloud) -> int:
     """Solve the odd columns of a lattice whose even columns are solved,
     writing into zeta and ok; returns the residual evaluations.
@@ -412,29 +381,35 @@ def _march(pair: WeierstrassPair, xs: np.ndarray, ys: np.ndarray,
     """Invert f once at every node of the grid xs x ys; returns (zeta, ok) of
     shape (ny, nx) and the number of residuals evaluated.
 
-    ``_march_columns`` solves the coarse lattice of every S-th row and
-    column, S the largest power of two up to 2**MAX_LEVELS below both nx and
-    ny, or ``coarse``, the field at twice the spacing, hands it over.  Each
-    finer level, at half the spacing s, takes two whole-lattice passes of
-    ``_fill_odd_columns``: the new columns on the solved rows, then the new
-    rows on every column of the level.  A level's last new row or column
-    may have no solved one beyond it, and takes one-sided seeds.  The cloud
-    covers the grid's own extent, so the grid alone fixes every bit of the
-    result.  An iterate that overflows or degenerates is a node that fails,
-    not an error.
+    One Newton batch from cloud seeds solves the coarsest lattice, every
+    S-th row and column with S the largest power of two below max(nx, ny),
+    or ``coarse``, the field at twice the spacing, hands over the lattice of
+    every other row and column.  Each finer level, at half the spacing s,
+    takes two whole-lattice passes of ``_fill_odd_columns``: the new columns
+    on the solved rows, then the new rows on every column of the level.  A
+    level's last new row or column may have no solved one beyond it, and
+    takes one-sided seeds.  The cloud covers the grid's own extent, so the
+    grid alone fixes every bit of the result.  Halving the spacing on the
+    same extent doubles S, so the march at h/2 solves the march at h on its
+    even nodes, and ``coarse`` only saves that work.  An iterate that
+    overflows or degenerates is a node that fails, not an error.
     """
     nx, ny = xs.size, ys.size
     targets = xs[None, :] + 1j * ys[:, None]
     zeta = np.full((ny, nx), np.nan, dtype=complex)
     ok = np.zeros((ny, nx), dtype=bool)
-    step = 2**MAX_LEVELS if coarse is None else 2
-    while coarse is None and step > 1 and step >= min(nx, ny):
-        step //= 2
+    step = 1 if coarse is None else 2
+    while coarse is None and 2 * step < max(nx, ny):
+        step *= 2
     with np.errstate(all="ignore"):
         cloud = _forward_cloud(pair, ((xs[0], xs[-1]), (ys[0], ys[-1])))
         lattice = np.s_[::step, ::step]
-        if coarse is None:
-            evaluations = _march_columns(pair, targets[lattice], zeta[lattice], ok[lattice], cloud)
+        if coarse is None:  # one to four nodes, seeded from the cloud
+            t = targets[lattice].ravel()
+            z, good, evaluations = _newton_batch(pair, t, _cloud_seeds(cloud, t),
+                                                 NEWTON_TOL, NEWTON_MAX_ITER)
+            shape = zeta[lattice].shape
+            zeta[lattice], ok[lattice] = z.reshape(shape), good.reshape(shape)
         else:  # its nodes are the even ones, bit for bit, and maybe a row or column more
             cut = np.s_[:(ny + 1) // 2, :(nx + 1) // 2]
             zeta[lattice], ok[lattice] = coarse.zeta[cut], coarse.mask[cut]

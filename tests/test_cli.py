@@ -264,26 +264,34 @@ class TestVerifyCommand:
         from mingraphs import graphfield
 
         reconstruct, seen, fields = graphfield.reconstruct_u, [], []
-        march_columns, lattices = graphfield._march_columns, []
+        cloud_seeds, seeded = graphfield._cloud_seeds, []
+        newton, lattices = graphfield._newton_batch, []
 
         def spy(pair, window, spacing, coarse=None):
             seen.append((spacing, coarse))
             fields.append(reconstruct(pair, window, spacing, coarse))
             return fields[-1]
 
-        def counting(pair, targets, *args):
-            lattices.append(targets.shape)
-            return march_columns(pair, targets, *args)
+        def seeds(cloud, targets):
+            seeded.append(cloud_seeds(cloud, targets))
+            return seeded[-1]
+
+        def counting(pair, targets, guesses, *args):
+            if seeded and guesses is seeded[-1]:  # a batch seeded wholly from the cloud
+                lattices.append(targets.size)
+            return newton(pair, targets, guesses, *args)
 
         monkeypatch.setattr(graphfield, "reconstruct_u", spy)
-        monkeypatch.setattr(graphfield, "_march_columns", counting)
+        monkeypatch.setattr(graphfield, "_cloud_seeds", seeds)
+        monkeypatch.setattr(graphfield, "_newton_batch", counting)
         assert run("verify", check, "--gamma", "1.5", "--out", str(tmp_path / "out"),
                    "--grid", "0.5,3,-2,2,0.0625") == 0
         assert [spacing for spacing, _ in seen] == spacings
         # the h/2 call is handed the very field that the h call returned, so
-        # only the h field's coarse lattice is marched column by column
+        # only the h field solves a coarsest lattice from cloud seeds: every
+        # 64th row and column of 41 x 65 nodes, 1 x 2 of them
         assert [coarse for _, coarse in seen] == [None, *fields][:len(spacings)]
-        assert len(lattices) == min(len(spacings), 1)
+        assert lattices == [2] * min(len(spacings), 1)
 
     def test_sample_grid_cannot_be_shrunk(self, tmp_path, capsys):
         # the fixed grid finds the non-concave boundary; a [verify] section that

@@ -619,6 +619,10 @@ EDGE_SEED_WINDOW = ((-2.0, -0.25), (-0.5, 0.5))
 PLANAR_MISS_WINDOW = ((-4.0, 0.0), (2.0, 5.0))
 #: 82 x 130 nodes at h = 1/32: neither nx - 1 nor ny - 1 is a multiple of 8
 RAGGED_WINDOW = ((0.5, 3.03), (-2.0, 2.04))
+#: 51 x 1 nodes at h = 0.05
+THIN_ROW_WINDOW = ((0.5, 3.0), (0.0, 0.01))
+#: 1 x 81 nodes at h = 0.05
+THIN_COLUMN_WINDOW = ((1.0, 1.01), (-2.0, 2.0))
 
 
 def _count_newton_targets(monkeypatch) -> list[int]:
@@ -644,6 +648,8 @@ _MARCHES = {
     "planar-miss": (planar_pair(2.0, 2.0), PLANAR_MISS_WINDOW, 1.0 / 16.0),
     "ragged": (lw_family(1.5), RAGGED_WINDOW, 1.0 / 32.0),
     "h0.05": (lw_family(1.5), WINDOW, 0.05),  # 51 x 81 nodes
+    "thin-row": (lw_family(1.5), THIN_ROW_WINDOW, 0.05),
+    "thin-column": (lw_family(1.5), THIN_COLUMN_WINDOW, 0.05),
 }
 #: The marches whose field, refined to half the spacing, is checked too: the
 #: column march at h/2 costs 1.3-1.7 s on the masked and planar-miss windows.
@@ -680,11 +686,11 @@ EPS = np.finfo(float).eps
 
 
 class TestBatchedMarch:
-    """The march by levels (a coarse lattice marched column by column, then
-    each finer level in whole-lattice Newton batches, every converged node
-    polished once) against the column march it replaced: the same mask and
-    counts, and values within rounding of that march's preimages after one
-    more Newton step."""
+    """The march by levels (the coarsest lattice, one to four nodes, solved
+    from cloud seeds, then each finer level in whole-lattice Newton batches,
+    every converged node polished once) against the column march it
+    replaced: the same mask and counts, and values within rounding of that
+    march's preimages after one more Newton step."""
 
     @MARCH_CASES
     def test_same_bits_as_one_batch_per_column(self, name, refined):
@@ -713,6 +719,26 @@ class TestBatchedMarch:
         targets = (field.xs()[None, :] + 1j * field.ys()[:, None])[field.mask]
         residual = np.abs(pair.h.jet(zeta).v + np.conj(g_value(pair, zeta)) - targets)
         assert np.all(residual <= ROUNDING_ULPS * EPS * _rounding_scale(pair, zeta, targets))
+
+    @pytest.mark.parametrize("name", [*_REFINED, "lw1.000001"])
+    def test_refined_field_is_the_field_from_scratch(self, name):
+        # the h/2 march solves the h march's lattices on its even nodes, so a
+        # refined field is the h/2 field from scratch bit for bit, and saves
+        # exactly the h field's residuals; at lw(1.000001), where Newton's stop
+        # bound lies below f's rounding, a coarse lattice marched column by
+        # column left 1,949 of 10,449 mask bits different
+        if name in _REFINED:
+            pair, coarse, field, _ = _march_case(name, True)
+            _, window, spacing = _MARCHES[name]
+        else:
+            pair, window, spacing = lw_family(1.000001), WINDOW, 1.0 / 16.0
+            coarse = reconstruct_u(pair, window, spacing)
+            field = reconstruct_u(pair, window, spacing / 2.0, coarse)
+        scratch = reconstruct_u(pair, window, spacing / 2.0)
+        assert (field.nx, field.ny) == (2 * coarse.nx - 1, 2 * coarse.ny - 1)
+        assert field.mask.tobytes() == scratch.mask.tobytes()
+        assert field.zeta.tobytes() == scratch.zeta.tobytes()
+        assert scratch.stats.evaluations == field.stats.evaluations + coarse.stats.evaluations
 
     @pytest.mark.parametrize("window", [
         RAGGED_WINDOW, ((0.5, 1.1625), (-0.5, 0.1625)),
@@ -757,9 +783,11 @@ class TestBatchedMarch:
         field = reconstruct_u(lw15, MASKED_WINDOW, 1.0 / 32.0)
         assert 0 < field.stats.failed < field.stats.attempted
         assert len(nearest_sizes) > 1  # nodes without a solved neighbor took cloud seeds
-        # the coarse lattice (every 8th row and column) marches two columns at a
-        # time; each level pass hands Newton at most a block's worth of rows
-        assert newton_sizes[0] == (field.ny - 1) // 8 + 1
+        # the coarsest lattice, every 128th row and column of 193 x 129 nodes, is
+        # its 2 x 2 corners, solved in one batch from cloud seeds; each level
+        # pass hands Newton at most a block's worth of rows
+        assert (field.nx, field.ny) == (193, 129)
+        assert newton_sizes[0] == nearest_sizes[0] == 4
         assert max(newton_sizes) <= graphfield.NEWTON_BLOCK
 
     def test_edge_seed_window(self, lw15):
@@ -771,13 +799,16 @@ class TestBatchedMarch:
         calls = _count_newton_targets(monkeypatch)
         field = reconstruct_u(lw15, WINDOW, 1.0 / 32.0)
         assert (field.nx, field.ny) == (81, 129) and field.stats.failed == 0
-        # the 11 x 17 lattice: its middle column, then 5 steps of two columns;
-        # then levels s = 4, 2, 1, two passes each, whose last two go to Newton
-        # in blocks of whole rows of at most NEWTON_BLOCK = 2048 nodes (40 and
-        # 64 nodes a row); the column march took 41 batches
+        # the coarsest lattice, every 128th row and column: 2 x 1 nodes; then
+        # levels s = 64, 32, ..., 1, two passes each, the new columns on the
+        # solved rows (rows x new columns) and the new rows (columns x new
+        # rows); the last two go to Newton in blocks of whole rows of at most
+        # NEWTON_BLOCK = 2048 nodes (40 and 64 nodes a row); the column march
+        # of an 8th-row lattice took 15 batches, and of every column 41
         assert graphfield.NEWTON_BLOCK == 2048
-        assert calls == [17] + [34] * 5 + [17 * 10, 21 * 16, 33 * 20, 41 * 32] \
-            + [51 * 40, 14 * 40] + [32 * 64] * 2 + [17 * 64]
+        assert calls == [2] + [2 * 1, 2 * 1, 3 * 1, 3 * 2, 5 * 3, 6 * 4, 9 * 5, 11 * 8] \
+            + [17 * 10, 21 * 16, 33 * 20, 41 * 32] + [51 * 40, 14 * 40] + [32 * 64] * 2 \
+            + [17 * 64]
         assert sum(calls) == field.nx * field.ny
 
     @pytest.mark.parametrize("window, spacing", [
@@ -810,11 +841,12 @@ class TestBatchedMarch:
     @pytest.mark.parametrize("window, spacing, per_node, refined", [
         (WINDOW, 1.0 / 32.0, 1.9, False), (WINDOW, 1.0 / 64.0, 1.4, False),
         (WINDOW, 1.0 / 64.0, 0.9, True), (RAGGED_WINDOW, 1.0 / 32.0, 2.0, False),
-    ], ids=["h32", "h64", "h64-refined", "ragged"])
+        (THIN_ROW_WINDOW, 0.05, 2.6, False),
+    ], ids=["h32", "h64", "h64-refined", "ragged", "thin"])
     def test_evaluations_per_node(self, lw15, field64, window, spacing, per_node, refined,
                                   monkeypatch):
-        # the ragged grid takes the level march too: 1.85 residuals per node,
-        # where marching every column took 4.0
+        # the ragged and the thin grids take the level march too: 1.85 and 2.5
+        # residuals per node, where marching every column took 4.0
         coarse = reconstruct_u(lw15, window, 2.0 * spacing) if refined else None
         sizes = []
         newton = graphfield._newton_batch
@@ -828,7 +860,7 @@ class TestBatchedMarch:
         field = reconstruct_u(lw15, window, spacing, coarse)
         assert field.stats.evaluations == sum(sizes)
         assert field.stats.evaluations <= per_node * field.stats.attempted
-        if refined:  # 34,552 residuals, against 54,511 from scratch
+        if refined:  # 34,552 residuals, against 53,396 from scratch
             assert field.stats.evaluations <= 0.7 * field64.stats.evaluations
 
 
