@@ -29,10 +29,9 @@ own iteration, so neither the blocks nor the rest of a batch change a bit
 of its result.  A field keeps its preimages, and one at half its spacing on
 the same extent may take them as its coarse lattice: its march repeats the
 coarser one on its even nodes, so the refined field is the field from
-scratch, bit for bit.  The march ignores
-float64 errors that ``cli.main`` raises: Newton diverges at nodes outside
-the image domain, which only have to fail.  The checks on these fields live
-in ``verify``.
+scratch, bit for bit.  The march ignores float64 errors that ``cli.main``
+raises: Newton diverges at nodes outside the image domain, which only have
+to fail.  The checks on these fields live in ``verify``.
 
 Stencil conventions (all centered, second order):
   * a node is *interior* iff its full 3x3 neighborhood is masked-in;
@@ -405,11 +404,10 @@ def _march(pair: WeierstrassPair, xs: np.ndarray, ys: np.ndarray,
         cloud = _forward_cloud(pair, ((xs[0], xs[-1]), (ys[0], ys[-1])))
         lattice = np.s_[::step, ::step]
         if coarse is None:  # one to four nodes, seeded from the cloud
-            t = targets[lattice].ravel()
-            z, good, evaluations = _newton_batch(pair, t, _cloud_seeds(cloud, t),
+            t = targets[lattice]
+            z, good, evaluations = _newton_batch(pair, t.ravel(), _cloud_seeds(cloud, t.ravel()),
                                                  NEWTON_TOL, NEWTON_MAX_ITER)
-            shape = zeta[lattice].shape
-            zeta[lattice], ok[lattice] = z.reshape(shape), good.reshape(shape)
+            zeta[lattice], ok[lattice] = z.reshape(t.shape), good.reshape(t.shape)
         else:  # its nodes are the even ones, bit for bit, and maybe a row or column more
             cut = np.s_[:(ny + 1) // 2, :(nx + 1) // 2]
             zeta[lattice], ok[lattice] = coarse.zeta[cut], coarse.mask[cut]

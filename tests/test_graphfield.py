@@ -613,7 +613,7 @@ ANCHOR_ZERO_SPEC = {
 }
 MASKED_WINDOW = ((-3.0, 3.0), (-2.0, 2.0))
 #: only the last two of its 29 columns at h = 1/16 meet D, so the middle
-#: column misses D
+#: column and the coarsest lattice (columns 0 and 16) miss D
 EDGE_SEED_WINDOW = ((-2.0, -0.25), (-0.5, 0.5))
 #: for the planar pair at h = 1/16 the middle column misses D
 PLANAR_MISS_WINDOW = ((-4.0, 0.0), (2.0, 5.0))
@@ -724,9 +724,9 @@ class TestBatchedMarch:
     def test_refined_field_is_the_field_from_scratch(self, name):
         # the h/2 march solves the h march's lattices on its even nodes, so a
         # refined field is the h/2 field from scratch bit for bit, and saves
-        # exactly the h field's residuals; at lw(1.000001), where Newton's stop
-        # bound lies below f's rounding, a coarse lattice marched column by
-        # column left 1,949 of 10,449 mask bits different
+        # exactly the h field's residuals; at lw(1.000001) Newton's stop bound
+        # lies below f's rounding, so any other seed for a node shows in the
+        # mask
         if name in _REFINED:
             pair, coarse, field, _ = _march_case(name, True)
             _, window, spacing = _MARCHES[name]
@@ -803,8 +803,7 @@ class TestBatchedMarch:
         # levels s = 64, 32, ..., 1, two passes each, the new columns on the
         # solved rows (rows x new columns) and the new rows (columns x new
         # rows); the last two go to Newton in blocks of whole rows of at most
-        # NEWTON_BLOCK = 2048 nodes (40 and 64 nodes a row); the column march
-        # of an 8th-row lattice took 15 batches, and of every column 41
+        # NEWTON_BLOCK = 2048 nodes (40 and 64 nodes a row)
         assert graphfield.NEWTON_BLOCK == 2048
         assert calls == [2] + [2 * 1, 2 * 1, 3 * 1, 3 * 2, 5 * 3, 6 * 4, 9 * 5, 11 * 8] \
             + [17 * 10, 21 * 16, 33 * 20, 41 * 32] + [51 * 40, 14 * 40] + [32 * 64] * 2 \
