@@ -23,8 +23,8 @@ _EXPORTS = {
         "reconstruct_u", "residual_convergence_order",
     ),
     "levels": (
-        "HeightRecord", "LevelCurve", "LevelCurveSpec", "boundary_trace", "curvature_generic",
-        "sample_level_curve", "sigma_for_level",
+        "HeightRecord", "LevelCurve", "LevelCurveSpec", "boundary_trace", "sample_level_curve",
+        "sigma_for_level",
     ),
     "verify": (
         "Admitted", "BoundaryArgumentData", "SampleGrid", "VerificationReport", "admit",
@@ -32,8 +32,8 @@ _EXPORTS = {
         "verify_poisson", "verify_scaling", "verify_thm1", "verify_thm2",
     ),
     "weierstrass": (
-        "SurfacePoint", "WeierstrassPair", "eval_surface", "g_prime", "g_value",
-        "lw_family", "planar_pair", "scale_solution",
+        "WeierstrassPair", "g_prime", "g_value", "lw_family", "planar_pair",
+        "scale_solution",
     ),
 }
 

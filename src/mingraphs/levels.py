@@ -27,8 +27,10 @@ in the test suite rather than assumed.
 The tau-partials, kappa and kappa1 are read from a ``HeightRecord``: h at
 a point set from one evaluation, shared by a level's columns and by the
 sampled checks in ``verify``.  A sampled curve is one ``LevelCurve``, with
-an array per export column.  The finite-difference curvature oracle that
-checks the closed form lives with the tests, in ``tests/oracles.py``.
+an array per export column; its kappa is the closed form, evaluated once.
+The generic turning-rate formula and the finite-difference curvature
+oracle, which check the closed form, live with the tests, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .analytic import Jet2, log_derivative
-from .errors import ParameterError, SingularityError
+from .errors import ParameterError
 from .serialize import NON_FINITE_TEXT, fmt_float, json_number
 from .weierstrass import WeierstrassPair, g_value
 
@@ -109,14 +111,6 @@ def sigma_for_level(pair: WeierstrassPair, c: float) -> float:
     return c / pair.k0
 
 
-def curvature_generic(x_tau, y_tau, x_tautau, y_tautau):
-    """Turning rate d(phi)/ds from first and second parameter derivatives."""
-    speed_sq = x_tau * x_tau + y_tau * y_tau
-    if not np.all(speed_sq > 1e-300):
-        raise SingularityError("degenerate tangent: x_tau^2 + y_tau^2 underflows")
-    return (x_tau * y_tautau - y_tau * x_tautau) / speed_sq**1.5
-
-
 @dataclass(frozen=True, eq=False)
 class HeightRecord:
     """h of a pair at the points ``zeta``: ``at`` evaluates its jet once and
@@ -173,22 +167,16 @@ def _sample(pair: WeierstrassPair, spec: LevelCurveSpec) -> LevelCurve:
     taus = spec.taus()
     zetas = sigma_for_level(pair, spec.c) + 1j * taus
     heights = HeightRecord.at(pair, zetas)
-    f = heights.jet.v + np.conj(g_value(pair, zetas))  # eval_surface's (x, y)
+    f = heights.jet.v + np.conj(g_value(pair, zetas))
     x_tau, y_tau, x_tautau, y_tautau = heights.tau_partials
-    kappa = curvature_generic(x_tau, y_tau, x_tautau, y_tautau)
-    kappa_closed = heights.kappa
     speed = np.sqrt(x_tau**2 + y_tau**2)
     ds = 0.5 * (speed[1:] + speed[:-1]) * np.diff(taus)
-    # closed form is the stored kappa; the generic route must agree and acts
-    # as a free consistency check on every sample
-    if not np.allclose(kappa, kappa_closed, rtol=0.0, atol=1e-9 * (1.0 + np.abs(kappa_closed).max())):
-        raise SingularityError("curvature routes disagree; data likely degenerate")
     return LevelCurve(
         tau=taus, x=f.real, y=f.imag,
         x_tau=x_tau, y_tau=y_tau, x_tautau=x_tautau, y_tautau=y_tautau,
         phi=np.arctan2(y_tau, x_tau),
         s=np.concatenate([[0.0], np.cumsum(ds)]),
-        kappa=kappa_closed,
+        kappa=heights.kappa,
         kappa1=heights.kappa1,
     )
 

@@ -39,15 +39,6 @@ _DILATATION_PROBES = (0.5 + 0.0j, 1.0 + 1.0j, 2.0 - 1.5j, 0.25 + 3.0j, 4.0 + 0.5
 
 
 @dataclass(frozen=True)
-class SurfacePoint:
-    """One point of the graph: domain coordinates (x, y) and the height u >= 0."""
-
-    x: float
-    y: float
-    u: float
-
-
-@dataclass(frozen=True)
 class WeierstrassPair:
     """Analytic map h plus the height slope k0 (and an evaluation path for g).
 
@@ -135,19 +126,6 @@ def g_value(pair: WeierstrassPair, zeta):
         return pair.g.jet(zeta).v
     zeta_a, value_a = pair.g_anchor
     return value_a + _segment_integral(lambda xi: g_prime(pair, xi), complex(zeta_a), zeta)
-
-
-def eval_surface(pair: WeierstrassPair, zeta) -> SurfacePoint:
-    """Map zeta in the closed half-plane to (x, y, u) on the graph.
-
-    (x, y) = f(zeta) = h(zeta) + conj(g(zeta)) and u = k0 * Re(zeta); at
-    sigma = 0 this lands on the boundary curve, where u vanishes exactly.
-    """
-    zeta = np.asarray(zeta, dtype=complex)[()]
-    if not np.all(zeta.real >= 0.0):
-        raise DomainError("eval_surface requires sigma >= 0")
-    f = pair.h.jet(zeta).v + np.conj(g_value(pair, zeta))
-    return SurfacePoint(x=f.real, y=f.imag, u=pair.k0 * zeta.real)
 
 
 def lw_family(gamma: float) -> WeierstrassPair:

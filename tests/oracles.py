@@ -1,9 +1,10 @@
 """Reference computations that only the tests use.
 
 Each recomputes a quantity the package evaluates in closed form by another
-route (finite differences of the surface map, the conjugate form of the
-tau-partials, the boundary's tangent angle at a finite tau, the height as an
-integral of sqrt(h'g'), the Jacobian of f), so a test can compare the two.
+route (the generic turning-rate formula, finite differences of the surface
+map, the conjugate form of the tau-partials, the boundary's tangent angle
+at a finite tau, the height as an integral of sqrt(h'g'), the Jacobian of
+f), so a test can compare the two.
 Two builders make grid fields for tests: a synthetic field from a formula,
 and a field read back from ``field.grid``.
 """
@@ -14,13 +15,21 @@ import numpy as np
 
 from mingraphs.analytic import DERIVATIVE_FLOOR
 from mingraphs.errors import DomainError, ParameterError, SingularityError
-from mingraphs.graphfield import ScalarField2D, Window, _axis
-from mingraphs.levels import HeightRecord, curvature_generic
-from mingraphs.weierstrass import WeierstrassPair, _segment_integral, eval_surface, g_prime
+from mingraphs.graphfield import ScalarField2D, Window, _axis, _f_values
+from mingraphs.levels import HeightRecord
+from mingraphs.weierstrass import WeierstrassPair, _segment_integral, g_prime
 
 
 class OracleToleranceError(RuntimeError):
     """An oracle's own error estimate exceeds the tolerance a test asked for."""
+
+
+def curvature_generic(x_tau, y_tau, x_tautau, y_tautau):
+    """Turning rate d(phi)/ds from first and second parameter derivatives."""
+    speed_sq = x_tau * x_tau + y_tau * y_tau
+    if not np.all(speed_sq > 1e-300):
+        raise SingularityError("degenerate tangent: x_tau^2 + y_tau^2 underflows")
+    return (x_tau * y_tautau - y_tau * x_tautau) / speed_sq**1.5
 
 
 def tau_partials_conjugate_form(pair: WeierstrassPair, zeta):
@@ -52,9 +61,9 @@ def curvature_fd_oracle(
     if sigma0 < 0.0:
         raise ParameterError("sigma0 must be >= 0")
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * step
-    pts = [eval_surface(pair, complex(sigma0, tau + d)) for d in offsets]
-    x = np.array([p.x for p in pts])
-    y = np.array([p.y for p in pts])
+    pts = [_f_values(pair, complex(sigma0, tau + d)) for d in offsets]
+    x = np.array([p.real for p in pts])
+    y = np.array([p.imag for p in pts])
 
     def estimate(idx_lo: int, idx_hi: int, h: float) -> float:
         xt = (x[idx_hi] - x[idx_lo]) / (2.0 * h)

@@ -16,7 +16,6 @@ from mingraphs import (
     F_operator,
     ParameterError,
     ScalarField2D,
-    eval_surface,
     laplacian,
     levelset_curvature_field,
     lw_family,
@@ -115,8 +114,8 @@ class TestInvertF:
         assert ok and zeta == pytest.approx(1.0 + 1.0j)
 
     def test_lw15_round_trip(self, lw15):
-        target = eval_surface(lw15, 1.0 + 0j)
-        zeta, ok = _invert_one(lw15, complex(target.x, target.y), 2.0 + 1.0j)
+        target = graphfield._f_values(lw15, 1.0 + 0j)
+        zeta, ok = _invert_one(lw15, complex(target), 2.0 + 1.0j)
         assert ok and zeta == pytest.approx(1.0 + 0j, abs=1e-12)
 
     def test_lw15_boundary_target(self, lw15):
@@ -174,8 +173,7 @@ class TestReconstruct:
         assert good.sum() >= 0.999 * field32.mask.sum()
         xs, ys = field32.xs(), field32.ys()
         targets = xs[None, :] + 1j * ys[:, None]
-        f_back = eval_surface(lw15, pre[good])
-        err = np.abs(f_back.x + 1j * f_back.y - targets[good])
+        err = np.abs(graphfield._f_values(lw15, pre[good]) - targets[good])
         assert np.max(err) <= 1e-10
 
 

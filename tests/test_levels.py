@@ -15,14 +15,13 @@ from mingraphs import (
     ParameterError,
     SingularityError,
     boundary_trace,
-    curvature_generic,
-    eval_surface,
     lw_family,
     sample_level_curve,
     sigma_for_level,
 )
 from mingraphs import levels, serialize
 from mingraphs.cli import main
+from mingraphs.graphfield import _f_values
 from mingraphs.levels import (
     MAX_LEVEL_SAMPLES,
     SAMPLE_COLUMNS,
@@ -31,7 +30,12 @@ from mingraphs.levels import (
     sample_rows,
 )
 from mingraphs.serialize import fmt_float, to_json
-from oracles import OracleToleranceError, curvature_fd_oracle, tau_partials_conjugate_form
+from oracles import (
+    OracleToleranceError,
+    curvature_fd_oracle,
+    curvature_generic,
+    tau_partials_conjugate_form,
+)
 
 KAPPA_LW15_AT_1 = 1.5 * 2.0**0.5 / (4.5 + 1.0) * 0.25  # = 0.09642365...
 
@@ -77,16 +81,16 @@ class TestTauPartials:
         for zeta in (1.0 + 0j, 0.5 + 1.5j, 2.0 - 1.0j):
             x_tau, y_tau, x_tautau, y_tautau = HeightRecord.at(lw15, zeta).tau_partials
             step = 1e-5  # first differences: truncation and roundoff both tiny
-            up = eval_surface(lw15, zeta + 1j * step)
-            dn = eval_surface(lw15, zeta - 1j * step)
-            assert (up.x - dn.x) / (2 * step) == pytest.approx(x_tau, abs=1e-8)
-            assert (up.y - dn.y) / (2 * step) == pytest.approx(y_tau, abs=1e-8)
+            up = _f_values(lw15, zeta + 1j * step)
+            dn = _f_values(lw15, zeta - 1j * step)
+            assert (up.real - dn.real) / (2 * step) == pytest.approx(x_tau, abs=1e-8)
+            assert (up.imag - dn.imag) / (2 * step) == pytest.approx(y_tau, abs=1e-8)
             step = 1e-3  # second differences: keep roundoff/step^2 below tolerance
-            up = eval_surface(lw15, zeta + 1j * step)
-            dn = eval_surface(lw15, zeta - 1j * step)
-            mid = eval_surface(lw15, zeta)
-            assert (up.x - 2 * mid.x + dn.x) / step**2 == pytest.approx(x_tautau, abs=1e-5)
-            assert (up.y - 2 * mid.y + dn.y) / step**2 == pytest.approx(y_tautau, abs=1e-5)
+            up = _f_values(lw15, zeta + 1j * step)
+            dn = _f_values(lw15, zeta - 1j * step)
+            mid = _f_values(lw15, zeta)
+            assert (up.real - 2 * mid.real + dn.real) / step**2 == pytest.approx(x_tautau, abs=1e-5)
+            assert (up.imag - 2 * mid.imag + dn.imag) / step**2 == pytest.approx(y_tautau, abs=1e-5)
 
 
 class TestCurvature:

