@@ -10,9 +10,10 @@ f by a Newton iteration whose exact 2x2 Jacobian comes from h' and
 g' = -k/h' (Wirtinger derivatives f_zeta = h', f_zetabar = conj(g')), so an
 update solves a*d + b*conj(d) = -r with a = h', b = conj(g').  Univalence
 (|h'| > |g'|) keeps the Jacobian determinant positive, so a converged
-iterate is the preimage.  Newton stops within NEWTON_TOL; each converged
-node then takes one more step, with h' of its previous iterate, which
-polishes it to rounding without another complex power.
+iterate is the preimage.  Newton stops within NEWTON_TOL of the larger of
+1 + |t| and |h| + |g|, the scale of f's own rounding; each converged node
+then takes one more step, with h' at its last iterate, which polishes it
+to rounding.
 
 Each node is inverted once, by levels, coarse to fine.  The coarsest
 lattice, every S-th row and column with S the largest power of two below
@@ -62,8 +63,9 @@ Window = tuple[tuple[float, float], tuple[float, float]]
 #: 117 MiB at h = 1/256 on the default window), so the cap is about 2.2 GiB.
 MAX_GRID_NODES = 2**24
 
-#: Newton stops at |f(zeta) - t| <= NEWTON_TOL*(1 + |t|), or fails after
-#: NEWTON_MAX_ITER iterations.
+#: Newton stops at |f(zeta) - t| <= NEWTON_TOL*max(1 + |t|, |h| + |g|), h and
+#: g at the iterate, so the bound never lies below f's own rounding; or it
+#: fails after NEWTON_MAX_ITER iterations.
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 
@@ -228,14 +230,15 @@ def _newton_batch(pair, targets, guesses, tol: float, max_iter: int):
     """Vectorized Newton inversion of f over the closed half-plane.
 
     Iterates are projected to sigma >= 0 (the search domain); rows whose
-    update degenerates are frozen as failed.  The live rows are kept as
-    compacted arrays (index, iterate, target, tolerance bound, h' at the
-    previous iterate).  A converged row takes one more step, its polish, with
-    h' of its previous iterate (of its first, where it converged at once), so
-    the polish costs no complex power: from within NEWTON_TOL it lands at
-    rounding.  Each node follows its own iteration, whatever else is in the
-    batch (under ``_march``'s errstate).  Returns (zeta, ok, evaluations), the
-    last the number of residuals evaluated, summed over rows.
+    update degenerates are frozen as failed.  A row converges at
+    |f(zeta) - t| <= tol*max(1 + |t|, |h| + |g|), with h and g at its
+    iterate: the residual cannot fall below f's own rounding, which is
+    relative to |h| + |g|.  A converged row takes one more step, its polish,
+    with h' at that iterate, which lands it at rounding.  The live rows are
+    kept as compacted arrays (index, iterate, target, residual).  Each node
+    follows its own iteration, whatever else is in the batch (under
+    ``_march``'s errstate).  Returns (zeta, ok, evaluations), the last the
+    number of residuals evaluated, summed over rows.
     """
     t = np.asarray(targets, dtype=complex)
     z = np.array(guesses, dtype=complex)
@@ -243,37 +246,33 @@ def _newton_batch(pair, targets, guesses, tol: float, max_iter: int):
     ok = np.zeros(t.shape, dtype=bool)
     idx = np.arange(t.size)
     za, ta = z.ravel(), t.ravel()
-    bound = tol * (1.0 + np.abs(ta))
     k = pair.k
     evaluations = 0
-    prev = None
     for _ in range(max_iter):
         if not idx.size:
             break
         evaluations += idx.size
         jet = pair.h.jet(za)
-        r = jet.v + np.conj(g_value(pair, za)) - ta
-        conv = np.abs(r) <= bound
+        g = g_value(pair, za)
+        r = jet.v + np.conj(g) - ta
+        conv = np.abs(r) <= tol * np.maximum(1.0 + np.abs(ta), np.abs(jet.v) + np.abs(g))
+        a = jet.d1
         if conv.any():
-            step = _newton_step((jet.d1 if prev is None else prev)[conv], r[conv], k)
+            step = _newton_step(a[conv], r[conv], k)
             z.flat[idx[conv]] = _into_half_plane(
                 za[conv] + np.where(np.isfinite(step), step, 0.0))
             ok.flat[idx[conv]] = True
             keep = ~conv
-            idx, za, ta, bound, r = idx[keep], za[keep], ta[keep], bound[keep], r[keep]
+            idx, za, ta, r, a = idx[keep], za[keep], ta[keep], r[keep], a[keep]
             if not idx.size:
                 break
-            a = jet.d1[keep]
-        else:
-            a = jet.d1
         delta = _newton_step(a, r, k)
         bad = ~np.isfinite(delta)
         za = _into_half_plane(za + np.where(bad, 0.0, delta))
-        prev = a
         if bad.any():
             z.flat[idx[bad]] = za[bad]
             keep = ~bad
-            idx, za, ta, bound, prev = idx[keep], za[keep], ta[keep], bound[keep], prev[keep]
+            idx, za, ta = idx[keep], za[keep], ta[keep]
     z.flat[idx] = za
     return z, ok, evaluations
 

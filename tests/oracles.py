@@ -4,13 +4,14 @@ Each recomputes a quantity the package evaluates in closed form by another
 route (the generic turning-rate formula, finite differences of the surface
 map, the conjugate form of the tau-partials, the boundary's tangent angle
 at a finite tau, the height as an integral of sqrt(h'g'), the Jacobian of
-f), so a test can compare the two.
+f, the lw family's f in mpmath), so a test can compare the two.
 Two builders make grid fields for tests: a synthetic field from a formula,
 and a field read back from ``field.grid``.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 
 from mingraphs.analytic import DERIVATIVE_FLOOR
@@ -111,6 +112,21 @@ def height_via_integral(pair: WeierstrassPair, zeta: complex) -> float:
 
     integral = _segment_integral(integrand, z0, zeta)
     return float(2.0 * (1j * integral).real)
+
+
+def lw_residual_mpmath(gamma: float, zeta, target, dps: int = 30):
+    """|f(zeta) - target| and |h| + |g| at each zeta for lw(gamma), from the
+    closed form h = (zeta+1)**gamma, g = -(zeta+1)**(2-gamma)/(gamma*(2-gamma))
+    in mpmath at ``dps`` digits; no package code runs."""
+    residuals, scales = [], []
+    with mpmath.workdps(dps):
+        p = mpmath.mpf(gamma)
+        for z, t in zip(np.ravel(zeta).tolist(), np.ravel(target).tolist()):
+            w = mpmath.mpc(z.real, z.imag) + 1
+            h, g = w**p, -w ** (2 - p) / (p * (2 - p))
+            residuals.append(float(abs(h + mpmath.conj(g) - mpmath.mpc(t.real, t.imag))))
+            scales.append(float(abs(h) + abs(g)))
+    return np.array(residuals), np.array(scales)
 
 
 def jacobian_det(pair: WeierstrassPair, zeta):
