@@ -16,11 +16,13 @@ from mingraphs import (
     SingularityError,
     boundary_trace,
     lw_family,
+    planar_pair,
     sample_level_curve,
     sigma_for_level,
 )
 from mingraphs import levels, serialize
 from mingraphs.cli import main
+from mingraphs.config import build_pair
 from mingraphs.graphfield import _f_values
 from mingraphs.levels import (
     MAX_LEVEL_SAMPLES,
@@ -158,6 +160,68 @@ def test_closed_form_against_mpmath(gamma):
                 want = abs(hp) / (abs(hp) ** 2 + pair.k) * mpmath.re(hpp / hp)
                 rel = float(abs((HeightRecord.at(pair, zeta).kappa - want) / want))
             assert rel <= 16 * eps * (1.0 + abs(zeta + 1) / (1.0 + sigma)), (sigma, tau, rel)
+
+
+#: Re h''/h' < 0 on part of the boundary, so D is not concave.
+NON_CONCAVE_SPEC = {
+    "kind": "custom", "k0": "2", "g_anchor": "1:0",
+    "h": "affine slope=2 + power-affine offset=1 exponent=0.6 coeff=-0.3",
+}
+
+
+@pytest.mark.parametrize("pair", [
+    lw_family(1.01), lw_family(1.5), lw_family(1.95), planar_pair(2.0, 2.0),
+    build_pair(NON_CONCAVE_SPEC),
+], ids=["lw1.01", "lw1.5", "lw1.95", "planar", "non-concave"])
+def test_level_speed_never_degenerates(pair):
+    """The level speed hypot(x_tau, y_tau) is |h'| + k/|h'| (within 1.9 ulps
+    here), so it is at least 2 sqrt(k): a tangent cannot degenerate on an
+    admitted pair, and kappa needs no guard for it."""
+    gen = np.random.default_rng(31)
+    zeta = gen.uniform(0.0, 10.0, 2000) + 1j * gen.uniform(-10.0, 10.0, 2000)
+    heights = HeightRecord.at(pair, zeta)
+    x_tau, y_tau, _, _ = heights.tau_partials
+    speed, mag = np.hypot(x_tau, y_tau), np.abs(heights.jet.d1)
+    assert np.all(np.abs(speed - (mag + pair.k / mag)) <= 4 * np.finfo(float).eps * speed)
+    assert np.all(speed >= 2.0 * np.sqrt(pair.k))
+
+
+#: h' = 100 (zeta+1)**99 reaches 8e130 at |tau| = 20, so the cube of the level
+#: speed, which the generic turning-rate formula takes, overflows float64.
+POWER100_CONFIG = (
+    "[pair]\nkind = custom\nk0 = 2\nh = power-affine offset=1 exponent=100\ng_anchor = 1:0\n"
+)
+
+
+def _power100_kappa_mpmath(zeta: complex, k: float) -> float:
+    """The generic turning rate Im(conj(f_tau) f_tautau)/|f_tau|^3 of
+    tau -> f(sigma + i tau) for h = (zeta+1)**100 and g' = -k/h', from
+    h' = 100 (zeta+1)**99 and h'' = 9900 (zeta+1)**98 at 40 digits."""
+    with mpmath.workdps(40):
+        base = mpmath.mpc(zeta.real, zeta.imag) + 1
+        hp, hpp = 100 * base**99, 9900 * base**98
+        f_tau = 1j * (hp + k / mpmath.conj(hp))
+        f_tautau = -hpp - k * mpmath.conj(hpp / hp**2)
+        return float(mpmath.im(mpmath.conj(f_tau) * f_tautau) / abs(f_tau) ** 3)
+
+
+def test_steep_level_writes_finite_columns(tmp_path):
+    """Where |h'| passes 1e102 the closed-form kappa stays finite: every
+    column is written, and kappa is the generic formula's, in mpmath."""
+    config = tmp_path / "run.ini"
+    config.write_text(POWER100_CONFIG)
+    out = tmp_path / "out"
+    assert main(["levelcurves", "--config", str(config), "--levels", "0,1",
+                 "--tau=-20,20,41", "--format", "csv", "--out", str(out)]) == 0
+    tables = {c: np.genfromtxt(out / f"level_{c}.csv", delimiter=",", names=True)
+              for c in (0, 1)}
+    for table in tables.values():
+        assert table.shape == (41,)
+        assert all(np.isfinite(table[name]).all() for name in SAMPLE_COLUMNS)
+    for c, row in ((0, 0), (1, 20), (1, 40)):  # tau = -20, 0 and 20
+        zeta = complex(c / 2.0, tables[c]["tau"][row])
+        want = _power100_kappa_mpmath(zeta, 1.0)
+        assert tables[c]["kappa"][row] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestFdOracle:
