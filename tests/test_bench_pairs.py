@@ -70,9 +70,36 @@ def test_alternating_pairs_and_summary(tmp_path, monkeypatch):
     assert wall["parent"]["iqr"] == pytest.approx(0.2)
     assert wall["median_diff"] == pytest.approx(-0.4)
     assert wall["change_wins"] == 2 and wall["pairs"] == 3 and wall["bound"] == 0.25
+    # the change's IQR is 0.31 of its median, and its 2.5 s run loses to every
+    # parent run
+    assert (wall["claim_met"], wall["regressed"], wall["unresolved"]) == (False, False, True)
     layers = grid["per_layer"]
     assert layers["jet_calls"]["change_wins"] == 1  # lower is better
     assert layers["solve_ratio"]["change_wins"] == 0  # a tie is no win
+
+
+@pytest.mark.parametrize("parent_wall, change_wall, flags", [
+    # every pair won, by a median gain of 0.5 s against a parent IQR of 0.1 s
+    ([2.0, 2.1, 1.9, 2.05, 1.95], [1.5, 1.55, 1.45, 1.5, 1.52], (True, False, False)),
+    # 50 % slower than the parent in every pair, with the bound at 25 %
+    ([1.0, 1.02, 0.98], [1.5, 1.52, 1.48], (False, True, False)),
+    # every pair won, but the 8 % median gain lies within the parent's IQR,
+    # a third of its median: a claim that cannot be told from the noise
+    ([1.0, 1.6, 0.8, 1.2, 1.4], [0.95, 1.5, 0.75, 1.1, 1.3], (False, False, True)),
+], ids=["claim-met", "regressed", "unresolved"])
+def test_acceptance_flags(tmp_path, monkeypatch, capsys, parent_wall, change_wall, flags):
+    log = tmp_path / "order.log"
+    parent = stub_checkout(tmp_path / "parent", "parent", log, parent_wall, 100)
+    change = stub_checkout(tmp_path / "change", "change", log, change_wall, 100)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--pr", "9",
+                             "--seed", "5", "--pairs", "10"]) == 0
+    wall = json.loads((tmp_path / "BENCH_9.json").read_text())["workloads"]["grid"][
+        "end_to_end"]["wall_s"]
+    assert (wall["claim_met"], wall["regressed"], wall["unresolved"]) == flags
+    claim, regressed, unresolved = flags
+    assert (f"claim_met={claim} regressed={regressed} unresolved={unresolved}"
+            in capsys.readouterr().err)
 
 
 def test_failing_run_reports_its_stderr(tmp_path):

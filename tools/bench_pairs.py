@@ -14,7 +14,8 @@ the per-layer metrics.  BENCH_<N>.json, written to the current directory
 after each workload, records per workload and metric each side's values,
 median and interquartile range, and the pairs the change won (by the
 metric's "better" direction), next to the seed, both git SHAs and the
-machine.
+machine.  Each end-to-end metric also gets the acceptance rule's verdict
+(``verdict``): ``claim_met``, ``regressed`` and ``unresolved``.
 
 Only the standard library is used.
 """
@@ -88,6 +89,30 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "values": values}
 
 
+def verdict(entry: dict) -> dict:
+    """The acceptance rule on one metric's summary, with the metric's bound
+    relative to the parent's median.
+
+    ``claim_met``: the change won at least 9 in 10 pairs, and its median is
+    better than the parent's by more than the parent's IQR.  ``regressed``:
+    the change's median is worse than the parent's by more than the bound.
+    ``unresolved``: a side's IQR over its median exceeds the bound, and not
+    every change run beats every parent run.
+    """
+    sign = 1.0 if entry["better"] == "lower" else -1.0  # lower is better in sign * value
+    parent, change = entry["parent"], entry["change"]
+    gain = -sign * entry["median_diff"]
+    spread = max(side["iqr"] / abs(side["median"]) if side["median"] else float("inf")
+                 for side in (parent, change))
+    separated = (max(sign * v for v in change["values"])
+                 < min(sign * v for v in parent["values"]))
+    return {
+        "claim_met": 10 * entry["change_wins"] >= 9 * entry["pairs"] and gain > parent["iqr"],
+        "regressed": -gain > entry["bound"] * abs(parent["median"]),
+        "unresolved": spread > entry["bound"] and not separated,
+    }
+
+
 def summarize(pairs: list[dict], spec: list[dict]) -> dict:
     """Per metric of ``spec``: both sides' spread and the pairs the change won.
 
@@ -107,6 +132,8 @@ def summarize(pairs: list[dict], spec: list[dict]) -> dict:
         entry["median_diff"] = entry["change"]["median"] - entry["parent"]["median"]
         entry["change_wins"] = wins
         entry["pairs"] = len(pairs)
+        if "bound" in metric:
+            entry.update(verdict(entry))
         out[name] = entry
     return out
 
@@ -177,7 +204,9 @@ def main(argv: list[str] | None = None) -> int:
             log(f"{workload} {name}: {metric['parent']['median']:.6g} -> "
                 f"{metric['change']['median']:.6g} {metric['unit']} "
                 f"(parent IQR {metric['parent']['iqr']:.3g}, change won "
-                f"{metric['change_wins']} of {metric['pairs']})")
+                f"{metric['change_wins']} of {metric['pairs']}) "
+                f"claim_met={metric['claim_met']} regressed={metric['regressed']} "
+                f"unresolved={metric['unresolved']}")
 
     print(out)
     return 0
