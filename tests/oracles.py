@@ -62,9 +62,8 @@ def curvature_fd_oracle(
     if sigma0 < 0.0:
         raise ParameterError("sigma0 must be >= 0")
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * step
-    pts = [_f_values(pair, complex(sigma0, tau + d)) for d in offsets]
-    x = np.array([p.real for p in pts])
-    y = np.array([p.imag for p in pts])
+    f = np.array([_f_values(pair, complex(sigma0, tau + d)) for d in offsets])
+    x, y = f.real, f.imag
 
     def estimate(idx_lo: int, idx_hi: int, h: float) -> float:
         xt = (x[idx_hi] - x[idx_lo]) / (2.0 * h)

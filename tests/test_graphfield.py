@@ -863,7 +863,7 @@ class TestBatchedMarch:
 
 class TestStopAtRounding:
     """Newton stops at f's own rounding, NEWTON_TOL*max(1 + |t|, |h| + |g|).
-    Near gamma = 1, |h| and |g| reach about 8e4 on the default window while
+    Near gamma = 1, |h| and |g| reach about 1e5 on the default window while
     |t| stays below 4, so a bound relative to 1 + |t| lies below what f can
     resolve, and nodes inside D failed by the luck of their seeds' rounding."""
 
@@ -881,9 +881,9 @@ class TestStopAtRounding:
 
     def test_solved_nodes_are_preimages(self, field):
         """Negative control on the looser stop: at a fixed sample of the
-        nodes, the 30-digit closed form puts f(zeta) within NEWTON_TOL of
-        |h| + |g| of the node, with zeta in the closed half-plane, so zeta
-        is a preimage and the node lies in D = f(H)."""
+        nodes, the 30-digit closed form gives |f(zeta) - t| <= NEWTON_TOL
+        times |h| + |g|, with zeta in the closed half-plane, so zeta is a
+        preimage and the node lies in D = f(H)."""
         flat = np.linspace(0, field.nx * field.ny - 1, 101).astype(int)
         zeta = field.zeta.ravel()[flat]
         targets = (field.xs()[None, :] + 1j * field.ys()[:, None]).ravel()[flat]
