@@ -102,14 +102,14 @@ def verdict(entry: dict) -> dict:
     sign = 1.0 if entry["better"] == "lower" else -1.0  # lower is better in sign * value
     parent, change = entry["parent"], entry["change"]
     gain = -sign * entry["median_diff"]
-    spread = max(side["iqr"] / abs(side["median"]) if side["median"] else float("inf")
+    widest = max(side["iqr"] / abs(side["median"]) if side["median"] else float("inf")
                  for side in (parent, change))
     separated = (max(sign * v for v in change["values"])
                  < min(sign * v for v in parent["values"]))
     return {
         "claim_met": 10 * entry["change_wins"] >= 9 * entry["pairs"] and gain > parent["iqr"],
         "regressed": -gain > entry["bound"] * abs(parent["median"]),
-        "unresolved": spread > entry["bound"] and not separated,
+        "unresolved": widest > entry["bound"] and not separated,
     }
 
 
