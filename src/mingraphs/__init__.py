@@ -18,9 +18,8 @@ _EXPORTS = {
         "DomainError", "EmptyInteriorError", "ParameterError", "QuadratureError", "SingularityError",
     ),
     "graphfield": (
-        "F_operator", "ResidualReport", "ScalarField2D", "laplacian",
-        "levelset_curvature_field", "msr_residual", "nondivergence_gap", "preimages",
-        "reconstruct_u", "residual_convergence_order",
+        "F_operator", "ScalarField2D", "laplacian", "levelset_curvature_field",
+        "msr_residual", "nondivergence_gap", "preimages", "reconstruct_u",
     ),
     "levels": (
         "HeightRecord", "LevelCurve", "LevelCurveSpec", "boundary_trace", "sample_level_curve",

@@ -1,5 +1,4 @@
-"""Exception types shared across the package.  The boundary's angles at infinity
-are exact (in verify), so no exception reports a limit that did not settle."""
+"""Exception types shared across the package."""
 
 
 class DomainError(ValueError):

@@ -32,7 +32,8 @@ the same extent may take them as its coarse lattice: its march repeats the
 coarser one on its even nodes, so the refined field is the field from
 scratch, bit for bit.  The march ignores float64 errors that ``cli.main``
 raises: Newton diverges at nodes outside the image domain, which only have
-to fail.  The checks on these fields live in ``verify``.
+to fail.  The checks on these fields live in ``verify``, and so do the msr
+rule and its tolerances.
 
 Stencil conventions (all centered, second order):
   * a node is *interior* iff its full 3x3 neighborhood is masked-in;
@@ -80,12 +81,6 @@ NEAREST_BLOCK = 2**15
 #: levelset_curvature_field masks nodes with |grad u| below this.
 GRAD_FLOOR = 1e-8
 
-#: verify.verify_msr passes a field whose max-norm residual falls by a factor in
-#: this range when the spacing halves (second-order convergence), or is at
-#: most MSR_EXACT_TOL at both spacings (a discrete-exact field).
-MSR_RATIO_RANGE = (3.0, 5.0)
-MSR_EXACT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class ReconstructionStats:
@@ -94,8 +89,11 @@ class ReconstructionStats:
 
     attempted: int
     solved: int
-    failed: int
     evaluations: int
+
+    @property
+    def failed(self) -> int:
+        return self.attempted - self.solved
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +108,6 @@ class ScalarField2D:
 
     origin: tuple[float, float]
     spacing: float
-    nx: int
-    ny: int
     values: np.ndarray
     mask: np.ndarray
     zeta: np.ndarray | None = None
@@ -120,10 +116,18 @@ class ScalarField2D:
     def __post_init__(self):
         if self.spacing <= 0.0:
             raise ParameterError("spacing must be positive")
-        if self.values.shape != (self.ny, self.nx) or self.mask.shape != (self.ny, self.nx):
-            raise ParameterError("values/mask shape must be (ny, nx)")
+        if self.values.ndim != 2 or self.mask.shape != self.values.shape:
+            raise ParameterError("values must be 2-D and mask of its shape")
         if not np.all(np.isfinite(self.values[self.mask])):
             raise ParameterError("masked-in nodes must carry finite values")
+
+    @property
+    def nx(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def ny(self) -> int:
+        return self.values.shape[0]
 
     def xs(self) -> np.ndarray:
         return self.origin[0] + self.spacing * np.arange(self.nx)
@@ -174,17 +178,6 @@ class ScalarField2D:
         return "".join(rows)
 
 
-@dataclass
-class ResidualReport:
-    """Residual statistics over interior nodes at one grid spacing."""
-
-    spacing: float
-    max_abs_residual: float
-    l2_residual: float
-    node_count: int
-    convergence_order: float | None = None
-
-
 def _axis_size(rng: tuple[float, float], spacing: float) -> int:
     lo, hi = rng
     if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
@@ -226,12 +219,12 @@ def _into_half_plane(z):
     return np.maximum(z.real, 0.0) + 1j * z.imag
 
 
-def _newton_batch(pair, targets, guesses, tol: float, max_iter: int):
+def _newton_batch(pair, targets, guesses):
     """Vectorized Newton inversion of f over the closed half-plane.
 
     Iterates are projected to sigma >= 0 (the search domain); rows whose
     update degenerates are frozen as failed.  A row converges at
-    |f(zeta) - t| <= tol*max(1 + |t|, |h| + |g|), with h and g at its
+    |f(zeta) - t| <= NEWTON_TOL*max(1 + |t|, |h| + |g|), with h and g at its
     iterate: the residual cannot fall below f's own rounding, which is
     relative to |h| + |g|.  A converged row takes one more step, its polish,
     with h' at that iterate, which lands it at rounding.  The live rows are
@@ -248,14 +241,14 @@ def _newton_batch(pair, targets, guesses, tol: float, max_iter: int):
     za, ta = z.ravel(), t.ravel()
     k = pair.k
     evaluations = 0
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if not idx.size:
             break
         evaluations += idx.size
         jet = pair.h.jet(za)
         g = g_value(pair, za)
         r = jet.v + np.conj(g) - ta
-        conv = np.abs(r) <= tol * np.maximum(1.0 + np.abs(ta), np.abs(jet.v) + np.abs(g))
+        conv = np.abs(r) <= NEWTON_TOL * np.maximum(1.0 + np.abs(ta), np.abs(jet.v) + np.abs(g))
         a = jet.d1
         if conv.any():
             step = _newton_step(a[conv], r[conv], k)
@@ -368,7 +361,7 @@ def _fill_odd_columns(pair, targets, zeta, ok, cloud) -> int:
         missing = ~np.isfinite(guesses)
         if missing.any():
             guesses[missing] = _cloud_seeds(cloud, t[missing])
-        z, good, n = _newton_batch(pair, t.ravel(), guesses.ravel(), NEWTON_TOL, NEWTON_MAX_ITER)
+        z, good, n = _newton_batch(pair, t.ravel(), guesses.ravel())
         zeta[block, 1::2], ok[block, 1::2] = z.reshape(t.shape), good.reshape(t.shape)
         evaluations += n
     return evaluations
@@ -404,8 +397,7 @@ def _march(pair: WeierstrassPair, xs: np.ndarray, ys: np.ndarray,
         lattice = np.s_[::step, ::step]
         if coarse is None:  # one to four nodes, seeded from the cloud
             t = targets[lattice]
-            z, good, evaluations = _newton_batch(pair, t.ravel(), _cloud_seeds(cloud, t.ravel()),
-                                                 NEWTON_TOL, NEWTON_MAX_ITER)
+            z, good, evaluations = _newton_batch(pair, t.ravel(), _cloud_seeds(cloud, t.ravel()))
             zeta[lattice], ok[lattice] = z.reshape(t.shape), good.reshape(t.shape)
         else:  # its nodes are the even ones, bit for bit, and maybe a row or column more
             cut = np.s_[:(ny + 1) // 2, :(nx + 1) // 2]
@@ -439,14 +431,9 @@ def reconstruct_u(pair: WeierstrassPair, window: Window, spacing: float,
     zeta, ok, evaluations = _march(pair, xs, ys, coarse)
     zeta[~ok] = np.nan
     values = pair.k0 * zeta.real
-    stats = ReconstructionStats(
-        attempted=nx * ny, solved=int(ok.sum()), failed=int(nx * ny - ok.sum()),
-        evaluations=evaluations,
-    )
-    return ScalarField2D(
-        origin=(float(xs[0]), float(ys[0])), spacing=float(spacing),
-        nx=nx, ny=ny, values=values, mask=ok, zeta=zeta, stats=stats,
-    )
+    stats = ReconstructionStats(attempted=nx * ny, solved=int(ok.sum()), evaluations=evaluations)
+    return ScalarField2D(origin=(float(xs[0]), float(ys[0])), spacing=float(spacing),
+                         values=values, mask=ok, zeta=zeta, stats=stats)
 
 
 def preimages(pair: WeierstrassPair, field: ScalarField2D) -> np.ndarray:
@@ -481,8 +468,9 @@ def _derived_field(field: ScalarField2D, core_values: np.ndarray,
     return replace(field, values=values, mask=mask, zeta=None, stats=None)
 
 
-def msr_residual(field: ScalarField2D) -> ResidualReport:
-    """Conservative divergence-form residual of the minimal surface equation.
+def msr_residual(field: ScalarField2D) -> float:
+    """Max over interior nodes of the conservative divergence-form residual
+    of the minimal surface equation.
 
     Face gradients use compact centered differences, so the residual is
     discrete-exact (within rounding) on linear fields and second-order
@@ -504,23 +492,7 @@ def msr_residual(field: ScalarField2D) -> ResidualReport:
         res += (flux((s["N"] - s["C"]) / h, (s["E"] + s["NE"] - s["W"] - s["NW"]) / (4 * h))
                 - flux((s["C"] - s["S"]) / h,
                        (s["SE"] + s["E"] - s["SW"] - s["W"]) / (4 * h))) / h
-    vals = res[interior[1:-1, 1:-1]]
-    return ResidualReport(
-        spacing=field.spacing,
-        max_abs_residual=float(np.max(np.abs(vals))),
-        l2_residual=float(np.sqrt(np.mean(vals**2))),
-        node_count=int(vals.size),
-    )
-
-
-def residual_convergence_order(coarse: ResidualReport, fine: ResidualReport) -> float:
-    """Observed order from the max-norm residuals of two refinements."""
-    if fine.spacing >= coarse.spacing:
-        raise ParameterError("fine report must have the smaller spacing")
-    return float(
-        np.log(coarse.max_abs_residual / fine.max_abs_residual)
-        / np.log(coarse.spacing / fine.spacing)
-    )
+    return float(np.max(np.abs(res[interior[1:-1, 1:-1]])))
 
 
 def _first_second(field: ScalarField2D):
@@ -553,10 +525,9 @@ def laplacian(field: ScalarField2D) -> ScalarField2D:
     return _derived_field(field, uxx + uyy, interior)
 
 
-def levelset_curvature_field(field: ScalarField2D, c: float) -> ScalarField2D:
-    """Graph-form level-set curvature F(u-c)/|grad u|^3 (F is shift-invariant,
-    so the level offset c does not change the nodal values, only where they
-    are meaningful).  Nodes with |grad u| below ``GRAD_FLOOR`` are masked."""
+def levelset_curvature_field(field: ScalarField2D) -> ScalarField2D:
+    """Graph-form level-set curvature F/|grad u|^3, at every level at once (F
+    is shift-invariant).  Nodes with |grad u| below ``GRAD_FLOOR`` are masked."""
     interior = _interior_or_raise(field)
     ux, uy, uxx, uyy, uxy = _first_second(field)
     grad = np.sqrt(ux * ux + uy * uy)

@@ -22,15 +22,10 @@ def _ramp(value: float, lo: float, hi: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def level_curves_svg(
-    curves: list[tuple[float, LevelCurve]],
-    boundary: LevelCurve | None = None,
-    title: str = "",
-) -> str:
-    """Render (level, curve) pairs plus an optional boundary trace."""
-    drawn = [curve for _, curve in curves]
-    if boundary is not None:
-        drawn.append(boundary)
+def level_curves_svg(curves: list[tuple[float, LevelCurve]], boundary: LevelCurve,
+                     title: str) -> str:
+    """Render (level, curve) pairs and the boundary trace under a title."""
+    drawn = [curve for _, curve in curves] + [boundary]
     xs = [x for curve in drawn for x in curve.x.tolist()]
     ys = [y for curve in drawn for y in curve.y.tolist()]
     if not xs:
@@ -51,12 +46,9 @@ def level_curves_svg(
         f'viewBox="0 0 {_SIZE} {_SIZE}">',
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_SIZE - 2 * _MARGIN}" '
         f'height="{_SIZE - 2 * _MARGIN}" fill="white" stroke="#444"/>',
+        f'<text x="{_MARGIN}" y="{_MARGIN - 12}" font-size="14" '
+        f'font-family="monospace">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_MARGIN}" y="{_MARGIN - 12}" font-size="14" '
-            f'font-family="monospace">{title}</text>'
-        )
     # axes through the origin when visible
     if x_lo < 0.0 < x_hi:
         px, _ = to_px(0.0, y_lo)
@@ -70,12 +62,11 @@ def level_curves_svg(
             f'<line x1="{_MARGIN}" y1="{py:.2f}" x2="{_SIZE - _MARGIN}" y2="{py:.2f}" '
             'stroke="#bbb" stroke-dasharray="4 4"/>'
         )
-    if boundary is not None:
-        points = " ".join(
-            "{:.3f},{:.3f}".format(*to_px(x, y))
-            for x, y in zip(boundary.x.tolist(), boundary.y.tolist())
-        )
-        parts.append(f'<polyline points="{points}" fill="none" stroke="black" stroke-width="2"/>')
+    points = " ".join(
+        "{:.3f},{:.3f}".format(*to_px(x, y))
+        for x, y in zip(boundary.x.tolist(), boundary.y.tolist())
+    )
+    parts.append(f'<polyline points="{points}" fill="none" stroke="black" stroke-width="2"/>')
     for level, curve in curves:
         pixels = [to_px(x, y) for x, y in zip(curve.x.tolist(), curve.y.tolist())]
         for (x1, y1), (x2, y2), kappa in zip(pixels[:-1], pixels[1:], curve.kappa.tolist()):

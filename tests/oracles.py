@@ -143,8 +143,7 @@ def field_from_function(fn, window: Window, spacing: float) -> ScalarField2D:
     values = np.asarray(fn(xs[None, :], ys[:, None]), dtype=float)
     values = np.broadcast_to(values, (len(ys), len(xs))).copy()
     return ScalarField2D(
-        origin=(float(xs[0]), float(ys[0])), spacing=float(spacing),
-        nx=len(xs), ny=len(ys), values=values,
+        origin=(float(xs[0]), float(ys[0])), spacing=float(spacing), values=values,
         mask=np.ones((len(ys), len(xs)), dtype=bool),
     )
 
@@ -159,4 +158,4 @@ def field_from_grid_text(text: str) -> ScalarField2D:
         raise ParameterError("grid body does not match header dimensions")
     mask = np.isfinite(values)
     return ScalarField2D(origin=(float(x0), float(y0)), spacing=float(h),
-                         nx=nx, ny=ny, values=values, mask=mask)
+                         values=values, mask=mask)

@@ -119,7 +119,7 @@ class TestConfig:
         assert set(tolerances) == {
             "verify.THM1_TOL", "verify.LEMMA2_FAMILY_TOL", "verify.POISSON_VALUE_TOL",
             "verify.POISSON_AGREEMENT_TOL", "verify.SCALING_TOL", "verify.DISK_TOL",
-            "graphfield.MSR_EXACT_TOL",
+            "verify.MSR_EXACT_TOL",
         }
         for constant, (value, *_) in tolerances.items():
             module, name = constant.split(".")
@@ -234,7 +234,7 @@ class TestVerifyCommand:
         assert parsed["empirical_constant"] <= 1e-10
 
     def test_report_tolerances_are_the_module_constants(self, tmp_path):
-        from mingraphs import graphfield, verify
+        from mingraphs import verify
 
         fixed = {  # report -> (its module constant, the value it must keep)
             "curvature_bound": (verify.THM1_TOL, 1e-9),
@@ -244,7 +244,7 @@ class TestVerifyCommand:
             "scaling_law": (verify.SCALING_TOL, 1e-10),
             "disk_transfer": (verify.DISK_TOL, 1e-9),
             "superharmonicity": (0.0, 0.0),
-            "msr_residual": (graphfield.MSR_EXACT_TOL, 1e-10),
+            "msr_residual": (verify.MSR_EXACT_TOL, 1e-10),
         }
         assert verify.POISSON_AGREEMENT_TOL == 2e-4
         out = tmp_path / "out"
@@ -276,10 +276,10 @@ class TestVerifyCommand:
             seeded.append(cloud_seeds(cloud, targets))
             return seeded[-1]
 
-        def counting(pair, targets, guesses, *args):
+        def counting(pair, targets, guesses):
             if seeded and guesses is seeded[-1]:  # a batch seeded wholly from the cloud
                 lattices.append(targets.size)
-            return newton(pair, targets, guesses, *args)
+            return newton(pair, targets, guesses)
 
         monkeypatch.setattr(graphfield, "reconstruct_u", spy)
         monkeypatch.setattr(graphfield, "_cloud_seeds", seeds)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from mingraphs import analytic
+from mingraphs import analytic, graphfield
 from mingraphs.analytic import AffineMap, AnalyticMap, Jet2, PowerAffineMap, ScaledMap, SumMap
 from mingraphs.errors import DomainError, ParameterError
 from mingraphs.graphfield import _newton_batch, reconstruct_u
@@ -132,11 +132,12 @@ def power_count(monkeypatch):
 class TestPowerCount:
     # lw15, a session fixture, is built before the counter starts: building a
     # pair with closed-form g probes g'h' = -k, powers these tests do not count.
-    def test_newton_node_iteration_takes_three_powers(self, lw15, power_count):
+    def test_newton_node_iteration_takes_three_powers(self, lw15, power_count, monkeypatch):
         pair = lw15
         xs = np.linspace(0.6, 2.9, 7)
         targets = (xs[None, :] + 1j * np.linspace(-1.9, 1.9, 9)[:, None]).ravel()
-        _newton_batch(pair, targets, np.full(targets.size, 1.0 + 0.5j), 1e-12, max_iter=1)
+        monkeypatch.setattr(graphfield, "NEWTON_MAX_ITER", 1)
+        _newton_batch(pair, targets, np.full(targets.size, 1.0 + 0.5j))
         assert power_count.calls == 3  # h, h' and g; never h'', g', g''
         assert power_count.points == 3 * targets.size
 
