@@ -38,6 +38,8 @@ print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
 
 def stub_checkout(root: Path, side: str, log: Path, wall: list[float], jets: int) -> Path:
     (root / "perfbench").mkdir(parents=True)
+    (root / "src").mkdir()
+    (root / "src" / "stub.py").write_text("VALUE = 1\n")
     (root / "perfbench" / "run.py").write_text(
         f"SIDE, LOG, WALL, JETS = {side!r}, {str(log)!r}, {wall!r}, {jets!r}\n" + STUB)
     (root / "BENCHMARK.json").write_text(json.dumps(SPEC))
@@ -59,6 +61,8 @@ def test_alternating_pairs_and_summary(tmp_path, monkeypatch):
 
     record = json.loads(out.read_text())
     assert record["pr"] == 9 and record["seed"] == 5 and record["seconds"] == 3
+    assert record["bytecode"].endswith(
+        "-m compileall -q src in each checkout before the first pair")
     assert record["sha"]["parent"].startswith("unknown")
     assert {"nproc", "python", "numpy"} <= set(record["machine"])
     grid = record["workloads"]["grid"]
@@ -100,6 +104,37 @@ def test_acceptance_flags(tmp_path, monkeypatch, capsys, parent_wall, change_wal
     claim, regressed, unresolved = flags
     assert (f"claim_met={claim} regressed={regressed} unresolved={unresolved}"
             in capsys.readouterr().err)
+
+
+def test_sources_compiled_before_first_run(tmp_path, monkeypatch):
+    # each stub notes, at its first run, whether its src/__pycache__ holds
+    # stub.py's bytecode already
+    log = tmp_path / "order.log"
+    checkouts = {}
+    for side in bench_pairs.SIDES:
+        root = stub_checkout(tmp_path / side, side, log, [1.0], 100)
+        run_py = root / "perfbench" / "run.py"
+        run_py.write_text(
+            "from pathlib import Path\n"
+            "cache = Path(__file__).parents[1] / 'src' / '__pycache__'\n"
+            "seen = Path(__file__).parent / 'seen.txt'\n"
+            "if not seen.exists():\n"
+            "    seen.write_text(str(sorted(p.name.split('.')[0] for p in cache.glob('*.pyc'))))\n"
+            + run_py.read_text())
+        checkouts[side] = root
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", str(checkouts["parent"]), "--change",
+                             str(checkouts["change"]), "--pr", "9", "--seed", "5",
+                             "--pairs", "2"]) == 0
+    for root in checkouts.values():
+        assert (root / "perfbench" / "seen.txt").read_text() == "['stub']"
+
+
+def test_source_that_does_not_compile_is_reported(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "broken.py").write_text("def (\n")
+    with pytest.raises(RuntimeError, match="broken.py"):
+        bench_pairs.compile_sources(tmp_path)
 
 
 def test_failing_run_reports_its_stderr(tmp_path):

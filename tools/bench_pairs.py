@@ -7,6 +7,8 @@ Usage:
 
 Each checkout runs its own, unchanged ``perfbench/run.py`` for every
 workload that the change's BENCHMARK.json lists, for its ``run_seconds``.
+Before the first pair, each checkout's ``src`` is byte-compiled with this
+interpreter (``compileall``), so neither side writes a ``.pyc`` mid-run.
 Pair i runs the parent and then the change when i is even, and the other
 way round when i is odd, so a drift in machine load reaches both sides
 alike.  ``--traced-pairs`` adds that many pairs of ``--trace 1`` runs for
@@ -67,6 +69,17 @@ def machine() -> dict:
         "python": platform.python_version(),
         "numpy": numpy_version,
     }
+
+
+def compile_sources(checkout: Path) -> str:
+    """Byte-compile the checkout's ``src`` with this interpreter; returns the
+    command."""
+    argv = [sys.executable, "-m", "compileall", "-q", "src"]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(argv[1:])} in {checkout} exited {done.returncode}:\n"
+                           f"{(done.stdout + done.stderr).strip()}")
+    return " ".join(argv)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -179,6 +192,8 @@ def main(argv: list[str] | None = None) -> int:
     def log(line: str) -> None:
         print(line, file=sys.stderr, flush=True)
 
+    for path in checkouts.values():
+        compiled = compile_sources(path)  # the same command in both
     record = {
         "pr": args.pr,
         "seed": args.seed,
@@ -186,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         "sha": {side: git_sha(path) for side, path in checkouts.items()},
         "machine": machine(),
         "order": "parent first in even pairs, change first in odd pairs",
+        "bytecode": f"{compiled} in each checkout before the first pair",
         "workloads": {},
     }
     out = Path(f"BENCH_{args.pr}.json")
