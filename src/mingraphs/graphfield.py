@@ -10,10 +10,10 @@ f by a Newton iteration whose exact 2x2 Jacobian comes from h' and
 g' = -k/h' (Wirtinger derivatives f_zeta = h', f_zetabar = conj(g')), so an
 update solves a*d + b*conj(d) = -r with a = h', b = conj(g').  Univalence
 (|h'| > |g'|) keeps the Jacobian determinant positive, so a converged
-iterate is the preimage.  Newton stops within NEWTON_TOL of the larger of
-1 + |t| and |h| + |g|, the scale of f's own rounding; each converged node
-then takes one more step, with h' at its last iterate, which polishes it
-to rounding.
+iterate is the preimage.  Each iterate, every live node takes one step; it
+leaves once, failed when its step degenerates, or converged at a finite
+residual within NEWTON_TOL of max(1 + |t|, |h| + |g|), f's own rounding,
+when that step (h' at its last iterate) polishes it to rounding.
 
 Each node is inverted once, by levels, coarse to fine.  The coarsest
 lattice, every S-th row and column with S the largest power of two below
@@ -222,16 +222,17 @@ def _into_half_plane(z):
 def _newton_batch(pair, targets, guesses):
     """Vectorized Newton inversion of f over the closed half-plane.
 
-    Iterates are projected to sigma >= 0 (the search domain); rows whose
-    update degenerates are frozen as failed.  A row converges at
-    |f(zeta) - t| <= NEWTON_TOL*max(1 + |t|, |h| + |g|), with h and g at its
-    iterate: the residual cannot fall below f's own rounding, which is
-    relative to |h| + |g|.  A converged row takes one more step, its polish,
-    with h' at that iterate, which lands it at rounding.  The live rows are
-    kept as compacted arrays (index, iterate, target, residual).  Each node
-    follows its own iteration, whatever else is in the batch (under
-    ``_march``'s errstate).  Returns (zeta, ok, evaluations), the last the
-    number of residuals evaluated, summed over rows.
+    Iterates are projected to sigma >= 0 (the search domain).  Every live
+    row takes the same step on each iterate, with h' there, and leaves the
+    batch in one place: converged, at a finite residual within
+    NEWTON_TOL*max(1 + |t|, |h| + |g|) (h and g at its iterate, so the bound
+    never lies below f's own rounding, which is relative to |h| + |g|), when
+    the step just taken is its polish and lands it at rounding; or failed,
+    when its step is not finite and the iterate stays.  The live rows are
+    kept as compacted arrays (index, iterate, target).  Each node follows
+    its own iteration, whatever else is in the batch (under ``_march``'s
+    errstate).  Returns (zeta, ok, evaluations) in the targets' shape, the
+    last the number of residuals evaluated, summed over rows.
     """
     t = np.asarray(targets, dtype=complex)
     z = np.array(guesses, dtype=complex)
@@ -239,7 +240,6 @@ def _newton_batch(pair, targets, guesses):
     ok = np.zeros(t.shape, dtype=bool)
     idx = np.arange(t.size)
     za, ta = z.ravel(), t.ravel()
-    k = pair.k
     evaluations = 0
     for _ in range(NEWTON_MAX_ITER):
         if not idx.size:
@@ -248,24 +248,15 @@ def _newton_batch(pair, targets, guesses):
         jet = pair.h.jet(za)
         g = g_value(pair, za)
         r = jet.v + np.conj(g) - ta
-        conv = np.abs(r) <= NEWTON_TOL * np.maximum(1.0 + np.abs(ta), np.abs(jet.v) + np.abs(g))
-        a = jet.d1
-        if conv.any():
-            step = _newton_step(a[conv], r[conv], k)
-            z.flat[idx[conv]] = _into_half_plane(
-                za[conv] + np.where(np.isfinite(step), step, 0.0))
-            ok.flat[idx[conv]] = True
-            keep = ~conv
-            idx, za, ta, r, a = idx[keep], za[keep], ta[keep], r[keep], a[keep]
-            if not idx.size:
-                break
-        delta = _newton_step(a, r, k)
-        bad = ~np.isfinite(delta)
-        za = _into_half_plane(za + np.where(bad, 0.0, delta))
-        if bad.any():
-            z.flat[idx[bad]] = za[bad]
-            keep = ~bad
-            idx, za, ta = idx[keep], za[keep], ta[keep]
+        step = _newton_step(jet.d1, r, pair.k)
+        bad = ~np.isfinite(step)
+        za = _into_half_plane(za + np.where(bad, 0.0, step))
+        conv = np.isfinite(r) & (
+            np.abs(r) <= NEWTON_TOL * np.maximum(1.0 + np.abs(ta), np.abs(jet.v) + np.abs(g)))
+        done = conv | bad
+        if done.any():
+            z.flat[idx[done]], ok.flat[idx[done]] = za[done], conv[done]
+            idx, za, ta = idx[~done], za[~done], ta[~done]
     z.flat[idx] = za
     return z, ok, evaluations
 
@@ -322,9 +313,10 @@ def _nearest(cloud: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _cloud_seeds(cloud: tuple[np.ndarray, np.ndarray], targets: np.ndarray) -> np.ndarray:
-    """The preimage of the nearest cloud point to each target."""
+    """The preimage of the nearest cloud point to each target, in the
+    targets' shape."""
     cloud_z, cloud_f = cloud
-    return cloud_z[_nearest(cloud_f, targets)]
+    return cloud_z[_nearest(cloud_f, targets.ravel())].reshape(targets.shape)
 
 
 def _fill_odd_columns(pair, targets, zeta, ok, cloud) -> int:
@@ -361,8 +353,7 @@ def _fill_odd_columns(pair, targets, zeta, ok, cloud) -> int:
         missing = ~np.isfinite(guesses)
         if missing.any():
             guesses[missing] = _cloud_seeds(cloud, t[missing])
-        z, good, n = _newton_batch(pair, t.ravel(), guesses.ravel())
-        zeta[block, 1::2], ok[block, 1::2] = z.reshape(t.shape), good.reshape(t.shape)
+        zeta[block, 1::2], ok[block, 1::2], n = _newton_batch(pair, t, guesses)
         evaluations += n
     return evaluations
 
@@ -397,8 +388,8 @@ def _march(pair: WeierstrassPair, xs: np.ndarray, ys: np.ndarray,
         lattice = np.s_[::step, ::step]
         if coarse is None:  # one to four nodes, seeded from the cloud
             t = targets[lattice]
-            z, good, evaluations = _newton_batch(pair, t.ravel(), _cloud_seeds(cloud, t.ravel()))
-            zeta[lattice], ok[lattice] = z.reshape(t.shape), good.reshape(t.shape)
+            zeta[lattice], ok[lattice], evaluations = _newton_batch(
+                pair, t, _cloud_seeds(cloud, t))
         else:  # its nodes are the even ones, bit for bit, and maybe a row or column more
             cut = np.s_[:(ny + 1) // 2, :(nx + 1) // 2]
             zeta[lattice], ok[lattice] = coarse.zeta[cut], coarse.mask[cut]

@@ -52,7 +52,7 @@ def to_json(obj) -> str:
         inner = ", ".join(to_json(v) for v in obj)
         return f"[{inner}]"
     if isinstance(obj, dict):
-        inner = ", ".join(f'"{key}": {to_json(value)}' for key, value in obj.items())
+        inner = ", ".join(f"{to_json(str(key))}: {to_json(value)}" for key, value in obj.items())
         return f"{{{inner}}}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

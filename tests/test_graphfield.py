@@ -126,6 +126,19 @@ class TestInvertF:
         assert not ok
         assert np.isfinite(zeta) and zeta.real >= 0.0
 
+    def test_degenerate_step_leaves_the_batch(self):
+        # f = zeta - conj(zeta) = 2i*tau: |h'|^2 - |g'|^2 = 0, so every step is
+        # 0/0 at an exact preimage and infinite elsewhere
+        pair = build_pair({"kind": "custom", "k0": "2", "h": "affine slope=1",
+                           "g": "affine slope=-1"})
+        targets = np.array([[2.0j, 1.0 + 2.0j], [3.0j, -1.0j]])
+        guesses = np.array([[0.5 + 1.0j, 0.5 + 1.0j], [-0.5 + 2.0j, 2.0 - 3.0j]])
+        with np.errstate(all="ignore"):
+            z, ok, evaluations = _newton_batch(pair, targets, guesses)
+        assert z.shape == ok.shape == (2, 2) and evaluations == 4
+        assert ok.tolist() == [[True, False], [False, False]]
+        assert z.tolist() == [[0.5 + 1.0j, 0.5 + 1.0j], [2.0j, 2.0 - 3.0j]]
+
 
 class TestReconstruct:
     def test_planar_linear_pullback(self, planar_field):
@@ -891,6 +904,24 @@ class TestStopAtRounding:
         # (7.8 times the bound at the nearest node)
         moved, _ = lw_residual_mpmath(self.GAMMA, zeta + 1e-6j, targets)
         assert np.all(moved > NEWTON_TOL * scale)
+
+    def test_overflowed_iterate_is_no_root(self):
+        """Where h overflows, the bound is inf and so is |f(zeta) - t|: such
+        an iterate once counted as solved, 2,947 of 4,018 nodes here with
+        f(zeta) = inf.  A solved node has a finite residual within the bound."""
+        pair = build_pair({
+            "kind": "custom", "k0": "2", "h": "power-affine offset=1 exponent=400",
+            "g": "power-affine offset=1 exponent=-398 coeff=6.281407035175879e-06",
+        })
+        field = reconstruct_u(pair, ((-1e6, 1e6), (-1e6, 1e6)), 31250.0)
+        assert field.stats.attempted == 4225 and field.stats.solved == 3816
+        zeta = field.zeta[field.mask]
+        targets = (field.xs()[None, :] + 1j * field.ys()[:, None])[field.mask]
+        with np.errstate(all="ignore"):
+            h, g = pair.h.jet(zeta).v, g_value(pair, zeta)
+            residual = np.abs(h + np.conj(g) - targets)
+            bound = NEWTON_TOL * np.maximum(1.0 + np.abs(targets), np.abs(h) + np.abs(g))
+        assert np.isfinite(h + np.conj(g)).all() and np.all(residual <= bound)
 
 
 def test_interior_mask_erosion():

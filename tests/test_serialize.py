@@ -61,6 +61,13 @@ def test_to_json_escapes():
     assert json.loads(text) == {"notes": [raw]}
 
 
+def test_to_json_escapes_keys():
+    key = 'a"b\\c\nd'
+    text = to_json({key: 1})
+    assert text == '{"a\\"b\\\\c\\nd": 1}'
+    assert json.loads(text) == {key: 1}
+
+
 @pytest.mark.parametrize("value", [np.bool_(True), np.int64(3), {1, 2}, b"bytes"],
                          ids=["numpy-bool", "numpy-int", "set", "bytes"])
 def test_to_json_refuses_other_types(value):
