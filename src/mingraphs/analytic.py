@@ -247,10 +247,10 @@ class AnalyticMap:
 
 @dataclass(frozen=True)
 class AffineMap(AnalyticMap):
-    """slope*zeta + intercept."""
+    """slope*zeta + intercept (the config term ``affine``)."""
 
-    slope: complex
-    intercept: complex = 0.0
+    slope: complex = 1 + 0j
+    intercept: complex = 0j
 
     def __post_init__(self):
         _check_constants("affine", slope=self.slope, intercept=self.intercept)
@@ -269,11 +269,11 @@ class AffineMap(AnalyticMap):
 
 @dataclass(frozen=True)
 class PowerAffineMap(AnalyticMap):
-    """coeff * (zeta + offset)**exponent, principal branch."""
+    """coeff * (zeta + offset)**exponent, principal branch (config term ``power-affine``)."""
 
-    offset: complex
-    exponent: float
-    coeff: complex = 1.0
+    offset: complex = 0j
+    exponent: float = 1.0
+    coeff: complex = 1 + 0j
 
     def __post_init__(self):
         _check_constants(

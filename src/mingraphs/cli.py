@@ -100,6 +100,25 @@ def parse_floats(text: str, where: str) -> tuple[float, ...]:
     return parse_value(text, _floats, where, NUMBER_LIST)
 
 
+def _level_name(c: float) -> str:
+    return f"{c:g}".replace("-", "m").replace(".", "p")
+
+
+def parse_levels(text: str, where: str) -> tuple[float, ...]:
+    """``parse_floats``, refusing two different levels whose files would
+    share a name (``_level_name`` keeps 6 significant digits); a level
+    given twice is kept twice."""
+    levels = parse_floats(text, where)
+    first = {}
+    for c in levels:
+        name = _level_name(c)
+        other = first.setdefault(name, c)
+        if repr(other) != repr(c):
+            raise ParameterError(
+                f"{where} {other!r} and {c!r} share the file name level_{name}")
+    return levels
+
+
 def parse_formats(text: str, where: str) -> tuple[str, ...]:
     """A comma list of at least one output format, each one of FORMATS;
     empty entries are skipped."""
@@ -116,7 +135,7 @@ def parse_formats(text: str, where: str) -> tuple[str, ...]:
 #: command reads; its help).  A default goes through the same parser as user
 #: text.  ``_parse_flags`` parses them in this order.
 FLAGS = {
-    "--levels": ("0,1,2", parse_floats, "comma list of level heights"),
+    "--levels": ("0,1,2", parse_levels, "comma list of level heights"),
     "--tau": ("-20,20,401",
               lambda text, flag: parse_value(text, _tau, flag, "min,max,n with n an integer"),
               "a,b,n sampling window"),
@@ -152,10 +171,6 @@ def _write(out: str, name: str, text: str) -> Path:
         return atomic_write(Path(out) / name, text)
     except OSError as exc:
         raise ParameterError(f"cannot write into --out {out}: {exc.strerror}") from None
-
-
-def _level_name(c: float) -> str:
-    return f"{c:g}".replace("-", "m").replace(".", "p")
 
 
 def cmd_levelcurves(args) -> int:

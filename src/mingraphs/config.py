@@ -22,7 +22,11 @@ Map expressions are sums of primitive terms joined by " + ":
     power-affine offset=1 exponent=1.5 coeff=1
     affine slope=2 intercept=0
 
-Values parse as Python complex literals (no spaces inside a value).
+A term's parameters are the dataclass fields of its kind's class in
+``MAP_KINDS``, with their defaults.  A value (no spaces inside it) parses
+as its field's type: ``exponent`` as a real number, every other parameter
+as a Python complex literal.  A parameter the kind does not take, one given
+twice, or a value that does not parse is a ParameterError.
 
 Every integral (the Poisson kernels, anchored g, the height integral) uses
 the one Gauss-Legendre rule of ``analytic.gauss_legendre``, so there is no
@@ -34,6 +38,7 @@ acceptance rule and sample set are constants in ``verify`` and ``graphfield``
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 from .analytic import AffineMap, AnalyticMap, PowerAffineMap, SumMap
@@ -46,6 +51,13 @@ PAIR_KEYS = {
     "custom": ("kind", "k0", "h", "g", "g_anchor"),
 }
 
+#: Each map-term kind -> its class.  The class's dataclass fields are the
+#: term's parameters: name, type and default are declared there alone.
+MAP_KINDS = {"affine": AffineMap, "power-affine": PowerAffineMap}
+
+#: A field's type, as ``analytic`` annotates it -> (its parser, what it takes).
+FIELD_TYPES = {"complex": (complex, "a complex number"), "float": (float, "a real number")}
+
 
 def parse_value(text: str, kind, where: str, takes: str):
     """``kind(text)``, or a ParameterError that names the flag or
@@ -57,31 +69,31 @@ def parse_value(text: str, kind, where: str, takes: str):
 
 
 def parse_map_expr(text: str) -> AnalyticMap:
-    """Parse a sum of primitive analytic-map terms."""
+    """Parse a sum of primitive analytic-map terms, ``kind name=value ...``.
+    Each term is its MAP_KINDS class built from its dataclass fields: each
+    name is a field, given at most once, whose value parses as the field's
+    type; an omitted field keeps its default."""
     terms = []
     for chunk in text.split(" + "):
         tokens = chunk.split()
         if not tokens:
             raise ParameterError("empty map term")
         kind, params = tokens[0], {}
+        if kind not in MAP_KINDS:
+            raise ParameterError(f"unknown map kind {kind!r} (use {' | '.join(MAP_KINDS)})")
+        fields = {field.name: field.type for field in dataclasses.fields(MAP_KINDS[kind])}
         for token in tokens[1:]:
-            if "=" not in token:
+            key, sep, value = token.partition("=")
+            if not sep:
                 raise ParameterError(f"malformed parameter {token!r} in map term")
-            key, value = token.split("=", 1)
-            params[key] = parse_value(value, complex, f"map parameter {key}", "a complex number")
-        if kind == "affine":
-            terms.append(AffineMap(slope=params.get("slope", 1.0 + 0j),
-                                   intercept=params.get("intercept", 0.0 + 0j)))
-        elif kind == "power-affine":
-            terms.append(PowerAffineMap(
-                offset=params.get("offset", 0.0 + 0j),
-                exponent=float(params.get("exponent", 1.0 + 0j).real),
-                coeff=params.get("coeff", 1.0 + 0j),
-            ))
-        else:
-            raise ParameterError(f"unknown map kind {kind!r} (use affine | power-affine)")
-    if not terms:
-        raise ParameterError("map expression has no terms")
+            if key not in fields:
+                raise ParameterError(
+                    f"{kind} takes no parameter {key!r} (takes {', '.join(fields)})")
+            if key in params:
+                raise ParameterError(f"{kind} parameter {key} given twice")
+            convert, takes = FIELD_TYPES[fields[key]]
+            params[key] = parse_value(value, convert, f"map parameter {key}", takes)
+        terms.append(MAP_KINDS[kind](**params))
     return terms[0] if len(terms) == 1 else SumMap(parts=tuple(terms))
 
 

@@ -58,12 +58,16 @@ def to_json(obj) -> str:
 
 
 def atomic_write(path: str | Path, text: str) -> Path:
-    """Write text to path via a temp file + rename so readers never see partials."""
+    """Write text to path via a temp file + rename so readers never see partials.
+    The file gets mode 0o666 less the umask, as ``open(path, "w")`` gives."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0o777)  # read it: mkstemp makes its file 0o600
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -1,6 +1,7 @@
 """CLI commands: artifacts, exit codes, determinism, config handling."""
 
 import argparse
+import dataclasses
 import importlib
 import itertools
 import json
@@ -13,13 +14,23 @@ import numpy as np
 import pytest
 
 from mingraphs import verify
+from mingraphs.analytic import AffineMap, PowerAffineMap
 from mingraphs.cli import FLAGS, build_parser, main
-from mingraphs.config import PAIR_KEYS, build_pair, load_config, parse_map_expr
+from mingraphs.config import (
+    FIELD_TYPES,
+    MAP_KINDS,
+    PAIR_KEYS,
+    build_pair,
+    load_config,
+    parse_map_expr,
+)
 from mingraphs.errors import ParameterError
 from oracles import field_from_grid_text
 
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
+#: A custom [pair] but for its h.
+CUSTOM = "[pair]\nkind = custom\nk0 = 2\ng_anchor = 1:0\n"
 
 
 def run(*argv) -> int:
@@ -49,6 +60,12 @@ class TestConfig:
     def test_parse_map_expr_sum(self):
         amap = parse_map_expr("power-affine offset=1 exponent=2 coeff=0.5 + affine slope=-5")
         assert amap.jet(1.0 + 0j).d1 == pytest.approx(-3.0)  # (zeta+1) - 5 at zeta=1
+
+    def test_parse_map_expr_defaults(self):
+        # An omitted parameter keeps its field's default.
+        assert parse_map_expr("affine") == AffineMap(slope=1 + 0j, intercept=0j)
+        assert parse_map_expr("power-affine coeff=2") == PowerAffineMap(
+            offset=0j, exponent=1.0, coeff=2 + 0j)
 
     def test_parse_map_expr_errors(self):
         with pytest.raises(ParameterError):
@@ -111,6 +128,21 @@ class TestConfig:
         sentence = README.split("The defaults are ", 1)[1].split("`.", 1)[0] + "`"
         defaults = dict(re.findall(r"`(--[a-z]+)[ =]([^`]+)`", sentence))
         assert defaults == {flag: default for flag, (default, _, _) in FLAGS.items()}
+
+    def test_readme_lists_the_map_term_parameters(self):
+        # README's term table lists each MAP_KINDS kind's fields, in order,
+        # with the type and default its dataclass declares.
+        lines = README.split("| term kind | parameter | type | default |\n", 1)[1]
+        rows = itertools.takewhile(lambda line: line.startswith("|"), lines.splitlines()[1:])
+        documented = []
+        for row in rows:
+            kind, name, type_name, default = (
+                cell.strip().strip("`") for cell in row.strip("|").split("|"))
+            documented.append((kind, name, type_name, FIELD_TYPES[type_name][0](default)))
+        assert documented == [
+            (kind, field.name, field.type, field.default)
+            for kind, cls in MAP_KINDS.items() for field in dataclasses.fields(cls)
+        ]
 
     def test_readme_matches_constants(self):
         # The tolerance table gives each tolerance's value in code, and every
@@ -575,8 +607,22 @@ class TestMalformedInput:
          "[pair] h: map parameter slope takes a complex number, got 'x'"),
         (["levelcurves"], "[pair]\nkind = custom\nh = affine\ng_anchor = 1\n",
          "[pair] g_anchor takes zeta:value"),
+        (["levelcurves"], CUSTOM + "h = power-affine offset=1 exponent=1.5+0.7j\n",
+         "[pair] h: map parameter exponent takes a real number, got '1.5+0.7j'"),
+        (["levelcurves"], CUSTOM + "h = power-affine offset=1 exponent=x\n",
+         "[pair] h: map parameter exponent takes a real number, got 'x'"),
+        (["levelcurves"], CUSTOM + "h = affine slope=3 exponent=2\n",
+         "[pair] h: affine takes no parameter 'exponent' (takes slope, intercept)"),
+        (["levelcurves"], CUSTOM + "h = power-affine offset=1 offset=5 exponent=1.5\n",
+         "[pair] h: power-affine parameter offset given twice"),
+        (["levelcurves"], CUSTOM + "h = power-affine offse=1 exponent=1.5\n",
+         "[pair] h: power-affine takes no parameter 'offse' (takes offset, exponent, coeff)"),
+        (["levelcurves", "--levels=1,1.0000001"], None,
+         "--levels 1.0 and 1.0000001 share the file name level_1"),
     ], ids=["tau-count", "tau-n-float", "grid-count", "levels-entry", "gammas-entry",
-            "pair-gamma", "planar-k0", "custom-h", "g-anchor"])
+            "pair-gamma", "planar-k0", "custom-h", "g-anchor", "complex-exponent",
+            "exponent-entry", "foreign-parameter", "repeated-parameter",
+            "misspelt-parameter", "levels-one-file"])
     def test_malformed_value_names_its_source(self, tmp_path, capsys, argv, config_text, named):
         if config_text is not None:
             config = tmp_path / "run.ini"

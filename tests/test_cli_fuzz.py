@@ -27,7 +27,7 @@ FLAGS = (
     "--gamma=1.5", "--gamma=1.05", "--gamma=1.995", "--gamma=2", "--gamma=nan", "--gamma=inf",
     "--gamma=x",
     "--levels=1", "--levels=0,2", "--levels=1,x", "--levels=nan", "--levels=inf",
-    "--levels=-1", "--levels=,", "--levels=1e308",
+    "--levels=-1", "--levels=,", "--levels=1e308", "--levels=1,1.0000001",
     "--tau=-2,2,5", "--tau=1,2", "--tau=-1,1,0", "--tau=-1,1,-3", "--tau=1,-1,5",
     "--tau=nan,1,5", "--tau=-inf,inf,5", "--tau=-1,1,2.5", "--tau=-1e300,1e300,5",
     "--tau=-1,1,100000000000", "--tau=-1,1,5,7",
@@ -95,6 +95,11 @@ ENTRIES = (
     ("pair", "g_anchor", "nan:0"), ("pair", "g_anchor", "1:inf"),
     ("pair", "g", "affine slope=-0.5"), ("pair", "g", "affine slope=x"),
     ("pair", "h", "power-affine offset=1 exponent=1e300"), ("pair", "g", "affine slope=1e300"),
+    # a complex exponent, a foreign, a repeated and a misspelt parameter
+    ("pair", "h", "power-affine offset=1 exponent=1.5+0.7j"),
+    ("pair", "h", "affine slope=3 exponent=2"),
+    ("pair", "h", "power-affine offset=1 offset=5 exponent=1.5"),
+    ("pair", "h", "power-affine offse=1 exponent=1.5"),
     # sections other than [pair], each with a value its flag would take
     ("levels", "values", "1"), ("tau", "n", "5"), ("grid", "spacing", "0.25"),
     ("output", "formats", "csv"), ("sweep", "gammas", "1.5"),

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -89,6 +90,18 @@ def test_atomic_write_replaces(tmp_path):
     atomic_write(str(target), "new\n")
     assert target.read_text() == "new\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664)],
+                         ids=["umask-022", "umask-002"])
+def test_atomic_write_mode_follows_the_umask(tmp_path, umask, mode):
+    # the mode open(path, "w") would give, not the temp file's 0o600
+    old = os.umask(umask)
+    try:
+        path = atomic_write(tmp_path / "out.txt", "text\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 @pytest.mark.parametrize("failure", ["write", "rename"])
